@@ -6,6 +6,13 @@ topological order and accumulates exact gradients into every tensor built
 with requires_grad=True. Only the operations the linking model needs are
 implemented; each backward rule is checked against central finite
 differences in the test suite.
+
+Gradients are dense arrays shaped like their tensor, except that a row
+gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
+gathered rows and their summed gradients. Adam, clipping and the
+finiteness check consume it as it is, so an embedding table's gradient
+costs what the batch touches, not the table size. A `RowGrad` meeting a
+dense gradient on the same tensor is densified.
 """
 
 import numpy as np
@@ -110,15 +117,74 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g = node.grad
+                # backward rules take dense gradients; only leaves keep a RowGrad
+                node._backward(g.dense() if isinstance(g, RowGrad) else g)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+class RowGrad:
+    """Row-sparse gradient of a table of `shape`: row `rows[i]` has gradient
+    `values[i]`, every other row is zero. `rows` is sorted and unique."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, idx, g: np.ndarray, shape: tuple):
+        """Sum the per-index gradients g (shape idx.shape + shape[1:]) by row,
+        adding in the original index order as a dense np.add.at would."""
+        shape = tuple(shape)
+        idx = np.asarray(idx).reshape(-1) % shape[0]
+        g = np.reshape(g, (idx.size,) + shape[1:])
+        self.rows, inv = np.unique(idx, return_inverse=True)
+        inv = inv.reshape(-1)
+        if len(self.rows) == idx.size:
+            # One term per row: a plain scatter, then 0.0 + x as the sum from
+            # zero would give (it turns -0.0 into 0.0).
+            self.values = np.empty(g.shape)
+            self.values[inv] = g
+            self.values += 0.0
+        else:
+            self.values = np.zeros((len(self.rows),) + shape[1:])
+            np.add.at(self.values, inv, g)
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
+def grad_values(g) -> np.ndarray:
+    """The stored entries of a gradient: a RowGrad's values, else the array."""
+    return g.values if isinstance(g, RowGrad) else g
+
+
+def _accum(t: Tensor, g) -> None:
+    """Add g into t.grad.
+
+    Backward never writes a gradient in place, so an interior node keeps
+    a C-contiguous first g as given even if another node shares it. A leaf,
+    whose gradient the caller owns and may scale, stores a copy, and so does
+    a strided view (C order keeps every later reduction's summation order).
+    """
     if not t.requires_grad:
         return
+    if isinstance(g, RowGrad) and not isinstance(t.grad, np.ndarray):
+        if t.grad is not None:
+            g = RowGrad(
+                np.concatenate([t.grad.rows, g.rows]),
+                np.concatenate([t.grad.values, g.values]),
+                t.shape,
+            )
+        t.grad = g
+        return
+    if isinstance(g, RowGrad):
+        g = g.dense()
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        keep = t._backward is not None and g.flags.c_contiguous
+        t.grad = g if keep else g.copy()
+    else:
+        prev = t.grad.dense() if isinstance(t.grad, RowGrad) else t.grad
+        t.grad = prev + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -239,14 +305,15 @@ def concat(tensors: list, axis: int = -1) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Row gather along axis 0 (embedding lookup); idx is any int array."""
+    """Row gather along axis 0 (embedding lookup); idx is any int array.
+
+    The gradient reaching `a` is a RowGrad over the gathered rows.
+    """
     idx = np.asarray(idx)
     out = Tensor(a.data[idx], _parents=(a,))
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        _accum(a, buf)
+        _accum(a, RowGrad(idx, g, a.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out

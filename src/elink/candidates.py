@@ -7,6 +7,7 @@ entities. Within a batch, every example additionally sees the union of all
 examples' candidates.
 """
 
+import copy
 import logging
 from dataclasses import dataclass
 
@@ -49,9 +50,20 @@ class CandidateSet:
     def __post_init__(self):
         if len(set(self.entities)) != len(self.entities):
             raise ValueError("candidate entities contain duplicates")
+        self._check_gold_positions()
+
+    def _check_gold_positions(self):
         for pos in self.gold_positions:
             if pos is not None and not (0 <= pos < len(self.entities)):
                 raise ValueError(f"gold position {pos} outside candidate list")
+
+    def with_gold_positions(self, gold_positions: list[int | None]) -> "CandidateSet":
+        """A set over this one's entity list (shared, not copied or rechecked)
+        with other gold positions."""
+        out = copy.copy(self)
+        out.gold_positions = gold_positions
+        out._check_gold_positions()
+        return out
 
 
 class PhraseTable:
@@ -147,6 +159,21 @@ def phrase_candidates(surface: str, table: PhraseTable, budget: int) -> list[int
     return table.lookup(surface)[:budget]
 
 
+def random_candidates(
+    seen: set[int], n_entities: int, n: int, rng: np.random.Generator
+) -> list[int]:
+    """n distinct uniform-random entities outside `seen`, in O(n log n).
+
+    Draws positions in the ascending list of ids not in `seen`, then maps
+    each position to its id by shifting it past every excluded id at or
+    below it, so it returns what drawing from that explicit list would.
+    """
+    excluded = np.array(sorted(e for e in seen if 0 <= e < n_entities), dtype=np.int64)
+    picks = rng.choice(n_entities - len(excluded), size=n, replace=False)
+    below = excluded - np.arange(len(excluded))
+    return (picks + np.searchsorted(below, picks, side="right")).tolist()
+
+
 def _phrase_budgets(total: int, n_mentions: int) -> list[int]:
     """Divide `total` as evenly as possible; remainder goes to earliest mentions."""
     if n_mentions == 0:
@@ -216,9 +243,7 @@ def assemble_candidates(
 
     need = cfg.k - len(chosen)
     if need > 0:
-        pool = np.array([e for e in range(n_entities) if e not in seen], dtype=np.int64)
-        picks = rng.choice(len(pool), size=need, replace=False)
-        chosen.extend(int(pool[i]) for i in picks)
+        chosen.extend(random_candidates(seen, n_entities, need, rng))
 
     positions = {e: i for i, e in enumerate(chosen)}
     gold_positions = [
@@ -231,7 +256,8 @@ def batch_negatives(sets: list[CandidateSet]) -> list[CandidateSet]:
     """Share candidates across a batch: everyone sees the deduplicated union.
 
     Union order is first appearance over example order; gold positions are
-    re-indexed into the union.
+    re-indexed into the union. The union is built and validated once, and
+    every returned set shares that one entity list.
     """
     union: list[int] = []
     where: dict[int, int] = {}
@@ -240,10 +266,10 @@ def batch_negatives(sets: list[CandidateSet]) -> list[CandidateSet]:
             if e not in where:
                 where[e] = len(union)
                 union.append(e)
-    out = []
-    for cs in sets:
-        gold_positions = [
-            None if pos is None else where[cs.entities[pos]] for pos in cs.gold_positions
-        ]
-        out.append(CandidateSet(entities=list(union), gold_positions=gold_positions))
-    return out
+    shared = CandidateSet(entities=union, gold_positions=[])
+    return [
+        shared.with_gold_positions(
+            [None if pos is None else where[cs.entities[pos]] for pos in cs.gold_positions]
+        )
+        for cs in sets
+    ]

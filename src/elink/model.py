@@ -93,10 +93,12 @@ def _param_specs(cfg: ModelConfig):
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        # only the entries just redrawn can still be out of range
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return x
 
 
@@ -435,14 +437,18 @@ def total_loss(
     return loss, metrics
 
 
-def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of a recorded loss for every parameter."""
+def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray | ad.RowGrad]:
+    """Exact reverse-mode gradients of a recorded loss for every parameter.
+
+    Groups reached only through row gathers (the embedding tables) get a
+    row-sparse RowGrad; the others get dense arrays.
+    """
     params.zero_grad()
     loss.backward()
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | ad.RowGrad] = {}
     for name, t in params.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.isfinite(g).all():
+        if not np.isfinite(ad.grad_values(g)).all():
             raise GradientError(f"non-finite gradient in parameter group {name!r}")
         grads[name] = g
     return grads

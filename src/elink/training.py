@@ -9,6 +9,7 @@ identical configs produce bytewise-identical checkpoints and logs.
 """
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import model as M
 from .aliastable import AliasTable
+from .autodiff import RowGrad, grad_values
 from .candidates import CandidateConfig, PageLinks, PhraseTable, assemble_candidates, batch_negatives
 from .corpus import Context, TokenVocab
 from .model import MentionTarget, ModelConfig, ModelParams, build_batch, save_checkpoint
@@ -26,6 +28,9 @@ log = logging.getLogger(__name__)
 
 FINETUNE_MODES = ("alias_candidates", "all_entities")
 SOFTMAX_MODES = ("candidates", "all_entities")
+_ADAM_CHUNK = 1 << 15  # elements per Adam update chunk
+
+Grad = np.ndarray | RowGrad
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,31 +108,43 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * (cfg.total_steps - step) / (cfg.total_steps - warmup)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so the global L2 norm is at most clip_norm."""
+def clip_gradients(grads: dict[str, Grad], clip_norm: float) -> dict[str, Grad]:
+    """Scale all gradients so the global L2 norm is at most clip_norm.
+
+    A RowGrad contributes and is scaled through its stored rows only.
+    """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     sq = 0.0
     for g in grads.values():
-        sq += float((g * g).sum())
+        flat = grad_values(g).reshape(-1)
+        sq += float(flat @ flat)
     norm = np.sqrt(sq)
     if not np.isfinite(norm):
         raise ValueError("non-finite gradient norm")
     if norm > clip_norm:
         scale = clip_norm / norm
         for g in grads.values():
-            g *= scale
+            vals = grad_values(g)
+            vals *= scale
     return grads
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: dict[str, Grad],
     state: OptimizerState,
     lr: float,
     cfg: TrainConfig,
 ) -> OptimizerState:
-    """One bias-corrected Adam update in place; frozen groups are skipped."""
+    """One bias-corrected Adam update in place; frozen groups are skipped.
+
+    A dense gradient is the RowGrad of all rows. The moments decay over the
+    whole table and take the gradient only at its rows; the update itself
+    is dense (momentum moves untouched rows too), computed in row chunks
+    into scratch buffers, and each chunk is checked for finiteness before
+    it is applied.
+    """
     state.step += 1
     t = state.step
     frozen = {"ent_emb"} if cfg.freeze_entity_embeddings else set()
@@ -137,14 +154,31 @@ def adam_step(
         if name in frozen:
             continue
         g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        update = lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        if not np.isfinite(update).all():
-            raise ValueError(f"non-finite Adam update for parameter group {name!r}")
-        tensor.data -= update
+        rows = g.rows if isinstance(g, RowGrad) else slice(None)
+        vals = grad_values(g)
+        m, v, p = state.m[name], state.v[name], tensor.data
+        m *= cfg.beta1
+        m[rows] += (1.0 - cfg.beta1) * vals
+        v *= cfg.beta2
+        v[rows] += (1.0 - cfg.beta2) * vals * vals
+        n = len(p)
+        chunk = max(1, _ADAM_CHUNK // max(1, math.prod(p.shape[1:])))
+        num = np.empty((min(chunk, n),) + p.shape[1:])
+        den = np.empty_like(num)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            c = slice(lo, hi)
+            a, b = num[: hi - lo], den[: hi - lo]
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), in the textbook's op order
+            np.divide(m[c], bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v[c], bc2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.eps
+            a /= b
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite Adam update for parameter group {name!r}")
+            p[c] -= a
     return state
 
 

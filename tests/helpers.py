@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from elink.autodiff import RowGrad
 from elink.candidates import PageLinks, PhraseTable
 from elink.corpus import Context, MentionLabel, TokenVocab
 from elink.model import predict_disambiguation
@@ -259,6 +260,8 @@ def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float
     report = {}
     for name, tensor in params.items():
         analytic = grads[name]
+        if isinstance(analytic, RowGrad):
+            analytic = analytic.dense()
         numeric = np.zeros_like(tensor.data)
         flat = tensor.data.reshape(-1)
         nflat = numeric.reshape(-1)

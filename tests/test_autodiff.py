@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elink import autodiff as ad
-from elink.autodiff import Tensor
+from elink.autodiff import RowGrad, Tensor
+
+
+def _dense_grad(t):
+    if t.grad is None:
+        return np.zeros_like(t.data)
+    return t.grad.dense() if isinstance(t.grad, RowGrad) else t.grad.copy()
 
 
 def fd_check(build, tensors, h=1e-6, tol=1e-5):
@@ -12,7 +20,7 @@ def fd_check(build, tensors, h=1e-6, tol=1e-5):
     central finite differences for each tensor."""
     out = build()
     out.backward()
-    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    grads = [_dense_grad(t) for t in tensors]
     for t in tensors:
         t.grad = None
     for t, g in zip(tensors, grads):
@@ -87,8 +95,66 @@ def test_take_accumulates_repeated_rows(rng):
     out = ad.take(e, idx)
     out.sum().backward()
     # row 2 appears twice, so its gradient is doubled
-    assert np.allclose(e.grad[2], 2.0)
-    assert np.allclose(e.grad[1], 0.0)
+    assert np.allclose(e.grad.dense()[2], 2.0)
+    assert np.allclose(e.grad.dense()[1], 0.0)
+
+
+def _dense_scatter(shape, idx, g):
+    """The dense gather gradient: a zero table with np.add.at over idx."""
+    buf = np.zeros(shape)
+    np.add.at(buf, idx, g)
+    return buf
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_take_rowgrad_equals_dense_scatter(data):
+    n = data.draw(st.integers(1, 6), label="rows")
+    d = data.draw(st.integers(1, 3), label="width")
+    flat = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=24), label="idx")
+    idx = np.array(flat)
+    if len(flat) % 2 == 0 and data.draw(st.booleans(), label="2-D"):
+        idx = idx.reshape(2, -1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    e = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    # zeroing some entries leaves -0.0 where the normal draw was negative
+    w = rng.normal(size=idx.shape + (d,)) * rng.integers(0, 2, size=idx.shape + (d,))
+    (ad.take(e, idx) * w).sum().backward()
+    assert isinstance(e.grad, RowGrad)
+    assert np.array_equal(e.grad.rows, np.unique(idx % n))
+    assert e.grad.dense().tobytes() == _dense_scatter((n, d), idx, w).tobytes()
+
+
+def test_repeated_gathers_accumulate_like_dense(rng):
+    e = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+    i1, i2 = np.array([4, 0, 4]), np.array([[1, 4], [0, 0]])
+    w1, w2 = rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 2))
+    ((ad.take(e, i1) * w1).sum() + (ad.take(e, i2) * w2).sum()).backward()
+    assert isinstance(e.grad, RowGrad)
+    expect = _dense_scatter((6, 2), i1, w1) + _dense_scatter((6, 2), i2, w2)
+    assert e.grad.dense().tobytes() == expect.tobytes()
+    # a dense use of the same table densifies the sum
+    e.grad = None
+    ((ad.take(e, i1) * w1).sum() + (e * w2[0, 0]).sum()).backward()
+    assert isinstance(e.grad, np.ndarray)
+    assert np.array_equal(e.grad, _dense_scatter((6, 2), i1, w1) + w2[0, 0])
+
+
+def test_take_of_interior_node(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    idx = np.array([3, 1, 3])
+    # the gelu rule receives the gather's gradient densified
+    fd_check(lambda: (ad.take(ad.gelu(a), idx) * 0.7).sum(), [a])
+
+
+def test_strided_gradient_is_reduced_in_c_order(rng):
+    # transpose hands the add node a strided view; its bias reduction must
+    # sum in the order of the C-contiguous gradient buffer
+    m = Tensor(rng.normal(size=(4096, 3)), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    w = rng.normal(size=(3, 4096))
+    (ad.transpose(m + b, (1, 0)) * w).sum().backward()
+    assert b.grad.tobytes() == np.ascontiguousarray(w.T).sum(axis=0).tobytes()
 
 
 def test_take2_pairs(rng):

@@ -1,6 +1,9 @@
 """Candidate assembly: sources, budgets, dedup priority, in-batch union."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elink.candidates import (
     CandidateBudgetError,
@@ -12,6 +15,7 @@ from elink.candidates import (
     batch_negatives,
     page_candidates,
     phrase_candidates,
+    random_candidates,
 )
 from elink.corpus import MentionLabel
 from elink.seeding import derive_rng
@@ -108,6 +112,38 @@ def test_fill_with_random_when_no_sources():
     assert len(cs.entities) == 16
     assert cs.entities[:2] == [1, 2]
     assert len(set(cs.entities)) == 16
+
+
+def _explicit_pool_fill(seen, n_entities, n, rng):
+    """Brute-force oracle: draw from the explicit list of ids not in seen."""
+    pool = np.array([e for e in range(n_entities) if e not in seen], dtype=np.int64)
+    picks = rng.choice(len(pool), size=n, replace=False)
+    return [int(pool[i]) for i in picks]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_random_fill_equals_explicit_pool(data):
+    n_entities = data.draw(st.integers(1, 3000), label="n_entities")
+    seen = data.draw(st.sets(st.integers(0, n_entities - 1), max_size=min(n_entities, 64)))
+    if data.draw(st.booleans(), label="dense block"):
+        lo = data.draw(st.integers(0, n_entities - 1))
+        seen |= set(range(lo, min(n_entities, lo + 40)))
+    n = data.draw(st.integers(0, n_entities - len(seen)), label="n")
+    seen |= data.draw(st.sets(st.integers(n_entities, n_entities + 9)), label="out of range")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_candidates(seen, n_entities, n, got_rng)
+    assert got == _explicit_pool_fill(seen, n_entities, n, want_rng)
+    # the same draws leave the stream in the same place
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+def test_random_fill_large_table():
+    rng = np.random.default_rng(0)
+    seen = set(rng.choice(100_000, size=640, replace=False).tolist())
+    got = random_candidates(seen, 100_000, 128, np.random.default_rng(1))
+    assert got == _explicit_pool_fill(seen, 100_000, 128, np.random.default_rng(1))
 
 
 def test_budget_too_small_for_golds():
@@ -208,6 +244,16 @@ def test_union_batch_of_one():
     (out,) = batch_negatives([a])
     assert out.entities == [3, 1, 2]
     assert out.gold_positions == [None, 2]
+
+
+def test_union_is_shared_and_gold_positions_checked():
+    a = CandidateSet([1, 2], [1])
+    b = CandidateSet([2, 3], [0, None])
+    out = batch_negatives([a, b])
+    assert out[0].entities is out[1].entities
+    assert [cs.gold_positions for cs in out] == [[1], [1, None]]
+    with pytest.raises(ValueError, match="outside"):
+        out[0].with_gold_positions([3])
 
 
 def test_union_order_is_first_appearance():

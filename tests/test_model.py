@@ -36,6 +36,7 @@ from elink.model import (
     span_repr,
     stable_softmax,
     total_loss,
+    _trunc_normal,
 )
 
 TINY = ModelConfig(vocab_size=50, n_entities=20, d_model=8, n_layers=2,
@@ -95,6 +96,26 @@ def test_initialize_deterministic():
     for (na, ta), (nb, tb) in zip(a.items(), b.items()):
         assert na == nb
         assert np.array_equal(ta.data, tb.data)
+
+
+def _resample_whole_array(rng, shape, std):
+    """Truncated normal by re-checking the whole array after every pass."""
+    x = rng.normal(0.0, std, size=shape)
+    bad = np.abs(x) > 2 * std
+    while bad.any():
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * std
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trunc_normal_matches_whole_array_resampling(seed):
+    shape, std = (300, 70), 0.02
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _trunc_normal(got_rng, shape, std)
+    assert got.tobytes() == _resample_whole_array(want_rng, shape, std).tobytes()
+    assert np.abs(got).max() <= 2 * std
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +347,7 @@ def test_uncandidated_entity_embedding_gradient_is_zero(params):
     batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 0)]], np.array([5, 3]))
     loss, _ = total_loss(params, batch, 1.0, 1.0)
     grads = backward(loss, params)
-    g = grads["ent_emb"]
+    g = grads["ent_emb"].dense()
     assert np.any(g[5] != 0.0) and np.any(g[3] != 0.0)
     untouched = [i for i in range(TINY.n_entities) if i not in (3, 5)]
     assert np.all(g[untouched] == 0.0)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import all_entity_accuracy, make_world
 
+from elink import training
 from elink.aliastable import AliasTable
+from elink.autodiff import RowGrad
 from elink.candidates import CandidateConfig
 from elink.model import ModelConfig, ModelParams, load_checkpoint
 from elink.noising import NoiseConfig
@@ -89,6 +91,19 @@ def test_clip_rejects_nonfinite():
         clip_gradients({"a": np.array([np.nan])}, 1.0)
 
 
+def test_clip_scales_rowgrad_values_like_dense():
+    rng = np.random.default_rng(5)
+    rows = RowGrad(np.array([3, 0, 3]), rng.normal(size=(3, 2)) * 4, (6, 2))
+    bias = rng.normal(size=4)
+    dense = {"emb": rows.dense(), "b": bias.copy()}
+    clip_gradients({"emb": rows, "b": bias}, 1.0)
+    clip_gradients(dense, 1.0)
+    assert isinstance(rows, RowGrad) and list(rows.rows) == [0, 3]
+    # equal up to the summation order of the global norm
+    np.testing.assert_allclose(rows.dense(), dense["emb"], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(bias, dense["b"], rtol=1e-14, atol=0)
+
+
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20),
        st.floats(0.1, 10))
 @settings(max_examples=200, deadline=None)
@@ -146,9 +161,64 @@ def test_adam_rejects_nonfinite_update():
     grads = {k: np.zeros_like(t.data) for k, t in params.items()}
     grads["bio_b"] = np.array([np.inf, 0.0, 0.0])
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite Adam update for parameter group 'bio_b'"):
             adam_step(params, grads, OptimizerState.for_params(params), lr=1e-3,
                       cfg=TrainConfig())
+
+
+def test_adam_rejects_nonfinite_row_update_in_a_later_chunk(monkeypatch):
+    monkeypatch.setattr(training, "_ADAM_CHUNK", 4)   # one 4-wide row per chunk
+    params = tiny_params()
+    grads = {k: np.zeros_like(t.data) for k, t in params.items()}
+    grads["ent_emb"] = RowGrad(np.array([2]), np.array([[0.0, np.nan, 0.0, 0.0]]), (3, 4))
+    before = params["ent_emb"].data.copy()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite Adam update for parameter group 'ent_emb'"):
+            adam_step(params, grads, OptimizerState.for_params(params), lr=1e-3,
+                      cfg=TrainConfig())
+    # the offending chunk was never applied
+    assert params["ent_emb"].data[2].tobytes() == before[2].tobytes()
+
+
+def _reference_adam(params, grads, m, v, t, lr, cfg):
+    """The textbook dense Adam step, one full-size temporary per term."""
+    bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 15])
+def test_adam_rowgrad_equals_dense_bytewise(monkeypatch, chunk):
+    """Three steps with row-sparse gradients give the same bytes as with
+    their dense() form, and as the textbook dense formula."""
+    monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+    cfg = ModelConfig(vocab_size=11, n_entities=9, d_model=4, n_layers=1,
+                      n_heads=1, d_ff=4, d_entity=5, max_len=4)
+    sparse, dense = ModelParams.initialize(cfg, seed=3), ModelParams.initialize(cfg, seed=3)
+    ref = {k: t.data.copy() for k, t in sparse.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    s_state, d_state = OptimizerState.for_params(sparse), OptimizerState.for_params(dense)
+    rng = np.random.default_rng(4)
+    tc = TrainConfig()
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.data.shape) for k, p in sparse.items()}
+        for name in ("ent_emb", "tok_emb"):
+            shape = sparse[name].data.shape
+            idx = rng.integers(0, shape[0], size=6)
+            grads[name] = RowGrad(idx, rng.normal(size=(6,) + shape[1:]), shape)
+        as_dense = {k: g.dense() if isinstance(g, RowGrad) else g.copy() for k, g in grads.items()}
+        lr = 1e-2 * t
+        adam_step(sparse, grads, s_state, lr, tc)
+        adam_step(dense, as_dense, d_state, lr, tc)
+        _reference_adam(ref, as_dense, ref_m, ref_v, t, lr, tc)
+    for name, p in sparse.items():
+        assert p.data.tobytes() == dense[name].data.tobytes() == ref[name].tobytes(), name
+        assert s_state.m[name].tobytes() == d_state.m[name].tobytes() == ref_m[name].tobytes(), name
+        assert s_state.v[name].tobytes() == d_state.v[name].tobytes() == ref_v[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
