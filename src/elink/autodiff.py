@@ -13,6 +13,11 @@ gathered rows and their summed gradients. Adam, clipping and the
 finiteness check consume it as it is, so an embedding table's gradient
 costs what the batch touches, not the table size. A `RowGrad` meeting a
 dense gradient on the same tensor is densified.
+
+The model's dense layers (`linear`), multi-head attention (`attention`) and
+softmax losses (`softmax_nll`) are fused: each is one tape node with a
+hand-written backward, so a training step records and walks few full-size
+temporaries.
 """
 
 import numpy as np
@@ -334,29 +339,86 @@ def take2(a: Tensor, idx0, idx1) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(a,))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over any number of leading dims, as one 2-D GEMM.
+
+    The backward is one GEMM each for the input and weight gradients and
+    one row-sum for the bias gradient.
+    """
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(lead + (y.shape[-1],)), _parents=(x, w, b))
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        g2 = g.reshape(-1, g.shape[-1])
+        _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        _accum(w, x2.T @ g2)
+        _accum(b, g2.sum(axis=0))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True)) + m
-    y = a.data - lse
-    out = Tensor(y, _parents=(a,))
+def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, T, d) inputs.
+
+    key_bias (B, T) is added to every query's scores for that key (a large
+    negative value masks a padding key). Heads are split and merged inside
+    the node; only the attention probabilities are kept for the backward.
+    """
+    B, T, d = q.data.shape
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    p += key_bias[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = (p @ vh).transpose(0, 2, 1, 3).reshape(B, T, d)
+    out = Tensor(ctx, _parents=(q, k, v))
 
     def bwd(g):
-        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        gh = heads(g)
+        _accum(v, (p.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3).reshape(B, T, d))
+        gs = gh @ vh.swapaxes(-1, -2)
+        # softmax backward: p * (gp - sum(gp * p)), then the score scale
+        dot = (gs * p).sum(axis=-1, keepdims=True)
+        gs -= dot
+        gs *= p
+        gs *= scale
+        _accum(q, (gs @ kh).transpose(0, 2, 1, 3).reshape(B, T, d))
+        _accum(k, (gs.swapaxes(-1, -2) @ qh).transpose(0, 2, 1, 3).reshape(B, T, d))
+
+    out._backward = bwd if out.requires_grad else None
+    return out
+
+
+def softmax_nll(scores: Tensor, gold) -> Tensor:
+    """Per-row negative log softmax probability of column gold[i] of (N, K)
+    scores. Max-shifted, so it stays finite for scores up to +-1e4; the
+    backward is (softmax - onehot(gold)) * g."""
+    gold = np.asarray(gold, dtype=np.int64)
+    rows = np.arange(len(gold))
+    s = scores.data
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = np.log(total) + m
+    out = Tensor(lse[:, 0] - s[rows, gold], _parents=(scores,))
+
+    def bwd(g):
+        grad = e / total
+        grad[rows, gold] -= 1.0
+        grad *= g[:, None]
+        _accum(scores, grad)
 
     out._backward = bwd if out.requires_grad else None
     return out

@@ -311,7 +311,7 @@ def cmd_link(args, overrides) -> int:
 
     doc = cp.Document(doc_id="<input>", title="", text=text, mentions=())
     contexts, _ = cp.chunk_document(
-        doc, tvocab, evocab, cfg.corpus.chunk_chars, cfg.model.max_len
+        doc, tvocab, evocab, cfg.corpus.chunk_chars, params.config.max_len
     )
     for ctx in contexts:
         for (s, e), ent, prob in predict_end_to_end(params, ctx.tokens):

@@ -10,6 +10,7 @@ Mention detection is a per-token BIO head.
 """
 
 import json
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -162,33 +163,24 @@ def encode(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None 
         pad_mask = np.zeros((B, T), dtype=bool)
 
     H = ad.take(params["tok_emb"], tokens) + ad.take(params["pos_emb"], np.arange(T))
-    attn_bias = np.where(pad_mask, NEG_INF, 0.0)[:, None, None, :]
+    key_bias = np.where(pad_mask, NEG_INF, 0.0)
     for i in range(cfg.n_layers):
-        H = _block(params, i, H, attn_bias, B, T)
+        H = _block(params, i, H, key_bias)
     return H
 
 
-def _block(params: ModelParams, i: int, H: Tensor, attn_bias: np.ndarray, B: int, T: int) -> Tensor:
-    cfg = params.config
-    d, nh = cfg.d_model, cfg.n_heads
-    dh = d // nh
+def _block(params: ModelParams, i: int, H: Tensor, key_bias: np.ndarray) -> Tensor:
     p = f"layers.{i}."
 
-    def heads(x: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(x, (B, T, nh, dh)), (0, 2, 1, 3))
+    def proj(x: Tensor, w: str, b: str) -> Tensor:
+        return ad.linear(x, params[p + w], params[p + b])
 
-    q = heads(H @ params[p + "wq"] + params[p + "bq"])
-    k = heads(H @ params[p + "wk"] + params[p + "bk"])
-    v = heads(H @ params[p + "wv"] + params[p + "bv"])
-
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)) + attn_bias
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.reshape(ad.transpose(attn @ v, (0, 2, 1, 3)), (B, T, d))
-    H = ad.layer_norm(
-        H + (ctx @ params[p + "wo"] + params[p + "bo"]),
-        params[p + "ln1_g"], params[p + "ln1_b"],
+    ctx = ad.attention(
+        proj(H, "wq", "bq"), proj(H, "wk", "bk"), proj(H, "wv", "bv"),
+        key_bias, params.config.n_heads,
     )
-    ff = ad.gelu(H @ params[p + "ff_w1"] + params[p + "ff_b1"]) @ params[p + "ff_w2"] + params[p + "ff_b2"]
+    H = ad.layer_norm(H + proj(ctx, "wo", "bo"), params[p + "ln1_g"], params[p + "ln1_b"])
+    ff = proj(ad.gelu(proj(H, "ff_w1", "ff_b1")), "ff_w2", "ff_b2")
     return ad.layer_norm(H + ff, params[p + "ln2_g"], params[p + "ln2_b"])
 
 
@@ -206,8 +198,8 @@ def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
     hs = ad.take2(H, ex_idx, starts)
     he = ad.take2(H, ex_idx, ends)
     x = ad.concat([hs, he], axis=-1)
-    hidden = ad.gelu(x @ params["span_w1"] + params["span_b1"])
-    return hidden @ params["span_w2"] + params["span_b2"]
+    hidden = ad.gelu(ad.linear(x, params["span_w1"], params["span_b1"]))
+    return ad.linear(hidden, params["span_w2"], params["span_b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +266,7 @@ def mention_nll(scores: Tensor, gold_pos) -> Tensor:
     score matrix spans the full vocabulary). Padded candidate slots must
     already carry a large negative bias.
     """
-    gold_pos = np.asarray(gold_pos, dtype=np.int64)
-    lp = ad.log_softmax(scores, axis=-1)
-    picked = ad.take2(lp, np.arange(len(gold_pos)), gold_pos)
-    return picked * -1.0
+    return ad.softmax_nll(scores, gold_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +396,11 @@ def bio_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> Tensor:
     n_valid = int(valid.sum())
     if n_valid == 0:
         return Tensor(0.0)
-    logits = H @ params["bio_w"] + params["bio_b"]
+    logits = ad.linear(H, params["bio_w"], params["bio_b"])
     B, T, _ = logits.shape
-    lp = ad.log_softmax(logits, axis=-1)
-    flat = ad.reshape(lp, (B * T, 3))
-    picked = ad.take2(flat, np.arange(B * T), batch.bio_targets.reshape(-1))
-    masked = picked * valid.reshape(-1).astype(np.float64)
-    return masked.sum() * (-1.0 / n_valid)
+    nll = ad.softmax_nll(ad.reshape(logits, (B * T, 3)), batch.bio_targets.reshape(-1))
+    masked = nll * valid.reshape(-1).astype(np.float64)
+    return masked.sum() * (1.0 / n_valid)
 
 
 def total_loss(
@@ -552,7 +539,7 @@ def predict_end_to_end(params: ModelParams, tokens) -> list[tuple[tuple[int, int
     if tokens.size == 0:
         return []
     H = encode(params, tokens[None, :])
-    logits = (H @ params["bio_w"] + params["bio_b"]).data[0]
+    logits = ad.linear(H, params["bio_w"], params["bio_b"]).data[0]
     spans = bio_decode(logits.argmax(axis=-1))
     if not spans:
         return []
@@ -578,7 +565,26 @@ def manifest_path(path: str) -> str:
 def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint: magic, version, config JSON, then each tensor in
     declaration order as little-endian float32, row-major. A sidecar JSON
-    manifest records tensor names, shapes, and byte offsets."""
+    manifest records tensor names, shapes, and byte offsets.
+
+    Both files are written to temporary files beside their targets and then
+    renamed over them, so a write that fails part-way leaves the previous
+    checkpoint as it was and no temporary file behind.
+    """
+    path = os.fspath(path)
+    tmp_ckpt, tmp_manifest = path + ".tmp", manifest_path(path) + ".tmp"
+    try:
+        _write_checkpoint(tmp_ckpt, tmp_manifest, params)
+        os.replace(tmp_ckpt, path)
+        os.replace(tmp_manifest, manifest_path(path))
+    except BaseException:
+        for tmp in (tmp_ckpt, tmp_manifest):
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> None:
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     entries = []
     with open(path, "wb") as f:
@@ -599,7 +605,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "dtype": "<f4",
         "tensors": entries,
     }
-    with open(manifest_path(path), "w", encoding="utf-8") as f:
+    with open(manifest_file, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
 

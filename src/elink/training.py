@@ -139,11 +139,11 @@ def adam_step(
 ) -> OptimizerState:
     """One bias-corrected Adam update in place; frozen groups are skipped.
 
-    A dense gradient is the RowGrad of all rows. The moments decay over the
-    whole table and take the gradient only at its rows; the update itself
-    is dense (momentum moves untouched rows too), computed in row chunks
-    into scratch buffers, and each chunk is checked for finiteness before
-    it is applied.
+    A dense gradient is the RowGrad of all rows. The update is exact dense
+    Adam (momentum moves untouched rows too), made in one pass over row
+    chunks: each chunk decays its moments, adds the gradient rows that fall
+    in it, computes its update into scratch buffers and checks it for
+    finiteness before applying it.
     """
     state.step += 1
     t = state.step
@@ -154,25 +154,28 @@ def adam_step(
         if name in frozen:
             continue
         g = grads[name]
-        rows = g.rows if isinstance(g, RowGrad) else slice(None)
-        vals = grad_values(g)
         m, v, p = state.m[name], state.v[name], tensor.data
-        m *= cfg.beta1
-        m[rows] += (1.0 - cfg.beta1) * vals
-        v *= cfg.beta2
-        v[rows] += (1.0 - cfg.beta2) * vals * vals
         n = len(p)
         chunk = max(1, _ADAM_CHUNK // max(1, math.prod(p.shape[1:])))
+        rows = g.rows if isinstance(g, RowGrad) else np.arange(n)
+        vals = grad_values(g)
+        cuts = np.searchsorted(rows, range(0, n + chunk, chunk))
         num = np.empty((min(chunk, n),) + p.shape[1:])
         den = np.empty_like(num)
-        for lo in range(0, n, chunk):
+        for j, lo in enumerate(range(0, n, chunk)):
             hi = min(lo + chunk, n)
             c = slice(lo, hi)
+            mc, vc = m[c], v[c]
+            mc *= cfg.beta1
+            vc *= cfg.beta2
+            at, gv = rows[cuts[j] : cuts[j + 1]] - lo, vals[cuts[j] : cuts[j + 1]]
+            mc[at] += (1.0 - cfg.beta1) * gv
+            vc[at] += (1.0 - cfg.beta2) * gv * gv
             a, b = num[: hi - lo], den[: hi - lo]
             # lr * (m / bc1) / (sqrt(v / bc2) + eps), in the textbook's op order
-            np.divide(m[c], bc1, out=a)
+            np.divide(mc, bc1, out=a)
             np.multiply(lr, a, out=a)
-            np.divide(v[c], bc2, out=b)
+            np.divide(vc, bc2, out=b)
             np.sqrt(b, out=b)
             b += cfg.eps
             a /= b

@@ -162,27 +162,70 @@ def test_take2_pairs(rng):
     fd_check(lambda: (ad.take2(a, np.array([0, 2]), np.array([1, 3])) * 2.0).sum(), [a])
 
 
-def test_softmax_grad(rng):
+def test_linear_3d_grad(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    c = rng.normal(size=(2, 3, 5))
+    fd_check(lambda: (ad.linear(x, w, b) * c).sum(), [x, w, b])
+
+
+def test_linear_matches_matmul_plus_bias(rng):
+    x = Tensor(rng.normal(size=(3, 7, 6)))
+    w = Tensor(rng.normal(size=(6, 4)))
+    b = Tensor(rng.normal(size=(4,)))
+    assert np.allclose(ad.linear(x, w, b).data, (x @ w + b).data, rtol=1e-13, atol=0.0)
+
+
+def _padded_attention_inputs(rng, B=2, T=5, d=6):
+    q, k, v = (Tensor(rng.normal(size=(B, T, d)), requires_grad=True) for _ in range(3))
+    pad = np.zeros((B, T), dtype=bool)
+    pad[0, 3:] = True                       # example 0 has two padding keys
+    return q, k, v, pad, np.where(pad, -1e9, 0.0)
+
+
+def test_attention_grad_with_padded_keys(rng):
+    q, k, v, pad, bias = _padded_attention_inputs(rng)
+    w = rng.normal(size=q.shape)
+    fd_check(lambda: (ad.attention(q, k, v, bias, 2) * w).sum(), [q, k, v])
+
+
+def test_attention_ignores_padding_keys(rng):
+    q, k, v, pad, bias = _padded_attention_inputs(rng)
+    w = rng.normal(size=q.shape) * ~pad[..., None]   # loss reads non-pad outputs only
+    out = ad.attention(q, k, v, bias, 2)
+    (out * w).sum().backward()
+    assert not k.grad[pad].any() and not v.grad[pad].any()
+    # new content at the padded keys leaves every non-pad output unchanged
+    k.data[pad] = rng.normal(size=k.data[pad].shape) * 50
+    v.data[pad] = rng.normal(size=v.data[pad].shape) * 50
+    again = ad.attention(q, k, v, bias, 2)
+    assert again.data[~pad].tobytes() == out.data[~pad].tobytes()
+
+
+def test_attention_weights_sum_to_one(rng):
+    # a value that is the same at every key comes back unchanged, at any
+    # score scale, only if each query's weights sum to one
+    q = Tensor(rng.normal(size=(2, 4, 6)) * 10)
+    k = Tensor(rng.normal(size=(2, 4, 6)) * 10)
+    v = Tensor(np.broadcast_to(rng.normal(size=(2, 1, 6)), (2, 4, 6)).copy())
+    out = ad.attention(q, k, v, np.zeros((2, 4)), 3)
+    assert np.allclose(out.data, v.data, atol=1e-12)
+
+
+def test_softmax_nll_grad(rng):
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    w = rng.normal(size=(3, 5))
-    fd_check(lambda: (ad.softmax(a, -1) * w).sum(), [a])
+    w = rng.normal(size=3)
+    fd_check(lambda: (ad.softmax_nll(a, np.array([0, 4, 2])) * w).sum(), [a])
 
 
-def test_softmax_rows_sum_to_one(rng):
-    a = Tensor(rng.normal(size=(4, 7)) * 10)
-    y = ad.softmax(a, -1)
-    assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_log_softmax_grad(rng):
-    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    fd_check(lambda: (ad.take2(ad.log_softmax(a, -1), np.arange(3), np.array([0, 4, 2])) * -1.0).sum(), [a])
-
-
-def test_log_softmax_stable_at_large_scores():
-    a = Tensor(np.array([[1e4, -1e4, 0.0]]))
-    y = ad.log_softmax(a, -1)
+def test_softmax_nll_stable_at_large_scores(rng):
+    a = Tensor(np.array([[1e4, -1e4, 0.0], [-1e4, 1e4, 3.0], [0.5, -1e4, 1e4]]), requires_grad=True)
+    gold = np.array([1, 1, 0])
+    y = ad.softmax_nll(a, gold)
     assert np.isfinite(y.data).all()
+    assert y.data[1] == 0.0
+    fd_check(lambda: (ad.softmax_nll(a, gold) * np.array([0.3, -1.2, 0.7])).sum(), [a], h=1e-3)
 
 
 def test_gelu_grad(rng):

@@ -455,3 +455,25 @@ def test_link_emits_planted_entity(world, trained, tmp_path, capsys):
         assert 0.0 < prob <= 1.0
         s, e = int(cells[0]), int(cells[1])
         assert docs[0]["text"][s:e] == cells[2]
+
+
+def test_link_truncates_to_checkpoint_max_len(world, trained, tmp_path, capsys):
+    # the checkpoint has max_len=32; with no config the default 256 would
+    # reach the encoder and fail on this 60-token input
+    root, paths, docs = world
+    text = " ".join(d["text"] for d in docs[:10])
+    assert len(text.split()) > 32
+    text_file = tmp_path / "long.txt"
+    text_file.write_text(text)
+    rc = main([
+        "link",
+        "--checkpoint", trained,
+        "--token-vocab", paths["token_vocab"],
+        "--entity-vocab", paths["entity_vocab"],
+        "--input", str(text_file),
+    ])
+    assert rc == 0
+    lines = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+    assert lines, "no mentions detected"
+    seen = len(" ".join(text.split()[:32]))
+    assert all(int(cells[1]) <= seen for cells in lines)

@@ -554,5 +554,26 @@ def test_checkpoint_truncated(tmp_path, params):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("fail_in", ["checkpoint", "manifest"])
+def test_failed_checkpoint_write_keeps_previous(tmp_path, params, monkeypatch, fail_in):
+    path = tmp_path / "model.elck"
+    save_checkpoint(path, params)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    newer = ModelParams.initialize(TINY, seed=8, init_std=0.5)
+    if fail_in == "checkpoint":
+        # the .elck write dies after its first tensor
+        def items():
+            yield next(iter(newer.tensors.items()))
+            raise OSError("disk full")
+        monkeypatch.setattr(newer, "items", items)
+    else:
+        def dump(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(json, "dump", dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, newer)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_manifest_path_helper():
     assert manifest_path("a/b.elck") == "a/b.elck.manifest.json"

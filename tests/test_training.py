@@ -221,6 +221,41 @@ def test_adam_rowgrad_equals_dense_bytewise(monkeypatch, chunk):
         assert s_state.v[name].tobytes() == d_state.v[name].tobytes() == ref_v[name].tobytes(), name
 
 
+@pytest.mark.parametrize("chunk", [3, 1 << 15])
+def test_adam_one_pass_matches_textbook_at_chunk_edges(monkeypatch, chunk):
+    """Gradient rows on both sides of a chunk boundary, chunks no row
+    touches, and an empty RowGrad all give the textbook formula's bytes."""
+    monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+    width = 1 if chunk == 3 else 4
+    per = chunk // width                      # ent_emb rows per chunk
+    cfg = ModelConfig(vocab_size=7, n_entities=4 * per + 1, d_model=2, n_layers=0,
+                      n_heads=1, d_ff=2, d_entity=width, max_len=2)
+    params = ModelParams.initialize(cfg, seed=5)
+    ref = {k: t.data.copy() for k, t in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = OptimizerState.for_params(params)
+    shape = params["ent_emb"].data.shape
+    touched = [
+        [per - 1, per, per + 1, per, 3 * per, 4 * per],   # chunk 2 untouched
+        [],                                              # no rows at all
+        [2 * per + 1, 2 * per],                          # one chunk only
+    ]
+    rng = np.random.default_rng(6)
+    tc = TrainConfig()
+    for t, rows in enumerate(touched, start=1):
+        grads = {k: rng.normal(size=p.data.shape) for k, p in params.items()}
+        idx = np.array(rows, dtype=np.int64)
+        grads["ent_emb"] = RowGrad(idx, rng.normal(size=(len(rows),) + shape[1:]), shape)
+        as_dense = {k: g.dense() if isinstance(g, RowGrad) else g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, 1e-2 * t, tc)
+        _reference_adam(ref, as_dense, ref_m, ref_v, t, 1e-2 * t, tc)
+    for name, p in params.items():
+        assert p.data.tobytes() == ref[name].tobytes(), name
+        assert state.m[name].tobytes() == ref_m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_v[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # pretrain loop
 # ---------------------------------------------------------------------------
