@@ -116,6 +116,7 @@ def resolve(
     """
     table: dict[str, list[int]] = {}
     seen: dict[str, set[int]] = {}
+    keys: dict[str, str] = {}  # raw alias -> normalized, once per alias
     n_resolved = 0
     n_dropped = 0
     for alias, entity_id in entries:
@@ -124,7 +125,9 @@ def resolve(
             n_dropped += 1
             continue
         n_resolved += 1
-        key = normalize_alias(alias)
+        key = keys.get(alias)
+        if key is None:
+            key = keys[alias] = normalize_alias(alias)
         idx = vocab.get(target)
         bucket = seen.setdefault(key, set())
         if idx not in bucket:

@@ -7,6 +7,13 @@ with requires_grad=True. Only the operations the linking model needs are
 implemented; each backward rule is checked against central finite
 differences in the test suite.
 
+The tape is single-use and frees itself: backward() drops each interior
+gradient as soon as its rule has consumed it, and after the sweep strips
+every interior node of its backward rule and parents, so a step's
+activations die with its backward rather than with the next step's
+forward. Leaves keep their gradients; a second backward() through the
+spent graph raises.
+
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
 gathered rows and their summed gradients. Adam, clipping and the
@@ -101,10 +108,15 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
-        self must be a scalar (the loss).
+        self must be a scalar (the loss). Single-use: the sweep frees the
+        tape (interior gradients, backward rules and parent links) as it
+        goes, so a second backward() through the graph raises RuntimeError.
+        On a scalar that does not require gradients it does nothing.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
+        if not self.requires_grad:
+            return
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -120,11 +132,25 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        try:
+            for node in reversed(topo):
                 g = node.grad
-                # backward rules take dense gradients; only leaves keep a RowGrad
-                node._backward(g.dense() if isinstance(g, RowGrad) else g)
+                if node._backward is not None and g is not None:
+                    # backward rules take dense gradients; only leaves keep a RowGrad
+                    node._backward(g.dense() if isinstance(g, RowGrad) else g)
+                    node.grad = None
+        finally:
+            # Cut the tape in one pass after the sweep: freeing closures inside
+            # it hands memory back to the allocator only to fault it in again.
+            for node in topo:
+                if node._backward is not None:
+                    node._backward = _spent
+                    node._parents = ()
+
+
+def _spent(g):
+    """Backward rule left on an interior node by the sweep that freed it."""
+    raise RuntimeError("backward() through a graph that an earlier backward() already freed")
 
 
 class RowGrad:

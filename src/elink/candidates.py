@@ -79,6 +79,7 @@ class PhraseTable:
     def from_tsv(cls, path, entity_vocab: EntityVocab) -> "PhraseTable":
         """Load `surface<TAB>entity_id<TAB>rank` rows; ranks order each list."""
         rows: dict[str, list[tuple[int, int]]] = {}
+        keys: dict[str, str] = {}  # raw surface -> normalized, once per surface
         skipped = 0
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -91,9 +92,10 @@ class PhraseTable:
                 if entity_id not in entity_vocab:
                     skipped += 1
                     continue
-                rows.setdefault(normalize_alias(surface), []).append(
-                    (int(rank), entity_vocab.get(entity_id))
-                )
+                key = keys.get(surface)
+                if key is None:
+                    key = keys[surface] = normalize_alias(surface)
+                rows.setdefault(key, []).append((int(rank), entity_vocab.get(entity_id)))
         if skipped:
             log.warning("phrase table %s: skipped %d rows with unknown entities", path, skipped)
         table = {}

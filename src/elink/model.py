@@ -95,11 +95,13 @@ def _param_specs(cfg: ModelConfig):
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     x = rng.normal(0.0, std, size=shape)
     flat = x.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    lim = 2 * std
+    # two comparisons, not abs(): no table-sized float copy
+    bad = np.flatnonzero((flat > lim) | (flat < -lim))
     while bad.size:
         # only the entries just redrawn can still be out of range
         flat[bad] = rng.normal(0.0, std, size=bad.size)
-        bad = bad[np.abs(flat[bad]) > 2 * std]
+        bad = bad[np.abs(flat[bad]) > lim]
     return x
 
 
@@ -593,12 +595,12 @@ def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> Non
         f.write(cfg_json)
         offset = len(CHECKPOINT_MAGIC) + 8 + len(cfg_json)
         for name, t in params.items():
-            raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+            arr = np.ascontiguousarray(t.data, dtype="<f4")
             entries.append(
-                {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": len(raw)}
+                {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": arr.nbytes}
             )
-            f.write(raw)
-            offset += len(raw)
+            f.write(arr.data)
+            offset += arr.nbytes
     manifest = {
         "format": CHECKPOINT_MAGIC.decode("ascii"),
         "version": CHECKPOINT_VERSION,
@@ -625,11 +627,12 @@ def load_checkpoint(path) -> ModelParams:
     offset = 12 + cfg_len
     tensors: "OrderedDict[str, Tensor]" = OrderedDict()
     for name, shape, _ in _param_specs(cfg):
-        nbytes = int(np.prod(shape)) * 4
-        raw = blob[offset : offset + nbytes]
-        if len(raw) != nbytes:
+        count = int(np.prod(shape))
+        nbytes = count * 4
+        if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        data = data.reshape(shape).astype(np.float64)
         tensors[name] = Tensor(data, requires_grad=True)
         offset += nbytes
     if offset != len(blob):

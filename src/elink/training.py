@@ -82,8 +82,8 @@ class OptimizerState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
         return cls(
-            m={k: np.zeros_like(t.data) for k, t in params.items()},
-            v={k: np.zeros_like(t.data) for k, t in params.items()},
+            m={k: np.zeros(t.data.shape) for k, t in params.items()},
+            v={k: np.zeros(t.data.shape) for k, t in params.items()},
         )
 
 

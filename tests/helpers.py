@@ -6,9 +6,11 @@ references for the loss and metric implementations.
 """
 
 import math
+import weakref
 
 import numpy as np
 
+from elink import autodiff as ad
 from elink.autodiff import RowGrad
 from elink.candidates import PageLinks, PhraseTable
 from elink.corpus import Context, MentionLabel, TokenVocab
@@ -276,3 +278,20 @@ def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), norm_floor)
         report[name] = float(np.linalg.norm(analytic - numeric) / denom)
     return report
+
+
+def attention_prob_refs(monkeypatch) -> list:
+    """Patch autodiff.attention to record a weakref to each call's attention
+    probabilities, which only that node's backward rule holds."""
+    refs = []
+    orig = ad.attention
+
+    def attention(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        rule = out._backward
+        cell = rule.__closure__[rule.__code__.co_freevars.index("p")]
+        refs.append(weakref.ref(cell.cell_contents))
+        return out
+
+    monkeypatch.setattr(ad, "attention", attention)
+    return refs

@@ -252,6 +252,20 @@ def test_backward_requires_scalar():
         (a * 2.0).backward()
 
 
+def test_backward_on_a_spent_graph_raises(rng):
+    a = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    y = a * a
+    loss = y.sum()
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(RuntimeError, match="freed"):
+        loss.backward()
+    # a new graph that reaches into the spent one cannot walk through it either
+    with pytest.raises(RuntimeError, match="freed"):
+        (y * 2.0).sum().backward()
+    assert a.grad.tobytes() == first.tobytes()
+
+
 def test_constants_do_not_track_gradients():
     a = Tensor(np.ones(3))
     out = (a * 2.0 + 1.0).sum()

@@ -2,15 +2,23 @@
 
 import json
 import math
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_group_errors, oracle_bio_loss, oracle_linking_loss, oracle_softmax_nll
+from helpers import (
+    attention_prob_refs,
+    fd_group_errors,
+    oracle_bio_loss,
+    oracle_linking_loss,
+    oracle_softmax_nll,
+)
 
-from elink.autodiff import Tensor
+from elink.autodiff import RowGrad, Tensor
 from elink.corpus import Context, MentionLabel
 from elink.model import (
     CheckpointError,
@@ -353,6 +361,50 @@ def test_uncandidated_entity_embedding_gradient_is_zero(params):
     assert np.all(g[untouched] == 0.0)
 
 
+def _linked_batch(seed):
+    rng = np.random.default_rng(seed)
+    contexts = [make_context(rng, labels=[MentionLabel((2, 3), 5, None)]) for _ in range(2)]
+    return build_batch(contexts, 0, [[MentionTarget((2, 3), 1)]] * 2, np.array([3, 5, 9]))
+
+
+def _grad_bytes(g) -> tuple:
+    return (g.rows.tobytes(), g.values.tobytes()) if isinstance(g, RowGrad) else (g.tobytes(),)
+
+
+def _interior_nodes(root: Tensor) -> list:
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_the_tape_and_keeps_leaf_gradients(params, monkeypatch):
+    batch = _linked_batch(16)
+    fresh = backward(total_loss(params, batch)[0], params)
+    want = {name: _grad_bytes(g) for name, g in fresh.items()}
+
+    probs = attention_prob_refs(monkeypatch)
+    loss, _ = total_loss(params, batch)
+    interior = _interior_nodes(loss)
+    assert len(probs) == TINY.n_layers and all(r() is not None for r in probs)
+    grads = backward(loss, params)
+    assert sum(r() is not None for r in probs) == 0
+    assert sum(n.grad is not None for n in interior) == 0
+    assert {name: _grad_bytes(g) for name, g in grads.items()} == want
+
+
+def test_second_backward_of_a_loss_raises(params):
+    loss, _ = total_loss(params, _linked_batch(17))
+    backward(loss, params)
+    with pytest.raises(RuntimeError, match="freed"):
+        backward(loss, params)
+
+
 def test_backward_flags_nonfinite_gradients(params):
     rng = np.random.default_rng(15)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
@@ -534,6 +586,17 @@ def test_checkpoint_header_and_manifest(tmp_path, params):
     for entry in manifest["tensors"]:
         expect = int(np.prod(entry["shape"])) * 4
         assert entry["nbytes"] == expect
+
+
+def test_checkpoint_bytes_follow_documented_layout(tmp_path, params):
+    # magic, version, config JSON length, config JSON, then every tensor in
+    # declaration order as little-endian float32, row-major
+    path = tmp_path / "model.elck"
+    save_checkpoint(path, params)
+    cfg_json = json.dumps(asdict(TINY), sort_keys=True).encode("utf-8")
+    tensors = [params[name].data.astype("<f4").tobytes(order="C") for name in params.names()]
+    want = b"ELCK" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + b"".join(tensors)
+    assert path.read_bytes() == want
 
 
 def test_checkpoint_bad_magic(tmp_path, params):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_entity_accuracy, make_world
+from helpers import all_entity_accuracy, attention_prob_refs, make_world
 
+from elink import model as M
 from elink import training
 from elink.aliastable import AliasTable
 from elink.autodiff import RowGrad
@@ -321,6 +322,23 @@ def test_noise_toggle_changes_inputs_never_targets():
     assert (noised.bio_targets == clean.bio_targets).all()  # targets identical
     assert (noised.gold_pos == clean.gold_pos).all()
     assert (noised.ment_start == clean.ment_start).all()
+
+
+def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    probs = attention_prob_refs(monkeypatch)
+    alive = []
+    orig = M.total_loss
+
+    def total_loss(*args, **kwargs):
+        alive.append(sum(r() is not None for r in probs))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(M, "total_loss", total_loss)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=2)
+    pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
+    assert len(probs) == 2 * mcfg.n_layers
+    assert alive == [0, 0]
 
 
 def test_pretrain_empty_corpus_rejected():
