@@ -6,7 +6,6 @@ the entity vocabulary. The conversion report and the gold-recall /
 average-ambiguity statistics quantify how much of a table survives.
 """
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -172,17 +171,3 @@ def load_alias_tsv(path) -> list[tuple[str, str]]:
                 raise ValueError(f"{path}:{lineno}: expected alias<TAB>entity_id")
             entries.append((parts[0], parts[1]))
     return entries
-
-
-def stats_report_json(report: ConversionReport, recall: float, ambiguity: float) -> str:
-    return json.dumps(
-        {
-            "conversion": report.conversion,
-            "gold_recall": recall,
-            "avg_ambiguity": ambiguity,
-            "n_input": report.n_input,
-            "n_resolved": report.n_resolved,
-            "n_dropped": report.n_dropped,
-        },
-        indent=2,
-    )

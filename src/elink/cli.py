@@ -54,6 +54,21 @@ def _check_vocab_sizes(model_cfg: ModelConfig, tvocab, evocab) -> None:
         )
 
 
+def _load_model(args, cfg: RunConfig, optional: bool = False):
+    """(tvocab, evocab, params), the checkpoint's sizes checked against the
+    vocabularies. With optional, params is None when no checkpoint is named."""
+    tvocab, evocab = _load_vocabs(
+        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
+        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
+    )
+    ckpt = args.checkpoint if args.checkpoint is not None else cfg.paths.checkpoint
+    if optional and not ckpt:
+        return tvocab, evocab, None
+    params = load_checkpoint(_pick(ckpt, None, "checkpoint"))
+    _check_vocab_sizes(params.config, tvocab, evocab)
+    return tvocab, evocab, params
+
+
 def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
     s = cfg.model
     return ModelConfig(
@@ -184,16 +199,9 @@ def cmd_pretrain(args, overrides) -> int:
 def cmd_finetune(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
+    tvocab, evocab, params = _load_model(args, cfg, optional=True)
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
-    ckpt = args.checkpoint if args.checkpoint is not None else cfg.paths.checkpoint
-    if ckpt:
-        params = load_checkpoint(ckpt)
-        _check_vocab_sizes(params.config, tvocab, evocab)
-    else:
+    if params is None:
         params = ModelParams.initialize(
             _model_config(cfg, tvocab, evocab),
             derive_seed(cfg.train.rng_seed, "init"),
@@ -233,12 +241,7 @@ def _write_or_print(report: dict, out_path) -> None:
 
 def cmd_eval_disambig(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
-    params = load_checkpoint(_pick(args.checkpoint, cfg.paths.checkpoint, "checkpoint"))
-    _check_vocab_sizes(params.config, tvocab, evocab)
+    tvocab, evocab, params = _load_model(args, cfg)
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
     alias_table = None
     if args.candidates == "alias":
@@ -253,12 +256,7 @@ def cmd_eval_disambig(args, overrides) -> int:
 
 def cmd_eval_e2e(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
-    params = load_checkpoint(_pick(args.checkpoint, cfg.paths.checkpoint, "checkpoint"))
-    _check_vocab_sizes(params.config, tvocab, evocab)
+    _, _, params = _load_model(args, cfg)
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
     result = ev.run_end_to_end(params, contexts)
     _write_or_print(result.report(), args.out)
@@ -297,12 +295,7 @@ def cmd_alias_stats(args, overrides) -> int:
 
 def cmd_link(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
-    params = load_checkpoint(_pick(args.checkpoint, cfg.paths.checkpoint, "checkpoint"))
-    _check_vocab_sizes(params.config, tvocab, evocab)
+    tvocab, evocab, params = _load_model(args, cfg)
     if args.input and args.input != "-":
         with open(args.input, encoding="utf-8") as f:
             text = f.read()

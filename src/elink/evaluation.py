@@ -6,7 +6,6 @@ span boundaries and the entity match a gold mention exactly. Unlinked
 (null-labeled) gold mentions are excluded from entity scoring.
 """
 
-import json
 from dataclasses import dataclass
 
 from .aliastable import AliasTable
@@ -102,32 +101,14 @@ def run_disambiguation(
         labeled = [l for l in ctx.labels if l.entity is not None]
         if not labeled:
             continue
-        spans = [l.span for l in labeled]
-        if alias_table is None:
-            ranked = rank_entities(params, ctx.tokens, spans, None, top_k=2)
-        else:
+        cand_lists = None
+        if alias_table is not None:
             cand_lists = [alias_table.lookup(l.surface or "") for l in labeled]
-            scorable = [i for i, c in enumerate(cand_lists) if c]
-            ranked = [[] for _ in spans]
-            if scorable:
-                for i, top in zip(
-                    scorable,
-                    rank_entities(
-                        params,
-                        ctx.tokens,
-                        [spans[i] for i in scorable],
-                        [cand_lists[i] for i in scorable],
-                        top_k=2,
-                    ),
-                ):
-                    ranked[i] = top
+        ranked = rank_entities(params, ctx.tokens, [l.span for l in labeled], cand_lists, top_k=2)
         for l, top in zip(labeled, ranked):
             golds.append(l.entity)
-            if not top:
-                n_no_candidates += 1
-                preds.append(None)
-            else:
-                preds.append(top[0][0])
+            preds.append(top[0][0] if top else None)
+            n_no_candidates += not top
             if preds[-1] != l.entity:
                 errors.append(
                     ErrorRecord(
@@ -181,12 +162,6 @@ def run_end_to_end(params: ModelParams, contexts: list[Context]) -> EndToEndResu
         n_gold=sum(len(g) for g in gold_docs),
         n_pred=sum(len(p_) for p_ in pred_docs),
     )
-
-
-def write_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
 
 
 def write_error_dump(path, errors: list[ErrorRecord]) -> None:

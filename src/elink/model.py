@@ -256,9 +256,11 @@ def score_and_prob(params: ModelParams, svec: np.ndarray, candidates=None):
 
 
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # in place on one new array, so a caller holds scores and probs, no more
+    out = scores - scores.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def mention_nll(scores: Tensor, gold_pos) -> Tensor:
@@ -489,6 +491,11 @@ def bio_decode(tags) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _span_vectors(params: ModelParams, H: Tensor, spans: list[tuple[int, int]]) -> np.ndarray:
+    ex = np.zeros(len(spans), dtype=np.int64)
+    return span_repr(params, H, ex, [s for s, _ in spans], [e for _, e in spans]).data
+
+
 def rank_entities(
     params: ModelParams,
     tokens,
@@ -499,28 +506,30 @@ def rank_entities(
     """Per span, the top_k (entity, score) pairs, best first.
 
     candidates is a per-span list of entity-index lists, or None to rank
-    the full vocabulary. Ties are broken toward the lowest entity index.
+    the full vocabulary; a span with an empty list gets []. All spans are
+    scored in one call, against the full table or against the sorted union
+    of their lists, whose columns each span then takes. Ties are broken
+    toward the lowest entity index.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
     if not spans:
         return []
-    H = encode(params, tokens[None, :])
-    ex = np.zeros(len(spans), dtype=np.int64)
-    svec = span_repr(
-        params, H, ex, [s for s, _ in spans], [e for _, e in spans]
-    ).data
+    union = own = None
+    if candidates is not None:
+        own = [np.sort(np.asarray(c, dtype=np.int64)) for c in candidates]
+        union = np.unique(np.concatenate(own))
+        if union.size == 0:
+            return [[] for _ in spans]
+    svec = _span_vectors(params, encode(params, tokens), spans)
+    scores, _ = score_and_prob(params, svec, union)
     out = []
-    for i, span in enumerate(spans):
-        if candidates is None:
-            cand_ids = None
-        else:
-            cand_ids = np.asarray(candidates[i], dtype=np.int64)
-            if cand_ids.size == 0:
-                raise ValueError(f"empty candidate set for span {span}")
-        scores, _ = score_and_prob(params, svec[i], cand_ids)
-        ids = np.arange(params.config.n_entities) if cand_ids is None else cand_ids
-        order = sorted(range(len(ids)), key=lambda j: (-scores[j], ids[j]))
-        out.append([(int(ids[j]), float(scores[j])) for j in order[:top_k]])
+    for i, row in enumerate(scores):
+        if own is not None:
+            row = row[np.searchsorted(union, own[i])]
+        # columns are in ascending id order, so a stable sort of -score
+        # puts the lowest id first among exact ties
+        top = np.argsort(-row, kind="stable")[:top_k]
+        ents = top if own is None else own[i][top]
+        out.append([(int(e), float(row[j])) for e, j in zip(ents, top)])
     return out
 
 
@@ -535,24 +544,20 @@ def predict_disambiguation(
 
 
 def predict_end_to_end(params: ModelParams, tokens) -> list[tuple[tuple[int, int], int, float]]:
-    """Detect mention spans with the BIO head, then disambiguate each span
-    over all entities. Returns (span, entity, probability) triples."""
+    """Detect mention spans with the BIO head, then disambiguate every span
+    over all entities in one scoring call. Returns (span, entity,
+    probability) triples; ties go to the lowest entity index."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size == 0:
         return []
-    H = encode(params, tokens[None, :])
+    H = encode(params, tokens)
     logits = ad.linear(H, params["bio_w"], params["bio_b"]).data[0]
     spans = bio_decode(logits.argmax(axis=-1))
     if not spans:
         return []
-    ex = np.zeros(len(spans), dtype=np.int64)
-    svec = span_repr(params, H, ex, [s for s, _ in spans], [e for _, e in spans]).data
-    results = []
-    for i, span in enumerate(spans):
-        scores, probs = score_and_prob(params, svec[i], None)
-        best = int(np.flatnonzero(scores == scores.max())[0])
-        results.append((span, best, float(probs[best])))
-    return results
+    scores, probs = score_and_prob(params, _span_vectors(params, H, spans), None)
+    best = scores.argmax(axis=-1)
+    return [(span, int(b), float(p[b])) for span, b, p in zip(spans, best, probs)]
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,94 @@ def test_rank_entities_orders_by_score(params):
     assert scores == sorted(scores, reverse=True)
 
 
+SPANS = [(0, 0), (1, 2), (4, 6), (7, 7), (8, 9)]
+
+
+def _span_vectors(params, tokens, spans=SPANS):
+    H = encode(params, np.asarray(tokens)[None, :])
+    return span_repr(params, H, [0] * len(spans), [s for s, _ in spans],
+                     [e for _, e in spans]).data
+
+
+def _oracle_ranking(params, tokens, spans, candidates, top_k):
+    """Each span scored on its own and sorted by (-score, id) in Python."""
+    sv = _span_vectors(params, tokens, spans)
+    ent = params["ent_emb"].data
+    out = []
+    for i in range(len(spans)):
+        ids = range(len(ent)) if candidates is None else candidates[i]
+        pairs = [(int(c), float(sv[i] @ ent[c])) for c in ids]
+        out.append(sorted(pairs, key=lambda p: (-p[1], p[0]))[:top_k])
+    return out
+
+
+def _assert_same_ranking(got, want):
+    assert [[e for e, _ in r] for r in got] == [[e for e, _ in r] for r in want]
+    for g, w in zip(got, want):
+        assert [s for _, s in g] == pytest.approx([s for _, s in w], rel=1e-12, abs=1e-12)
+
+
+def _plant_tie(params, tokens, span_index, tied, lower, scale=1.0):
+    """Give `tied` entities one exact top score for a span, `lower` half of it.
+
+    The rows are multiples of the first unit vector, so every score is a
+    signed copy of the span vector's first entry, whatever the summation
+    order of the matrix product. Returns the tied score.
+    """
+    x0 = _span_vectors(params, tokens)[span_index, 0]
+    unit = np.zeros(TINY.d_entity)
+    unit[0] = scale * np.sign(x0)
+    params["ent_emb"].data[tied] = unit
+    params["ent_emb"].data[lower] = 0.5 * unit
+    return scale * abs(x0)
+
+
+def test_rank_entities_matches_oracle_on_ragged_unordered_lists(params):
+    ctx = make_context(np.random.default_rng(26))
+    cands = [[15, 3, 8], [19, 2, 11, 0, 5], [7], [18, 4, 12, 3], [6, 1, 19, 14, 9, 10]]
+    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=3)
+    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 3))
+
+
+def test_rank_entities_breaks_a_three_way_tie_at_top_k_toward_lowest_ids(params):
+    ctx = make_context(np.random.default_rng(27))
+    score = _plant_tie(params, ctx.tokens, 2, tied=[13, 4, 9], lower=[2, 16])
+    cands = [[5, 1], [17, 0, 3], [16, 13, 2, 9, 4], [11, 6, 18], [13, 9, 4]]
+    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=2)
+    assert got[2] == [(4, score), (9, score)]
+    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 2))
+
+
+def test_rank_entities_top_k_past_a_list_returns_only_that_list(params):
+    ctx = make_context(np.random.default_rng(28))
+    cands = [[15, 3, 8], [19, 2], [7], [18, 4, 12, 3], [6, 1]]
+    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=4)
+    assert [sorted(e for e, _ in r) for r in got] == [sorted(c) for c in cands]
+    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 4))
+
+
+def test_rank_entities_empty_list_ranks_nothing(params):
+    ctx = make_context(np.random.default_rng(29))
+    cands = [[15, 3, 8], [], [7, 2], [], [6, 1]]
+    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=2)
+    assert got[1] == [] and got[3] == []
+    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 2))
+    assert rank_entities(params, ctx.tokens, SPANS[:2], [[], []]) == [[], []]
+
+
+def test_rank_entities_full_vocabulary_matches_oracle(params):
+    ctx = make_context(np.random.default_rng(30))
+    score = _plant_tie(params, ctx.tokens, 1, tied=[17, 6, 11], lower=[0], scale=100.0)
+    got = rank_entities(params, ctx.tokens, SPANS, None, top_k=2)
+    assert got[1] == [(6, score), (11, score)]
+    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, None, 2))
+    everything = rank_entities(params, ctx.tokens, SPANS, None, top_k=TINY.n_entities + 3)
+    assert all(len(r) == TINY.n_entities for r in everything)
+    _assert_same_ranking(
+        everything, _oracle_ranking(params, ctx.tokens, SPANS, None, TINY.n_entities)
+    )
+
+
 def test_end_to_end_empty_when_all_outside(params):
     rng = np.random.default_rng(23)
     ctx = make_context(rng)
@@ -550,9 +638,15 @@ def test_end_to_end_decodes_spans_and_probabilities(params):
     params["bio_b"].data[:] = [0.0, 50.0, 0.0]  # B everywhere: four single spans
     out = predict_end_to_end(params, ctx.tokens)
     assert [span for span, _, _ in out] == [(0, 0), (1, 1), (2, 2), (3, 3)]
-    for _, ent, prob in out:
+    H = encode(params, np.asarray(ctx.tokens)[None, :])
+    for span, ent, prob in out:
         assert 0 <= ent < TINY.n_entities
         assert 0.0 < prob <= 1.0
+        # reference: this span scored on its own against every entity
+        sv = span_repr(params, H, [0], [span[0]], [span[1]]).data[0]
+        scores, probs = score_and_prob(params, sv)
+        assert ent == int(np.flatnonzero(scores == scores.max())[0])
+        assert prob == pytest.approx(probs[ent], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
