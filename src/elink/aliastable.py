@@ -10,7 +10,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .corpus import EntityVocab
+from .corpus import EntityVocab, read_tsv
 
 _WS = re.compile(r"\s+")
 
@@ -65,16 +65,7 @@ class RedirectMap:
 
     @classmethod
     def from_tsv(cls, path) -> "RedirectMap":
-        redirects = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected from<TAB>to")
-                redirects[parts[0]] = parts[1]
-        return cls(redirects)
+        return cls(dict(cells for _, cells in read_tsv(path, ("from", "to"))))
 
 
 class AliasTable:
@@ -161,13 +152,4 @@ def table_stats(
 
 def load_alias_tsv(path) -> list[tuple[str, str]]:
     """Raw `alias<TAB>entity_id` entries, order preserved."""
-    entries = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected alias<TAB>entity_id")
-            entries.append((parts[0], parts[1]))
-    return entries
+    return [tuple(cells) for _, cells in read_tsv(path, ("alias", "entity_id"))]

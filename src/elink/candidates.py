@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aliastable import normalize_alias
-from .corpus import EntityVocab, MentionLabel
+from .corpus import CorpusFormatError, EntityVocab, MentionLabel, read_tsv
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -81,21 +81,20 @@ class PhraseTable:
         rows: dict[str, list[tuple[int, int]]] = {}
         keys: dict[str, str] = {}  # raw surface -> normalized, once per surface
         skipped = 0
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected surface<TAB>entity<TAB>rank")
-                surface, entity_id, rank = parts
-                if entity_id not in entity_vocab:
-                    skipped += 1
-                    continue
-                key = keys.get(surface)
-                if key is None:
-                    key = keys[surface] = normalize_alias(surface)
-                rows.setdefault(key, []).append((int(rank), entity_vocab.get(entity_id)))
+        for lineno, (surface, entity_id, text) in read_tsv(path, ("surface", "entity", "rank")):
+            try:
+                rank = int(text)
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: rank {text!r} is not an integer"
+                ) from None
+            if entity_id not in entity_vocab:
+                skipped += 1
+                continue
+            key = keys.get(surface)
+            if key is None:
+                key = keys[surface] = normalize_alias(surface)
+            rows.setdefault(key, []).append((rank, entity_vocab.get(entity_id)))
         if skipped:
             log.warning("phrase table %s: skipped %d rows with unknown entities", path, skipped)
         table = {}
@@ -123,18 +122,11 @@ class PageLinks:
         """Load `doc_id<TAB>entity_id` rows."""
         links: dict[str, list[int]] = {}
         skipped = 0
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected doc_id<TAB>entity_id")
-                doc_id, entity_id = parts
-                if entity_id not in entity_vocab:
-                    skipped += 1
-                    continue
-                links.setdefault(doc_id, []).append(entity_vocab.get(entity_id))
+        for _, (doc_id, entity_id) in read_tsv(path, ("doc_id", "entity_id")):
+            if entity_id not in entity_vocab:
+                skipped += 1
+                continue
+            links.setdefault(doc_id, []).append(entity_vocab.get(entity_id))
         if skipped:
             log.warning("page links %s: skipped %d rows with unknown entities", path, skipped)
         return cls(links)

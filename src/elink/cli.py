@@ -42,7 +42,10 @@ def _echo_config(cfg: RunConfig, directory: str) -> None:
         f.write(resolved_text(cfg))
 
 
-def _load_vocabs(token_path, entity_path):
+def _load_vocabs(args, cfg: RunConfig):
+    """(tvocab, evocab) from the flags, falling back to the config."""
+    token_path = _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab")
+    entity_path = _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab")
     return cp.TokenVocab.from_file(token_path), cp.EntityVocab.from_file(entity_path)
 
 
@@ -57,10 +60,7 @@ def _check_vocab_sizes(model_cfg: ModelConfig, tvocab, evocab) -> None:
 def _load_model(args, cfg: RunConfig, optional: bool = False):
     """(tvocab, evocab, params), the checkpoint's sizes checked against the
     vocabularies. With optional, params is None when no checkpoint is named."""
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
+    tvocab, evocab = _load_vocabs(args, cfg)
     ckpt = args.checkpoint if args.checkpoint is not None else cfg.paths.checkpoint
     if optional and not ckpt:
         return tvocab, evocab, None
@@ -83,16 +83,17 @@ def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
     )
 
 
-def _load_alias_table(alias_path, redirects_path, evocab):
-    entries = at.load_alias_tsv(alias_path)
+def _load_alias_table(args, cfg: RunConfig, evocab):
+    """(table, report): the alias table resolved through the redirects, if any."""
+    entries = at.load_alias_tsv(_pick(args.alias_table, cfg.paths.alias_table, "alias_table"))
+    redirects_path = args.redirects or cfg.paths.redirects
     redirects = None
     if redirects_path:
         if os.path.exists(redirects_path):
             redirects = at.RedirectMap.from_tsv(redirects_path)
         else:
             log.warning("redirect file %s missing; using the table unresolved", redirects_path)
-    table, report = at.resolve(entries, redirects, evocab)
-    return table, report
+    return at.resolve(entries, redirects, evocab)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +105,7 @@ def cmd_build_corpus(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     docs_path = _pick(args.docs, cfg.paths.docs, "docs")
     out_path = _pick(args.out, cfg.paths.corpus, "out")
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
+    tvocab, evocab = _load_vocabs(args, cfg)
     docs = cp.load_documents(docs_path)
 
     contexts: list[cp.Context] = []
@@ -156,10 +154,7 @@ def cmd_build_corpus(args, overrides) -> int:
 def cmd_pretrain(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
-    tvocab, evocab = _load_vocabs(
-        _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab"),
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab"),
-    )
+    tvocab, evocab = _load_vocabs(args, cfg)
     contexts = cp.load_contexts(_pick(args.corpus, cfg.paths.corpus, "corpus"))
     page_links = (
         PageLinks.from_tsv(cfg.paths.page_links, evocab) if cfg.paths.page_links else None
@@ -208,8 +203,7 @@ def cmd_finetune(args, overrides) -> int:
         )
     alias_table = None
     if args.mode == "alias_candidates":
-        alias_path = _pick(args.alias_table, cfg.paths.alias_table, "alias_table")
-        alias_table, _ = _load_alias_table(alias_path, args.redirects or cfg.paths.redirects, evocab)
+        alias_table, _ = _load_alias_table(args, cfg, evocab)
     _echo_config(cfg, out_dir)
     try:
         _, rows, report = tr.finetune(
@@ -245,8 +239,7 @@ def cmd_eval_disambig(args, overrides) -> int:
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
     alias_table = None
     if args.candidates == "alias":
-        alias_path = _pick(args.alias_table, cfg.paths.alias_table, "alias_table")
-        alias_table, _ = _load_alias_table(alias_path, args.redirects or cfg.paths.redirects, evocab)
+        alias_table, _ = _load_alias_table(args, cfg, evocab)
     result = ev.run_disambiguation(params, contexts, evocab, alias_table)
     _write_or_print(result.report(), args.out)
     if args.errors_out:
@@ -268,8 +261,7 @@ def cmd_alias_stats(args, overrides) -> int:
     evocab = cp.EntityVocab.from_file(
         _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab")
     )
-    alias_path = _pick(args.alias_table, cfg.paths.alias_table, "alias_table")
-    table, report = _load_alias_table(alias_path, args.redirects or cfg.paths.redirects, evocab)
+    table, report = _load_alias_table(args, cfg, evocab)
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
     mentions = [
         (l.surface, l.entity)

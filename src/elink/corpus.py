@@ -4,7 +4,7 @@ Raw documents carry character-offset mentions. They are chunked into
 fixed-size character windows, tokenized with a deterministic simplified
 tokenizer (NFKC + lowercase, whitespace/punctuation split), and the
 mentions are re-aligned to token spans. Contexts round-trip through a
-JSON-lines cache.
+JSON-lines cache; `read_tsv` reads the tab-separated table files.
 """
 
 import json
@@ -30,7 +30,7 @@ NO_OFFSET = (-1, -1)
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus/vocab files."""
+    """Raised for malformed corpus, vocabulary and TSV table files."""
 
 
 # ---------------------------------------------------------------------------
@@ -372,26 +372,63 @@ def drop_colliding_spans(aligned, drops: DropCounter):
     return kept
 
 
-def _label_from_mention(
-    m: CharMention,
-    span: tuple[int, int],
-    text: str,
-    entity_vocab: EntityVocab,
-    drops: DropCounter,
-) -> MentionLabel | None:
-    if m.entity is None:
-        idx = None
-    elif m.entity in entity_vocab:
-        idx = entity_vocab.get(m.entity)
-    else:
-        drops.unknown_entity += 1
-        return None
-    return MentionLabel(span=span, entity=idx, surface=text[m.start_char : m.end_char])
-
-
 # ---------------------------------------------------------------------------
 # Context construction
 # ---------------------------------------------------------------------------
+
+
+def _tokenize_range(text: str, start: int, end: int, vocab: TokenVocab):
+    """Tokens of text[start:end], with character offsets into the whole text."""
+    ids, offs = tokenize(text[start:end], vocab)
+    return ids, [(s + start, e + start) for s, e in offs]
+
+
+def _mentions_in(doc: Document, start: int, end: int, drops: DropCounter) -> list[CharMention]:
+    """Mentions that start in [start, end); those ending past it are
+    counted as straddled and left out."""
+    inside = []
+    for m in doc.mentions:
+        if not (start <= m.start_char < end):
+            continue
+        if m.end_char > end:
+            drops.straddled += 1
+        else:
+            inside.append(m)
+    return inside
+
+
+def _labeled_context(
+    doc: Document,
+    mentions,
+    tokens: list[int],
+    offsets: list[tuple[int, int]],
+    shift: int,
+    entity_vocab: EntityVocab,
+    max_len: int,
+    drops: DropCounter,
+) -> Context:
+    """The Context of tokens cut to max_len, labelled with the mentions.
+
+    The mentions are aligned to offsets[shift:], the document's own tokens
+    (any before them are prepended ones), and each drop is counted: no
+    token covered, a colliding span, a span past max_len, or an entity
+    absent from entity_vocab.
+    """
+    aligned, n_ws = align_spans(mentions, offsets[shift:])
+    drops.whitespace += n_ws
+    labels = []
+    for m, (i, j) in drop_colliding_spans(aligned, drops):
+        if j + shift >= max_len:
+            drops.truncated += 1
+        elif m.entity is not None and m.entity not in entity_vocab:
+            drops.unknown_entity += 1
+        else:
+            entity = None if m.entity is None else entity_vocab.get(m.entity)
+            surface = doc.text[m.start_char : m.end_char]
+            labels.append(MentionLabel((i + shift, j + shift), entity, surface))
+    return Context(
+        tokens=tokens[:max_len], char_offsets=offsets[:max_len], doc_id=doc.doc_id, labels=labels
+    )
 
 
 def chunk_ranges(n_chars: int, chunk_chars: int) -> list[tuple[int, int]]:
@@ -417,32 +454,9 @@ def chunk_document(
     drops = DropCounter()
     contexts = []
     for cs, ce in chunk_ranges(len(doc.text), chunk_chars):
-        ids, offs = tokenize(doc.text[cs:ce], vocab)
-        offs = [(s + cs, e + cs) for s, e in offs]
-        kept_ids, kept_offs = ids[:max_len], offs[:max_len]
-
-        chunk_mentions = []
-        for m in doc.mentions:
-            if not (cs <= m.start_char < ce):
-                continue
-            if m.end_char > ce:
-                drops.straddled += 1
-                continue
-            chunk_mentions.append(m)
-
-        aligned, n_ws = align_spans(chunk_mentions, offs)
-        drops.whitespace += n_ws
-        labels = []
-        for m, span in drop_colliding_spans(aligned, drops):
-            if span[1] >= max_len:
-                drops.truncated += 1
-                continue
-            lab = _label_from_mention(m, span, doc.text, entity_vocab, drops)
-            if lab is not None:
-                labels.append(lab)
-        contexts.append(
-            Context(tokens=kept_ids, char_offsets=kept_offs, doc_id=doc.doc_id, labels=labels)
-        )
+        ids, offs = _tokenize_range(doc.text, cs, ce, vocab)
+        mentions = _mentions_in(doc, cs, ce, drops)
+        contexts.append(_labeled_context(doc, mentions, ids, offs, 0, entity_vocab, max_len, drops))
     return contexts, drops
 
 
@@ -495,35 +509,13 @@ def make_eval_context(
         offsets.append(NO_OFFSET)
     shift = len(tokens)
 
-    sent_ids, sent_offs = tokenize(doc.text[ss:se], vocab)
+    sent_ids, sent_offs = _tokenize_range(doc.text, ss, se, vocab)
     tokens.extend(sent_ids)
-    offsets.extend((s + ss, e + ss) for s, e in sent_offs)
+    offsets.extend(sent_offs)
 
     drops = DropCounter()
-    in_sentence = []
-    for m in doc.mentions:
-        if m.start_char >= ss and m.end_char <= se:
-            in_sentence.append(m)
-        elif ss <= m.start_char < se:
-            drops.straddled += 1
-    aligned, n_ws = align_spans(in_sentence, [(s + ss, e + ss) for s, e in sent_offs])
-    drops.whitespace += n_ws
-
-    labels = []
-    for m, (i, j) in drop_colliding_spans(aligned, drops):
-        span = (i + shift, j + shift)
-        if span[1] >= max_len:
-            drops.truncated += 1
-            continue
-        lab = _label_from_mention(m, span, doc.text, entity_vocab, drops)
-        if lab is not None:
-            labels.append(lab)
-    ctx = Context(
-        tokens=tokens[:max_len],
-        char_offsets=offsets[:max_len],
-        doc_id=doc.doc_id,
-        labels=labels,
-    )
+    mentions = _mentions_in(doc, ss, se, drops)
+    ctx = _labeled_context(doc, mentions, tokens, offsets, shift, entity_vocab, max_len, drops)
     return ctx, drops
 
 
@@ -550,29 +542,31 @@ def window_context(
     cs = bisect_right(byte_at, lo) - 1
     ce = bisect_left(byte_at, hi)
 
-    ids, offs = tokenize(doc.text[cs:ce], vocab)
-    offs = [(s + cs, e + cs) for s, e in offs]
-
+    ids, offs = _tokenize_range(doc.text, cs, ce, vocab)
     drops = DropCounter()
-    aligned, n_ws = align_spans([mention], offs)
-    drops.whitespace += n_ws
-    labels = []
-    for m, span in aligned:
-        if span[1] >= max_len:
-            drops.truncated += 1
-            continue
-        lab = _label_from_mention(m, span, doc.text, entity_vocab, drops)
-        if lab is not None:
-            labels.append(lab)
-    ctx = Context(
-        tokens=ids[:max_len], char_offsets=offs[:max_len], doc_id=doc.doc_id, labels=labels
-    )
+    ctx = _labeled_context(doc, [mention], ids, offs, 0, entity_vocab, max_len, drops)
     return ctx, drops
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+
+def read_tsv(path, fields: tuple[str, ...]):
+    """Yield (lineno, cells) for each non-blank line of a TSV file.
+
+    A line without exactly one cell per name in fields raises
+    CorpusFormatError `path:line: expected a<TAB>b...`.
+    """
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != len(fields):
+                raise CorpusFormatError(f"{path}:{lineno}: expected {'<TAB>'.join(fields)}")
+            yield lineno, cells
 
 
 def load_documents(path) -> list[Document]:

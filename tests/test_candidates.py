@@ -75,6 +75,17 @@ def test_phrase_table_tsv_rank_order(tmp_path):
     assert table.lookup("nyc") == [0, 2]  # rank order, deduped, unknown skipped
 
 
+def test_page_links_tsv_keeps_order_and_skips_unknown_entities(tmp_path, caplog):
+    from elink.corpus import EntityVocab
+
+    evocab = EntityVocab(["E0", "E1", "E2"])
+    path = tmp_path / "page_links.tsv"
+    path.write_text("d0\tE2\nd1\tE1\nd0\tNOPE\nd0\tE0\nd0\tE2\n")
+    links = PageLinks.from_tsv(path, evocab)
+    assert links.links == {"d0": [2, 0], "d1": [1]}  # file order, duplicates dropped
+    assert f"page links {path}: skipped 1 rows with unknown entities" in caplog.messages
+
+
 # ---------------------------------------------------------------------------
 # assemble_candidates
 # ---------------------------------------------------------------------------

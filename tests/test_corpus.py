@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elink import corpus as cp
+from elink.aliastable import RedirectMap, load_alias_tsv
+from elink.candidates import PageLinks, PhraseTable
 from elink.corpus import (
     CharMention,
     Context,
@@ -177,26 +179,61 @@ def test_chunk_ranges_partition(n_chars, chunk_chars):
 
 @st.composite
 def doc_with_mentions(draw):
-    words = draw(st.lists(st.sampled_from(["yuri", "gagarin", "nyc", "a", "bb", "ccc"]),
+    words = draw(st.lists(st.sampled_from(["yuri", "gagarin", "nyc", "a", "bb", "ccc", "café"]),
                           min_size=1, max_size=40))
-    text = " ".join(words)
+    seps = draw(st.lists(st.sampled_from([" ", " ", " ", "\n", "\n "]),
+                         min_size=len(words), max_size=len(words)))
+    starts, text = [], ""
+    for w, sep in zip(words, seps):
+        starts.append(len(text))
+        text += w + sep
+    # a mention covers one word, or two across the separator between them;
+    # two mentions inside one word share its token and collide
     mentions = []
-    pos = 0
-    for w in words:
-        if draw(st.booleans()) and len(mentions) < 6:
-            mentions.append(CharMention(pos, pos + len(w), draw(st.sampled_from(["E0", "E1", None]))))
-        pos += len(w) + 1
+    i = 0
+    while i < len(words) and len(mentions) < 6:
+        n = draw(st.sampled_from(["", "one", "two", "split"]))
+        entity = draw(st.sampled_from(["E0", "E1", "NOPE", None]))
+        if n == "split" and len(words[i]) >= 3:
+            mentions.append(CharMention(starts[i], starts[i] + 1, entity))
+            mentions.append(CharMention(starts[i] + 2, starts[i] + 3, "E0"))
+        elif n:
+            j = min(i + (n == "two"), len(words) - 1)
+            mentions.append(CharMention(starts[i], starts[j] + len(words[j]), entity))
+            i = j
+        i += 1
     return Document("d", "T", text, mentions=tuple(mentions))
 
 
-@given(doc_with_mentions(), st.integers(5, 60))
-@settings(max_examples=150, deadline=None)
-def test_drop_accounting_and_alignment_soundness(doc, chunk_chars):
+@given(doc_with_mentions(), st.integers(5, 60), st.integers(3, 16),
+       st.sampled_from(("chunk", "window", *cp.CONTEXT_MODES)))
+@settings(max_examples=300, deadline=None)
+def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
+    """chunk: every mention gives one label or one drop; window: so does
+    each mention's own window; sentence (a context mode): so does every
+    mention that starts inside some sentence."""
     vocab = TokenVocab(RESERVED + ["yuri", "gagarin", "nyc", "a", "bb", "ccc"])
     evocab = EntityVocab(["E0", "E1"])
-    contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=chunk_chars, max_len=16)
-    n_labels = sum(len(c.labels) for c in contexts)
-    assert n_labels + drops.total == len(doc.mentions)
+    if builder == "chunk":
+        contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=width, max_len=max_len)
+        n_labels = sum(len(c.labels) for c in contexts)
+        assert n_labels + drops.total == len(doc.mentions)
+    elif builder == "window":
+        contexts = []
+        for m in doc.mentions:
+            ctx, drops = window_context(doc, m, vocab, evocab, window_bytes=width, max_len=max_len)
+            assert len(ctx.labels) + drops.total == 1
+            contexts.append(ctx)
+    else:
+        sentences = newline_sentences(doc.text)
+        contexts, drops = [], cp.DropCounter()
+        for sent in sentences:
+            ctx, d = make_eval_context(doc, sent, builder, vocab, evocab, max_len=max_len)
+            contexts.append(ctx)
+            drops.merge(d)
+        n_labels = sum(len(c.labels) for c in contexts)
+        n_starting = sum(any(s <= m.start_char < e for s, e in sentences) for m in doc.mentions)
+        assert n_labels + drops.total == n_starting
     # every label's implied character range contains a source mention's range
     for ctx in contexts:
         for lab in ctx.labels:
@@ -236,6 +273,11 @@ def test_eval_context_mode_title(vocab, evocab, eval_doc):
     ]
     assert ctx.tokens == expected
     assert ctx.labels == [MentionLabel((2, 3), 2, "new york")]
+    # a mention starting on the sentence's leading space still labels only
+    # sentence tokens, never the prepended [SEP]
+    doc = Document("d", "yuri", "x\n  new york", mentions=(CharMention(3, 12, "E2"),))
+    ctx, _ = make_eval_context(doc, newline_sentences(doc.text)[1], "title", vocab, evocab)
+    assert ctx.labels == [MentionLabel((2, 3), 2, " new york")]
 
 
 def test_eval_context_mode_title_lead2(vocab, evocab, eval_doc):
@@ -317,6 +359,38 @@ def test_sep_required_only_when_used():
     vocab = TokenVocab(["[PAD]", "[UNK]", "[MASK]", "w"])
     with pytest.raises(CorpusFormatError):
         _ = vocab.sep_index
+
+
+TSV_EVOCAB = EntityVocab(["E0", "E1"])
+# reader name -> (load(path), a good row, what that row alone loads to)
+TSV_READERS = {
+    "phrase_table": (lambda p: PhraseTable.from_tsv(p, TSV_EVOCAB).table, "NYC\tE1\t0",
+                     {"nyc": [1]}),
+    "page_links": (lambda p: PageLinks.from_tsv(p, TSV_EVOCAB).links, "d0\tE1", {"d0": [1]}),
+    "alias_table": (load_alias_tsv, "nyc\tE1", [("nyc", "E1")]),
+    "redirects": (lambda p: RedirectMap.from_tsv(p).redirects, "E9\tE1", {"E9": "E1"}),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, bad_row, message",
+    [
+        ("phrase_table", "nyc\tE0", "expected surface<TAB>entity<TAB>rank"),
+        ("phrase_table", "nyc\tE0\tfirst", "rank 'first' is not an integer"),
+        ("page_links", "d0\tE0\t1", "expected doc_id<TAB>entity_id"),
+        ("alias_table", "nyc", "expected alias<TAB>entity_id"),
+        ("redirects", "E8\tE0\tE1", "expected from<TAB>to"),
+    ],
+)
+def test_tsv_readers_skip_blank_lines_and_name_the_bad_row(tmp_path, reader, bad_row, message):
+    load, row, loaded = TSV_READERS[reader]
+    path = tmp_path / "table.tsv"
+    path.write_text(f"\n{row}\n \t \n", encoding="utf-8")
+    assert load(path) == loaded
+    path.write_text(f"\n{row}\n \t \n{bad_row}\n{row}\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}:4: {message}"
 
 
 def test_vocab_file_roundtrip(tmp_path):
