@@ -65,7 +65,7 @@ class RedirectMap:
 
     @classmethod
     def from_tsv(cls, path) -> "RedirectMap":
-        return cls(dict(cells for _, cells in read_tsv(path, ("from", "to"))))
+        return cls(dict(zip(*read_tsv(path, ("from", "to")))))
 
 
 class AliasTable:
@@ -152,4 +152,4 @@ def table_stats(
 
 def load_alias_tsv(path) -> list[tuple[str, str]]:
     """Raw `alias<TAB>entity_id` entries, order preserved."""
-    return [tuple(cells) for _, cells in read_tsv(path, ("alias", "entity_id"))]
+    return list(zip(*read_tsv(path, ("alias", "entity_id"))))

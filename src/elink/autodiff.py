@@ -16,13 +16,15 @@ spent graph raises.
 
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
-gathered rows and their summed gradients. Adam, clipping and the
-finiteness check consume it as it is, so an embedding table's gradient
-costs what the batch touches, not the table size. A `RowGrad` meeting a
-dense gradient on the same tensor is densified.
+gathered rows and their summed gradients; so does `table_softmax_nll` for
+the table rows it scores. Adam, clipping and the finiteness check consume
+it as it is, so an embedding table's gradient costs what the batch
+touches, not the table size. A `RowGrad` meeting a dense gradient on the
+same tensor is densified.
 
 The model's dense layers (`linear`), multi-head attention (`attention`) and
-softmax losses (`softmax_nll`) are fused: each is one tape node with a
+softmax losses (`softmax_nll`, and `table_softmax_nll` for span vectors
+scored against entity-table rows) are fused: each is one tape node with a
 hand-written backward, so a training step records and walks few full-size
 temporaries.
 """
@@ -177,6 +179,14 @@ class RowGrad:
             self.values = np.zeros((len(self.rows),) + shape[1:])
             np.add.at(self.values, inv, g)
         self.shape = shape
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray, values: np.ndarray, shape: tuple) -> "RowGrad":
+        """The RowGrad storing `values` at `rows` as given; rows must
+        already be sorted and unique."""
+        out = cls.__new__(cls)
+        out.rows, out.values, out.shape = rows, values, tuple(shape)
+        return out
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -448,6 +458,58 @@ def softmax_nll(scores: Tensor, gold) -> Tensor:
 
     out._backward = bwd if out.requires_grad else None
     return out
+
+
+def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, np.ndarray]:
+    """softmax_nll over the scores svec @ table[rows].T, as one node.
+
+    Column j scores table row rows[j] (rows=None: every row, in order) and
+    gold[i] is a column. Returns the (N,) per-row NLL and each row's argmax
+    column. The forward gathers the rows once and turns the score matrix
+    into max-shifted exponentials in place; the backward turns it into
+    (softmax - onehot(gold)) * g in place and hands the table its gradient
+    as a RowGrad over the sorted rows (dense when rows is None).
+    """
+    gold = np.asarray(gold, dtype=np.int64)
+    at = np.arange(len(gold))
+    if rows is None:
+        emb = table.data
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.argsort(rows)
+        rows_sorted = rows[order]
+        if rows_sorted.size and (rows_sorted[0] < 0 or (rows_sorted[1:] == rows_sorted[:-1]).any()):
+            raise ValueError("table rows must be distinct and non-negative")
+        emb = table.data[rows]
+    s = svec.data @ emb.T
+    pred = s.argmax(axis=-1)
+    picked = s[at, gold]
+    m = s[at, pred][:, None]  # each row's max, without a second pass
+    s -= m
+    np.exp(s, out=s)
+    total = s.sum(axis=-1, keepdims=True)
+    lse = np.log(total) + m
+    out = Tensor(lse[:, 0] - picked, _parents=(svec, table))
+
+    def bwd(g):
+        np.divide(s, total, out=s)
+        s[at, gold] -= 1.0
+        np.multiply(s, g[:, None], out=s)
+        if svec.requires_grad:
+            _accum(svec, s @ emb)
+        if not table.requires_grad:
+            return
+        gt = s.T @ svec.data
+        if rows is None:
+            _accum(table, gt)
+        else:
+            # the gathered rows are spent: their buffer takes the sorted
+            # gradient (mode="clip" keeps take from buffering; order is in range)
+            np.take(gt, order, axis=0, out=emb, mode="clip")
+            _accum(table, RowGrad.of_rows(rows_sorted, emb, table.data.shape))
+
+    out._backward = bwd if out.requires_grad else None
+    return out, pred
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aliastable import normalize_alias
-from .corpus import CorpusFormatError, EntityVocab, MentionLabel, read_tsv
+from .corpus import EntityVocab, MentionLabel, read_tsv
 from .seeding import derive_rng
 
 log = logging.getLogger(__name__)
@@ -77,32 +77,38 @@ class PhraseTable:
 
     @classmethod
     def from_tsv(cls, path, entity_vocab: EntityVocab) -> "PhraseTable":
-        """Load `surface<TAB>entity_id<TAB>rank` rows; ranks order each list."""
-        rows: dict[str, list[tuple[int, int]]] = {}
-        keys: dict[str, str] = {}  # raw surface -> normalized, once per surface
-        skipped = 0
-        for lineno, (surface, entity_id, text) in read_tsv(path, ("surface", "entity", "rank")):
-            try:
-                rank = int(text)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: rank {text!r} is not an integer"
-                ) from None
-            if entity_id not in entity_vocab:
-                skipped += 1
-                continue
-            key = keys.get(surface)
-            if key is None:
-                key = keys[surface] = normalize_alias(surface)
-            rows.setdefault(key, []).append((rank, entity_vocab.get(entity_id)))
-        if skipped:
-            log.warning("phrase table %s: skipped %d rows with unknown entities", path, skipped)
-        table = {}
-        for surface, pairs in rows.items():
-            pairs.sort(key=lambda p: p[0])
-            seen: set[int] = set()
-            table[surface] = [e for _, e in pairs if not (e in seen or seen.add(e))]
-        return cls(table)
+        """Load `surface<TAB>entity_id<TAB>rank` rows; ranks order each list.
+
+        In bulk: the known rows are grouped by normalized surface (keys in
+        order of first appearance), stably sorted by rank, and each
+        (surface, entity) pair keeps its first row in that order.
+        """
+        surfaces, entity_ids, ranks = read_tsv(path, ("surface", "entity", "rank"), ints=("rank",))
+        index = entity_vocab.index
+        ents = np.array([index.get(e, -1) for e in entity_ids], dtype=np.int64)
+        known = np.flatnonzero(ents >= 0)
+        if len(known) < len(ents):
+            log.warning(
+                "phrase table %s: skipped %d rows with unknown entities", path, len(ents) - len(known)
+            )
+            surfaces = [surfaces[i] for i in known]
+            ranks = [ranks[i] for i in known]
+            ents = ents[known]
+        try:
+            rank = np.array(ranks, dtype=np.int64)
+        except OverflowError:  # ranks past int64 still sort, as Python ints
+            rank = np.array(ranks, dtype=object)
+        keys: dict[str, int] = {}  # normalized surface -> key id, first appearance
+        key_of = {s: keys.setdefault(normalize_alias(s), len(keys)) for s in dict.fromkeys(surfaces)}
+        key = np.array([key_of[s] for s in surfaces], dtype=np.int64)
+        order = np.lexsort((rank, key))
+        key, ents = key[order], ents[order]
+        # the first row of each (key, entity) pair, in that order
+        _, first = np.unique(key * len(entity_vocab) + ents, return_index=True)
+        first.sort()
+        key, ents = key[first], ents[first].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(ents)]
+        return cls({k: ents[a:b] for k, a, b in zip(keys, cuts, cuts[1:])})
 
 
 class PageLinks:
@@ -122,7 +128,7 @@ class PageLinks:
         """Load `doc_id<TAB>entity_id` rows."""
         links: dict[str, list[int]] = {}
         skipped = 0
-        for _, (doc_id, entity_id) in read_tsv(path, ("doc_id", "entity_id")):
+        for doc_id, entity_id in zip(*read_tsv(path, ("doc_id", "entity_id"))):
             if entity_id not in entity_vocab:
                 skipped += 1
                 continue

@@ -57,14 +57,16 @@ def _check_vocab_sizes(model_cfg: ModelConfig, tvocab, evocab) -> None:
         )
 
 
-def _load_model(args, cfg: RunConfig, optional: bool = False):
+def _load_model(args, cfg: RunConfig, training: bool = False):
     """(tvocab, evocab, params), the checkpoint's sizes checked against the
-    vocabularies. With optional, params is None when no checkpoint is named."""
+    vocabularies. For training, the checkpoint is optional (params is None
+    when none is named) and params record gradients; otherwise they load
+    off the autodiff tape."""
     tvocab, evocab = _load_vocabs(args, cfg)
     ckpt = args.checkpoint if args.checkpoint is not None else cfg.paths.checkpoint
-    if optional and not ckpt:
+    if training and not ckpt:
         return tvocab, evocab, None
-    params = load_checkpoint(_pick(ckpt, None, "checkpoint"))
+    params = load_checkpoint(_pick(ckpt, None, "checkpoint"), requires_grad=training)
     _check_vocab_sizes(params.config, tvocab, evocab)
     return tvocab, evocab, params
 
@@ -126,9 +128,12 @@ def cmd_build_corpus(args, overrides) -> int:
                 contexts.append(ctx)
                 drops.merge(d)
         else:
+            # built once for all of the document's windows
+            byte_at = cp.utf8_offsets(doc.text) if doc.mentions else None
             for mention in doc.mentions:
                 ctx, d = cp.window_context(
-                    doc, mention, tvocab, evocab, cfg.corpus.window_bytes, cfg.model.max_len
+                    doc, mention, tvocab, evocab, cfg.corpus.window_bytes, cfg.model.max_len,
+                    byte_at,
                 )
                 contexts.append(ctx)
                 drops.merge(d)
@@ -194,7 +199,7 @@ def cmd_pretrain(args, overrides) -> int:
 def cmd_finetune(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
-    tvocab, evocab, params = _load_model(args, cfg, optional=True)
+    tvocab, evocab, params = _load_model(args, cfg, training=True)
     contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
     if params is None:
         params = ModelParams.initialize(

@@ -12,6 +12,7 @@ import logging
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -519,6 +520,11 @@ def make_eval_context(
     return ctx, drops
 
 
+def utf8_offsets(text: str) -> list[int]:
+    """UTF-8 byte offset of each character of text, then the total length."""
+    return list(accumulate((len(c.encode("utf-8")) for c in text), initial=0))
+
+
 def window_context(
     doc: Document,
     mention: CharMention,
@@ -526,17 +532,19 @@ def window_context(
     entity_vocab: EntityVocab,
     window_bytes: int = 256,
     max_len: int = 256,
+    byte_at: list[int] | None = None,
 ) -> tuple[Context, DropCounter]:
     """Context of window_bytes UTF-8 bytes either side of a mention.
 
     Byte boundaries are snapped outward to whole characters, so the window
-    never cuts a multi-byte character.
+    never cuts a multi-byte character. byte_at is the document's
+    `utf8_offsets`; a caller windowing many mentions of one document
+    passes it in, so the table is built once rather than per mention.
     """
     if window_bytes <= 0:
         raise ValueError("window_bytes must be positive")
-    byte_at = [0]
-    for c in doc.text:
-        byte_at.append(byte_at[-1] + len(c.encode("utf-8")))
+    if byte_at is None:
+        byte_at = utf8_offsets(doc.text)
     lo = max(0, byte_at[mention.start_char] - window_bytes)
     hi = min(byte_at[-1], byte_at[mention.end_char] + window_bytes)
     cs = bisect_right(byte_at, lo) - 1
@@ -553,20 +561,45 @@ def window_context(
 # ---------------------------------------------------------------------------
 
 
-def read_tsv(path, fields: tuple[str, ...]):
-    """Yield (lineno, cells) for each non-blank line of a TSV file.
+def read_tsv(path, fields: tuple[str, ...], ints: tuple[str, ...] = ()) -> list[list]:
+    """The columns of a TSV file, one list per name in fields, each holding
+    that cell of every non-blank line in file order. The columns named in
+    ints hold int() of their cells.
 
-    A line without exactly one cell per name in fields raises
-    CorpusFormatError `path:line: expected a<TAB>b...`.
+    The file is split in bulk, but its first bad line, in file order,
+    raises CorpusFormatError: a line without exactly one cell per field
+    gives `path:line: expected a<TAB>b...`, and a cell int() rejects gives
+    `path:line: <field> '<cell>' is not an integer`.
     """
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(fields):
-                raise CorpusFormatError(f"{path}:{lineno}: expected {'<TAB>'.join(fields)}")
-            yield lineno, cells
+        lines = f.read().split("\n")
+    linenos = [i for i, line in enumerate(lines, 1) if line.strip()]
+    if len(linenos) < len(lines):
+        lines = [lines[i - 1] for i in linenos]
+    n = len(fields)
+    good = next((k for k, line in enumerate(lines) if line.count("\t") != n - 1), len(lines))
+    error = None if good == len(lines) else (good, f"expected {'<TAB>'.join(fields)}")
+    cells = "\t".join(lines[:good]).split("\t") if good else []
+    columns = [cells[j::n] for j in range(n)]
+    for name in ints:
+        j = fields.index(name)
+        try:
+            columns[j] = list(map(int, columns[j]))
+        except ValueError:
+            k = next(k for k, text in enumerate(columns[j]) if not _is_int(text))
+            if error is None or k < error[0]:
+                error = (k, f"{name} {columns[j][k]!r} is not an integer")
+    if error is not None:
+        raise CorpusFormatError(f"{path}:{linenos[error[0]]}: {error[1]}")
+    return columns
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_documents(path) -> list[Document]:

@@ -209,26 +209,17 @@ def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_scores(params: ModelParams, svec: Tensor, cand_rows):
-    """Scores of span vectors against candidates.
+def _candidate_scores(params: ModelParams, svec: Tensor, cand_rows: np.ndarray) -> Tensor:
+    """(M, Kmax) scores of each span vector against its own candidates.
 
-    cand_rows: None for the full entity vocabulary, a (K,) array shared by
-    all mentions, or an (M, Kmax) array padded with -1. Returns (scores,
-    additive validity bias or None).
+    cand_rows is (M, Kmax), padded with -1; padded slots score NEG_INF.
     """
-    if cand_rows is None:
-        return svec @ ad.transpose(params["ent_emb"], (1, 0)), None
-    cand_rows = np.asarray(cand_rows, dtype=np.int64)
-    if cand_rows.ndim == 1:
-        emb = ad.take(params["ent_emb"], cand_rows)
-        return svec @ ad.transpose(emb, (1, 0)), None
     M, K = cand_rows.shape
     clipped = np.where(cand_rows >= 0, cand_rows, 0)
     emb = ad.take(params["ent_emb"], clipped)          # (M, K, d)
     d = emb.shape[-1]
     scores = (ad.reshape(svec, (M, 1, d)) * emb).sum(axis=-1)
-    bias = np.where(cand_rows >= 0, 0.0, NEG_INF)
-    return scores + bias, bias
+    return scores + np.where(cand_rows >= 0, 0.0, NEG_INF)
 
 
 def score_and_prob(params: ModelParams, svec: np.ndarray, candidates=None):
@@ -381,15 +372,21 @@ def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Ten
     """Mean over examples of the summed per-mention candidate NLL.
 
     Unlinked mentions carry no target and contribute zero. Every gold must
-    be present in its candidate row (guaranteed upstream).
+    be present in its candidate row (guaranteed upstream). Against a
+    candidate list shared by the batch, or the full vocabulary, scores and
+    NLL are one `table_softmax_nll` node; per-mention lists are scored as a
+    padded matrix.
     """
     if len(batch.ment_ex) == 0:
         return Tensor(0.0), {"linking_acc": float("nan"), "n_linked_mentions": 0}
     svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end)
-    scores, _ = _candidate_scores(params, svec, batch.cand_rows)
-    nll = mention_nll(scores, batch.gold_pos)
+    if batch.cand_rows is None or batch.cand_rows.ndim == 1:
+        nll, pred = ad.table_softmax_nll(svec, params["ent_emb"], batch.cand_rows, batch.gold_pos)
+    else:
+        scores = _candidate_scores(params, svec, batch.cand_rows)
+        nll = mention_nll(scores, batch.gold_pos)
+        pred = scores.data.argmax(axis=-1)
     loss = nll.sum() * (1.0 / batch.n_examples)
-    pred = scores.data.argmax(axis=-1)
     acc = float((pred == batch.gold_pos).mean())
     return loss, {"linking_acc": acc, "n_linked_mentions": len(batch.ment_ex)}
 
@@ -496,6 +493,23 @@ def _span_vectors(params: ModelParams, H: Tensor, spans: list[tuple[int, int]]) 
     return span_repr(params, H, ex, [s for s, _ in spans], [e for _, e in spans]).data
 
 
+def _top_k(row: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k best scores, best first, exact ties to the lowest
+    column: the first k of a stable sort of -row, without sorting it all.
+
+    A partition finds the k-th best score; every column scoring at least
+    that (all its ties too) is kept in ascending order and stably sorted.
+    """
+    neg = -row
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")[:k]
+    kth = np.partition(neg, k - 1)[k - 1]
+    # ~(neg > kth), not neg <= kth: NaN scores stay in and sort last, as
+    # the full sort places them
+    keep = np.flatnonzero(~(neg > kth))
+    return keep[np.argsort(neg[keep], kind="stable")[:k]]
+
+
 def rank_entities(
     params: ModelParams,
     tokens,
@@ -525,9 +539,7 @@ def rank_entities(
     for i, row in enumerate(scores):
         if own is not None:
             row = row[np.searchsorted(union, own[i])]
-        # columns are in ascending id order, so a stable sort of -score
-        # puts the lowest id first among exact ties
-        top = np.argsort(-row, kind="stable")[:top_k]
+        top = _top_k(row, top_k)
         ents = top if own is None else own[i][top]
         out.append([(int(e), float(row[j])) for e, j in zip(ents, top)])
     return out
@@ -617,7 +629,9 @@ def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> Non
         f.write("\n")
 
 
-def load_checkpoint(path) -> ModelParams:
+def load_checkpoint(path, requires_grad: bool = True) -> ModelParams:
+    """Parameters from a checkpoint file. With requires_grad False they
+    are constants, so inference on them records no autodiff graph."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -638,7 +652,7 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         data = data.reshape(shape).astype(np.float64)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(data, requires_grad=requires_grad)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -228,6 +228,57 @@ def test_softmax_nll_stable_at_large_scores(rng):
     fd_check(lambda: (ad.softmax_nll(a, gold) * np.array([0.3, -1.2, 0.7])).sum(), [a], h=1e-3)
 
 
+def _table_case(rng):
+    """A 7-row table, an unsorted first-appearance union of 5 of its rows,
+    and golds at the union's first and last positions."""
+    svec = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    return svec, table, np.array([5, 0, 6, 2, 3]), np.array([0, 4, 0])
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_table_softmax_nll_grad(rng, full):
+    svec, table, rows, gold = _table_case(rng)
+    if full:
+        rows, gold = None, np.array([0, 6, 3])
+    w = rng.normal(size=3)
+    fd_check(lambda: (ad.table_softmax_nll(svec, table, rows, gold)[0] * w).sum(), [svec, table])
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_table_softmax_nll_matches_the_gather_matmul_composition(rng, full):
+    svec, table, rows, gold = _table_case(rng)
+    if full:
+        rows, gold = None, np.array([0, 6, 3])
+    w = rng.normal(size=3)
+    emb = table if full else ad.take(table, rows)
+    scores = svec @ ad.transpose(emb, (1, 0))
+    ref = ad.softmax_nll(scores, gold)
+    (ref * w).sum().backward()
+    want_svec, want_table = svec.grad, _dense_grad(table)
+    svec.grad = table.grad = None
+
+    nll, pred = ad.table_softmax_nll(svec, table, rows, gold)
+    (nll * w).sum().backward()
+    assert nll.data.tobytes() == ref.data.tobytes()
+    assert pred.tolist() == scores.data.argmax(axis=-1).tolist()
+    assert svec.grad.tobytes() == want_svec.tobytes()
+    if full:
+        assert isinstance(table.grad, np.ndarray)
+    else:
+        assert isinstance(table.grad, RowGrad)
+        assert table.grad.rows.tolist() == sorted(rows.tolist())
+    got = _dense_grad(table)
+    assert np.abs(got - want_table).max() <= 1e-12 * np.abs(want_table).max()
+
+
+def test_table_softmax_nll_rejects_repeated_or_negative_rows(rng):
+    svec, table, _, _ = _table_case(rng)
+    for rows in ([1, 4, 1], [2, -1]):
+        with pytest.raises(ValueError, match="distinct"):
+            ad.table_softmax_nll(svec, table, np.array(rows), np.zeros(3))
+
+
 def test_gelu_grad(rng):
     a = Tensor(rng.normal(size=(4, 3)) * 2, requires_grad=True)
     fd_check(lambda: (ad.gelu(a) * 0.3).sum(), [a])
@@ -264,6 +315,19 @@ def test_backward_on_a_spent_graph_raises(rng):
     with pytest.raises(RuntimeError, match="freed"):
         (y * 2.0).sum().backward()
     assert a.grad.tobytes() == first.tobytes()
+
+
+def test_backward_through_a_spent_table_softmax_nll_raises(rng):
+    svec, table, rows, gold = _table_case(rng)
+    nll, _ = ad.table_softmax_nll(svec, table, rows, gold)
+    loss = nll.sum()
+    loss.backward()
+    first = table.grad.values.copy()
+    with pytest.raises(RuntimeError, match="freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        (nll * 2.0).sum().backward()
+    assert table.grad.values.tobytes() == first.tobytes()
 
 
 def test_constants_do_not_track_gradients():

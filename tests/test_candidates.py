@@ -1,10 +1,14 @@
 """Candidate assembly: sources, budgets, dedup priority, in-batch union."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elink.aliastable import normalize_alias
 from elink.candidates import (
     CandidateBudgetError,
     CandidateConfig,
@@ -17,7 +21,7 @@ from elink.candidates import (
     phrase_candidates,
     random_candidates,
 )
-from elink.corpus import MentionLabel
+from elink.corpus import CorpusFormatError, EntityVocab, MentionLabel
 from elink.seeding import derive_rng
 
 
@@ -73,6 +77,72 @@ def test_phrase_table_tsv_rank_order(tmp_path):
     path.write_text("NYC\tE2\t1\nnyc\tE0\t0\nnyc\tE2\t2\nnyc\tUNKNOWN\t3\n")
     table = PhraseTable.from_tsv(path, evocab)
     assert table.lookup("nyc") == [0, 2]  # rank order, deduped, unknown skipped
+
+
+def _row_by_row_phrase_table(path, evocab) -> dict:
+    """Reference loader: one line at a time, a per-surface stable rank sort,
+    then the first row of each entity."""
+    rows = {}
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != 3:
+                raise CorpusFormatError(f"{path}:{lineno}: expected surface<TAB>entity<TAB>rank")
+            surface, entity, rank = cells
+            try:
+                rank = int(rank)
+            except ValueError:
+                raise CorpusFormatError(f"{path}:{lineno}: rank {rank!r} is not an integer")
+            if entity in evocab:
+                rows.setdefault(normalize_alias(surface), []).append((rank, evocab.get(entity)))
+    table = {}
+    for key, pairs in rows.items():
+        pairs.sort(key=lambda p: p[0])
+        table[key] = list(dict.fromkeys(e for _, e in pairs))
+    return table
+
+
+PHRASE_LINE = st.one_of(
+    st.sampled_from(["", "  ", " \t "]),
+    st.builds(
+        "{}\t{}\t{}".format,
+        st.sampled_from(["NYC", "nyc", " nyc ", "New  York", "new york", "café", "Cafe\u0301", "x"]),
+        st.sampled_from(["E0", "E1", "E2", "E3", "NOPE"]),
+        st.one_of(st.integers(-2, 2), st.just(2**70), st.just(" 1")),
+    ),
+)
+BAD_PHRASE_LINE = st.sampled_from(["x\tE0\tfirst", "x\tE0", "x\tNOPE\t1.5", "a\tb\tc\td"])
+
+
+def _load_outcome(load, path, evocab):
+    try:
+        return list(load(path, evocab).items())
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+@given(
+    st.lists(PHRASE_LINE, max_size=30),
+    st.one_of(st.just([]), st.lists(st.tuples(st.integers(0, 30), BAD_PHRASE_LINE), max_size=2)),
+)
+@settings(max_examples=300, deadline=None)
+def test_phrase_table_tsv_matches_the_row_by_row_reference(lines, bad_lines):
+    """Blank and whitespace-only lines, rank ties, one (surface, entity) pair
+    at several ranks, surfaces that normalize alike and unknown entities
+    load to the reference's contents and key order; with bad lines, the
+    first one is reported as the reference reports it."""
+    for at, bad in bad_lines:
+        lines.insert(at, bad)
+    evocab = EntityVocab(["E0", "E1", "E2", "E3"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "phrase.tsv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines))
+        want = _load_outcome(_row_by_row_phrase_table, path, evocab)
+        got = _load_outcome(lambda p, v: PhraseTable.from_tsv(p, v).table, path, evocab)
+    assert got == want
 
 
 def test_page_links_tsv_keeps_order_and_skips_unknown_entities(tmp_path, caplog):

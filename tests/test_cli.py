@@ -6,9 +6,11 @@ import pytest
 
 from helpers import make_raw_world
 
+from elink import cli
 from elink.cli import main
 from elink.config import build_run_config, parse_kv_text
 from elink.corpus import load_contexts
+from elink.model import encode, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +244,40 @@ def test_finetune_from_scratch_all_entities(world, built_corpus, tmp_path, capsy
         "--model.d_ff=16", "--model.d_entity=8", "--model.max_len=32",
     ])
     assert rc == 0
+
+
+def test_only_finetune_loads_parameters_onto_the_tape(world, built_corpus, trained, tmp_path,
+                                                     monkeypatch, capsys):
+    """eval-disambig, eval-e2e and link load constants, so an encode over
+    them has no parents and no backward rule; finetune's record gradients."""
+    root, paths, docs = world
+    loaded = {}
+
+    def spy(path, requires_grad=True):
+        params = load_checkpoint(path, requires_grad)
+        loaded[command] = params
+        return params
+
+    monkeypatch.setattr(cli, "load_checkpoint", spy)
+    text = tmp_path / "text.txt"
+    text.write_text(docs[0]["text"])
+    vocabs = ["--checkpoint", trained, "--token-vocab", paths["token_vocab"],
+              "--entity-vocab", paths["entity_vocab"]]
+    for command, rest in [
+        ("eval-disambig", ["--dataset", built_corpus]),
+        ("eval-e2e", ["--dataset", built_corpus]),
+        ("link", ["--input", str(text)]),
+        ("finetune", ["--dataset", built_corpus, "--out-dir", str(tmp_path / "ft"),
+                      "--train.total_steps=1", "--train.batch_size=2"]),
+    ]:
+        assert main([command, *vocabs, *rest]) == 0
+    capsys.readouterr()
+    for command, params in loaded.items():
+        training = command == "finetune"
+        assert all(t.requires_grad == training for _, t in params.items()), command
+        H = encode(params, [1, 2, 3])
+        assert H.requires_grad == training
+        assert (H._parents == () and H._backward is None) != training
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elink import corpus as cp
@@ -205,8 +205,22 @@ def doc_with_mentions(draw):
     return Document("d", "T", text, mentions=tuple(mentions))
 
 
+def long_document(n_words=4000):
+    """~22k characters with a mention on every fourth word, a quarter of
+    them multibyte: window mode must not rebuild the byte table per mention."""
+    words = ["yuri", "gagarin", "café", "a"] * (n_words // 4)
+    entities = ["E0", "NOPE", None, "E1", "E0"]
+    text, mentions = "", []
+    for i, w in enumerate(words):
+        if i % 4 == 2:
+            mentions.append(CharMention(len(text), len(text) + len(w), entities[i % 5]))
+        text += w + ("\n" if i % 50 == 49 else " ")
+    return Document("long", "T", text, mentions=tuple(mentions))
+
+
 @given(doc_with_mentions(), st.integers(5, 60), st.integers(3, 16),
        st.sampled_from(("chunk", "window", *cp.CONTEXT_MODES)))
+@example(long_document(), 60, 16, "window")
 @settings(max_examples=300, deadline=None)
 def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
     """chunk: every mention gives one label or one drop; window: so does
@@ -220,8 +234,11 @@ def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
         assert n_labels + drops.total == len(doc.mentions)
     elif builder == "window":
         contexts = []
+        byte_at = cp.utf8_offsets(doc.text)
         for m in doc.mentions:
-            ctx, drops = window_context(doc, m, vocab, evocab, window_bytes=width, max_len=max_len)
+            ctx, drops = window_context(
+                doc, m, vocab, evocab, window_bytes=width, max_len=max_len, byte_at=byte_at
+            )
             assert len(ctx.labels) + drops.total == 1
             contexts.append(ctx)
     else:

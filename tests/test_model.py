@@ -44,6 +44,7 @@ from elink.model import (
     span_repr,
     stable_softmax,
     total_loss,
+    _top_k,
     _trunc_normal,
 )
 
@@ -621,6 +622,19 @@ def test_rank_entities_full_vocabulary_matches_oracle(params):
     _assert_same_ranking(
         everything, _oracle_ranking(params, ctx.tokens, SPANS, None, TINY.n_entities)
     )
+
+
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0, np.inf, -np.inf, np.nan]), min_size=1,
+             max_size=30),
+    st.integers(1, 35),
+)
+@settings(max_examples=300, deadline=None)
+def test_top_k_is_the_head_of_a_stable_sort(values, k):
+    """Ties at and inside the k-th score, signed zeros, infinities and NaNs
+    rank as the first k of a stable sort of -score."""
+    row = np.array(values)
+    assert _top_k(row, k).tolist() == np.argsort(-row, kind="stable")[:k].tolist()
 
 
 def test_end_to_end_empty_when_all_outside(params):
