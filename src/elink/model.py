@@ -13,6 +13,7 @@ import json
 import os
 import struct
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -92,11 +93,38 @@ def _param_specs(cfg: ModelConfig):
     return specs
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    x = rng.normal(0.0, std, size=shape)
+# Values in one init block, and in one cast of the checkpoint writer. A
+# "normal" tensor's block j (see _row_blocks) has its own random stream, so
+# init gives the same bytes on any number of threads, and a table that grows
+# keeps its whole blocks (a partial block's redraws follow its length). 2 MB
+# of float64 also stays near the cache.
+BLOCK_VALUES = 1 << 18
+
+
+def _row_blocks(shape) -> list[slice]:
+    """Consecutive slices of whole leading-axis rows, each holding at most
+    BLOCK_VALUES values (but at least one row). Depends on the shape alone."""
+    step = max(1, BLOCK_VALUES // int(np.prod(shape[1:])))
+    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _trunc_normal(rng: np.random.Generator, shape, std: float, out=None) -> np.ndarray:
+    """N(0, std) draws redrawn until within +-2 std, written into out
+    (C-contiguous, of the given shape) when it is given."""
+    x = np.empty(shape) if out is None else out
+    rng.standard_normal(out=x)
+    x *= std
+    x += 0.0  # rng.normal(0.0, std) computes 0.0 + std * z; this keeps its bytes
     flat = x.reshape(-1)
     lim = 2 * std
-    # two comparisons, not abs(): no table-sized float copy
+    # two comparisons, not abs(): no float copy of the block
     bad = np.flatnonzero((flat > lim) | (flat < -lim))
     while bad.size:
         # only the entries just redrawn can still be out of range
@@ -114,16 +142,29 @@ class ModelParams:
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int, init_std: float = 0.02):
-        rng = derive_rng(seed, "params")
+        """Fresh parameters: zeros, ones, or for "normal" tensors a +-2 std
+        truncated normal whose block j is drawn from
+        derive_rng(seed, "params", name, j). The blocks are drawn on a
+        thread pool with one thread per usable CPU (numpy's fill releases
+        the GIL); the values do not depend on it."""
         tensors: "OrderedDict[str, Tensor]" = OrderedDict()
+        blocks = []
         for name, shape, kind in _param_specs(config):
             if kind == "normal":
-                data = _trunc_normal(rng, shape, init_std)
+                data = np.empty(shape)  # filled below, through views of its blocks
+                blocks += [(name, j, data[rows]) for j, rows in enumerate(_row_blocks(shape))]
             elif kind == "ones":
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
             tensors[name] = Tensor(data, requires_grad=True)
+
+        def draw(block):
+            name, j, out = block
+            _trunc_normal(derive_rng(seed, "params", name, j), out.shape, init_std, out=out)
+
+        with ThreadPoolExecutor(min(len(blocks), _usable_cpus())) as pool:
+            list(pool.map(draw, blocks))  # reading every result re-raises a worker's error
         return cls(config, tensors)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -612,12 +653,14 @@ def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> Non
         f.write(cfg_json)
         offset = len(CHECKPOINT_MAGIC) + 8 + len(cfg_json)
         for name, t in params.items():
-            arr = np.ascontiguousarray(t.data, dtype="<f4")
+            nbytes = t.data.size * 4
             entries.append(
-                {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": arr.nbytes}
+                {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": nbytes}
             )
-            f.write(arr.data)
-            offset += arr.nbytes
+            # cast block by block: no float32 copy of a whole table
+            for rows in _row_blocks(t.data.shape):
+                f.write(np.ascontiguousarray(t.data[rows], dtype="<f4").data)
+            offset += nbytes
     manifest = {
         "format": CHECKPOINT_MAGIC.decode("ascii"),
         "version": CHECKPOINT_VERSION,

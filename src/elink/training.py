@@ -69,6 +69,14 @@ class TrainConfig:
             raise ValueError("total_steps, batch_size, and base_lr must be positive")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        # negated comparisons, so a NaN fails them too
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1)")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be >= 1")
         if self.softmax_mode not in SOFTMAX_MODES:
             raise ValueError(f"softmax_mode must be one of {SOFTMAX_MODES}")
 

@@ -206,6 +206,31 @@ def test_resolved_config_echo_reflects_ablation_flags(world, built_corpus, tmp_p
     build_run_config(echoed)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("log_interval", "0"), ("eps", "0"), ("beta1", "1.0"), ("beta2", "-0.5"),
+])
+def test_bad_train_setting_fails_at_config_load(world, built_corpus, tmp_path, capsys,
+                                                key, value):
+    root, paths, _ = world
+    rc = main([
+        "pretrain",
+        "--corpus", built_corpus,
+        "--token-vocab", paths["token_vocab"],
+        "--entity-vocab", paths["entity_vocab"],
+        "--out-dir", str(tmp_path / "run"),
+        "--train.total_steps=2",
+        "--train.batch_size=4",
+        "--model.d_model=8", "--model.n_layers=1", "--model.n_heads=2",
+        "--model.d_ff=16", "--model.d_entity=8", "--model.max_len=32",
+        "--candidates.k=8", "--candidates.max_page=2", "--candidates.max_phrase=2",
+        "--candidates.min_random=2",
+        f"--train.{key}={value}",
+    ])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_finetune_alias_mode(world, built_corpus, trained, tmp_path, capsys):
     root, paths, _ = world
     out_dir = str(tmp_path / "ft")

@@ -1,5 +1,6 @@
 """Encoder contracts, loss oracles, BIO coding, inference, checkpoints."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -18,9 +19,11 @@ from helpers import (
     oracle_softmax_nll,
 )
 
+from elink import model
 from elink.autodiff import RowGrad, Tensor
 from elink.corpus import Context, MentionLabel
 from elink.model import (
+    BLOCK_VALUES,
     CheckpointError,
     GradientError,
     MentionTarget,
@@ -44,12 +47,17 @@ from elink.model import (
     span_repr,
     stable_softmax,
     total_loss,
+    _param_specs,
     _top_k,
     _trunc_normal,
 )
+from elink.seeding import derive_rng
 
 TINY = ModelConfig(vocab_size=50, n_entities=20, d_model=8, n_layers=2,
                    n_heads=2, d_ff=16, d_entity=8, max_len=16)
+# tok_emb and ent_emb each span two full init blocks and a partial third
+MULTI = ModelConfig(vocab_size=9000, n_entities=10_000, d_model=64, n_layers=1,
+                    n_heads=4, d_ff=16, d_entity=64, max_len=16)
 
 
 @pytest.fixture
@@ -125,6 +133,50 @@ def test_trunc_normal_matches_whole_array_resampling(seed):
     assert got.tobytes() == _resample_whole_array(want_rng, shape, std).tobytes()
     assert np.abs(got).max() <= 2 * std
     assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
+def test_initialize_draws_each_row_block_from_its_own_stream():
+    p = ModelParams.initialize(MULTI, seed=11)
+    for name in ("tok_emb", "ent_emb"):
+        data = p[name].data
+        step = BLOCK_VALUES // data.shape[1]
+        assert 2 * step < len(data) < 3 * step
+        for j, lo in enumerate(range(0, len(data), step)):
+            block = data[lo:lo + step]
+            want = _trunc_normal(derive_rng(11, "params", name, j), block.shape, 0.02)
+            assert block.tobytes() == want.tobytes(), (name, j)
+
+
+def test_initialize_bytes_do_not_depend_on_worker_count(monkeypatch):
+    draws = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(model, "_usable_cpus", lambda n=workers: n)
+        draws.append(b"".join(t.data.tobytes() for _, t in ModelParams.initialize(MULTI, 11).items()))
+    assert draws[0] == draws[1] == draws[2]
+
+
+def test_initialize_table_blocks_do_not_move_with_table_or_vocab_size():
+    # whole blocks only: a partial block's redraws follow its own length
+    step = BLOCK_VALUES // MULTI.d_entity
+    one_block, several, small_vocab = (
+        ModelParams.initialize(dataclasses.replace(MULTI, **change), seed=11)["ent_emb"].data
+        for change in ({"n_entities": step + 20}, {}, {"vocab_size": 50})
+    )
+    assert several[:step].tobytes() == one_block[:step].tobytes()
+    assert small_vocab.tobytes() == several.tobytes()
+
+
+def test_initialize_draws_every_value_within_two_std():
+    std = 0.02
+    p = ModelParams.initialize(MULTI, seed=11, init_std=std)
+    for name, _, kind in _param_specs(MULTI):
+        if kind == "normal":
+            data = p[name].data
+            assert np.abs(data).max() <= 2 * std, name
+            # the rows after the last full block, or the whole of a small tensor
+            step = BLOCK_VALUES // data.shape[1]
+            tail = data[len(data) // step * step:]
+            assert np.all(tail != 0) and tail.std() > std / 2, name
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +757,17 @@ def test_checkpoint_bytes_follow_documented_layout(tmp_path, params):
     tensors = [params[name].data.astype("<f4").tobytes(order="C") for name in params.names()]
     want = b"ELCK" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + b"".join(tensors)
     assert path.read_bytes() == want
+
+
+def test_checkpoint_bytes_of_tables_spanning_several_blocks(tmp_path):
+    params = ModelParams.initialize(MULTI, seed=11)
+    path = tmp_path / "model.elck"
+    save_checkpoint(path, params)
+    cfg_json = json.dumps(asdict(MULTI), sort_keys=True).encode("utf-8")
+    tensors = [t.data.astype("<f4").tobytes() for _, t in params.items()]
+    assert path.read_bytes() == (
+        b"ELCK" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + b"".join(tensors)
+    )
 
 
 def test_checkpoint_bad_magic(tmp_path, params):
