@@ -470,13 +470,17 @@ def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray | ad.Row
     """Exact reverse-mode gradients of a recorded loss for every parameter.
 
     Groups reached only through row gathers (the embedding tables) get a
-    row-sparse RowGrad; the others get dense arrays.
+    row-sparse RowGrad; the others get dense arrays. A group the loss did
+    not reach gets an empty RowGrad, not a table of zeros.
     """
     params.zero_grad()
     loss.backward()
     grads: dict[str, np.ndarray | ad.RowGrad] = {}
     for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        g = t.grad
+        if g is None:
+            shape = t.data.shape
+            g = ad.RowGrad.of_rows(np.empty(0, np.int64), np.empty((0,) + shape[1:]), shape)
         if not np.isfinite(ad.grad_values(g)).all():
             raise GradientError(f"non-finite gradient in parameter group {name!r}")
         grads[name] = g

@@ -24,11 +24,13 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.select_rate <= 1.0:
             raise ValueError("select_rate must be in [0, 1]")
+        # negated comparisons, so a NaN fails them too
+        for key in ("mask_frac", "random_frac", "keep_frac"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1]")
         total = self.mask_frac + self.random_frac + self.keep_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mask/random/keep fractions must sum to 1, got {total}")
-        if min(self.mask_frac, self.random_frac, self.keep_frac) < 0:
-            raise ValueError("fractions must be non-negative")
 
 
 def apply_noise(

@@ -65,11 +65,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in (0, 1)")
-        if self.total_steps <= 0 or self.batch_size <= 0 or self.base_lr <= 0:
-            raise ValueError("total_steps, batch_size, and base_lr must be positive")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        # negated comparisons, so a NaN fails them too
+        if self.total_steps <= 0 or self.batch_size <= 0:
+            raise ValueError("total_steps and batch_size must be positive")
+        # negated comparisons and isfinite, so a NaN fails them too
+        for key in ("base_lr", "clip_norm"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
+        for key in ("link_weight", "bio_weight"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         for key in ("beta1", "beta2"):
@@ -82,17 +86,56 @@ class TrainConfig:
 
 
 @dataclass
+class HeldMoments:
+    """Adam moments of one parameter group, kept for its held rows only.
+
+    A row is held once any gradient has reached it. `order[:n]` lists the
+    held rows in first-reach order, `slot` maps a row to its index there
+    (-1 while the row is not held), and slot i of `m` and `v` holds the
+    moments of held row i. `m` and `v` are np.zeros, whose pages stay
+    unmapped until a slot is used, so a row no gradient has reached costs
+    no memory and no work.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    slot: np.ndarray
+    order: np.ndarray
+    n: int = 0
+    in_order: bool = True  # order[:n] == arange(n): slots are rows
+
+    @classmethod
+    def for_shape(cls, shape: tuple) -> "HeldMoments":
+        return cls(
+            m=np.zeros(shape),
+            v=np.zeros(shape),
+            slot=np.full(shape[0], -1, dtype=np.int64),
+            order=np.empty(shape[0], dtype=np.int64),
+        )
+
+    def hold(self, rows: np.ndarray) -> np.ndarray:
+        """Hold the sorted, unique `rows` (new ones go last, in row order)
+        and return their slots."""
+        slots = self.slot[rows]
+        new = rows[slots < 0]
+        if len(new):
+            lo, hi = self.n, self.n + len(new)
+            self.order[lo:hi] = new
+            self.slot[new] = np.arange(lo, hi)
+            self.in_order = self.in_order and new[0] == lo and new[-1] == hi - 1
+            self.n = hi
+            slots = self.slot[rows]
+        return slots
+
+
+@dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    moments: dict[str, HeldMoments]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros(t.data.shape) for k, t in params.items()},
-            v={k: np.zeros(t.data.shape) for k, t in params.items()},
-        )
+        return cls(moments={k: HeldMoments.for_shape(t.data.shape) for k, t in params.items()})
 
 
 @dataclass
@@ -148,10 +191,12 @@ def adam_step(
     """One bias-corrected Adam update in place; frozen groups are skipped.
 
     A dense gradient is the RowGrad of all rows. The update is exact dense
-    Adam (momentum moves untouched rows too), made in one pass over row
-    chunks: each chunk decays its moments, adds the gradient rows that fall
-    in it, computes its update into scratch buffers and checks it for
-    finiteness before applying it.
+    Adam (momentum moves rows this step did not reach), made in one pass
+    over chunks of held slots: each chunk decays its moments, adds the
+    gradient rows that fall in it, computes its update into scratch buffers
+    and checks it for finiteness before applying it to its held rows. A row
+    that no gradient has reached has m = v = 0, so dense Adam's update of
+    it is exactly 0.0; skipping it changes no byte.
     """
     state.step += 1
     t = state.step
@@ -162,21 +207,27 @@ def adam_step(
         if name in frozen:
             continue
         g = grads[name]
-        m, v, p = state.m[name], state.v[name], tensor.data
-        n = len(p)
-        chunk = max(1, _ADAM_CHUNK // max(1, math.prod(p.shape[1:])))
-        rows = g.rows if isinstance(g, RowGrad) else np.arange(n)
+        held, p = state.moments[name], tensor.data
+        slots = held.hold(g.rows if isinstance(g, RowGrad) else np.arange(len(p)))
+        n = held.n
         vals = grad_values(g)
-        cuts = np.searchsorted(rows, range(0, n + chunk, chunk))
+        # the gradient entries in slot order (rows come sorted, slots may not)
+        by_slot = None
+        if len(slots) > 1 and (slots[1:] < slots[:-1]).any():
+            by_slot = np.argsort(slots)
+            slots = slots[by_slot]
+        chunk = max(1, _ADAM_CHUNK // max(1, math.prod(p.shape[1:])))
+        cuts = np.searchsorted(slots, range(0, n + chunk, chunk))
         num = np.empty((min(chunk, n),) + p.shape[1:])
         den = np.empty_like(num)
         for j, lo in enumerate(range(0, n, chunk)):
             hi = min(lo + chunk, n)
-            c = slice(lo, hi)
-            mc, vc = m[c], v[c]
+            mc, vc = held.m[lo:hi], held.v[lo:hi]
             mc *= cfg.beta1
             vc *= cfg.beta2
-            at, gv = rows[cuts[j] : cuts[j + 1]] - lo, vals[cuts[j] : cuts[j + 1]]
+            cut = slice(cuts[j], cuts[j + 1])
+            at = slots[cut] - lo
+            gv = vals[cut] if by_slot is None else vals[by_slot[cut]]
             mc[at] += (1.0 - cfg.beta1) * gv
             vc[at] += (1.0 - cfg.beta2) * gv * gv
             a, b = num[: hi - lo], den[: hi - lo]
@@ -189,7 +240,11 @@ def adam_step(
             a /= b
             if not np.isfinite(a).all():
                 raise ValueError(f"non-finite Adam update for parameter group {name!r}")
-            p[c] -= a
+            if held.in_order:
+                p[lo:hi] -= a
+            else:
+                rows = held.order[lo:hi]
+                p[rows] = np.subtract(p[rows], a, out=a)
     return state
 
 

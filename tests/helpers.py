@@ -280,6 +280,18 @@ def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float
     return report
 
 
+def dense_moments(state) -> tuple[dict, dict]:
+    """Table-shaped Adam m and v from an OptimizerState that keeps moments
+    for held rows only: each held row's slot copied to the row, 0.0 elsewhere."""
+    m, v = {}, {}
+    for name, held in state.moments.items():
+        rows = held.order[: held.n]
+        m[name], v[name] = np.zeros_like(held.m), np.zeros_like(held.v)
+        m[name][rows] = held.m[: held.n]
+        v[name][rows] = held.v[: held.n]
+    return m, v
+
+
 def attention_prob_refs(monkeypatch) -> list:
     """Patch autodiff.attention to record a weakref to each call's attention
     probabilities, which only that node's backward rule holds."""

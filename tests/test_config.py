@@ -101,3 +101,20 @@ def test_resolved_text_round_trips():
     assert again.model.d_model == 24
     assert again.paths.out_dir == "runs/a"
     assert again.train.rng_seed == cfg.train.rng_seed
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.base_lr", "nan"),
+    ("train.clip_norm", "nan"),
+    ("train.link_weight", "nan"),
+    ("train.bio_weight", "nan"),
+    ("noise.mask_frac", "nan"),
+    ("noise.random_frac", "nan"),
+    ("noise.keep_frac", "nan"),
+    ("train.base_lr", "inf"),
+    ("train.clip_norm", "inf"),
+])
+def test_non_finite_values_rejected_at_load(key, value):
+    section, _, name = key.partition(".")
+    with pytest.raises(ConfigError, match=rf"section '{section}': {name} must"):
+        build_run_config({key: value})

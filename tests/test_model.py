@@ -399,7 +399,7 @@ def test_zero_signal_batch_has_zero_gradients(params):
     loss, _ = total_loss(params, batch, 1.0, 0.0)
     grads = backward(loss, params)
     assert loss.data == 0.0
-    assert all(np.all(g == 0.0) for g in grads.values())
+    assert all(np.all((g.dense() if isinstance(g, RowGrad) else g) == 0.0) for g in grads.values())
 
 
 def test_uncandidated_entity_embedding_gradient_is_zero(params):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_entity_accuracy, attention_prob_refs, make_world
+from helpers import all_entity_accuracy, attention_prob_refs, dense_moments, make_world
 
 from elink import model as M
 from elink import training
 from elink.aliastable import AliasTable
 from elink.autodiff import RowGrad
 from elink.candidates import CandidateConfig
+from elink.corpus import Context, MentionLabel
 from elink.model import ModelConfig, ModelParams, load_checkpoint
 from elink.noising import NoiseConfig
 from elink.training import (
@@ -216,10 +217,11 @@ def test_adam_rowgrad_equals_dense_bytewise(monkeypatch, chunk):
         adam_step(sparse, grads, s_state, lr, tc)
         adam_step(dense, as_dense, d_state, lr, tc)
         _reference_adam(ref, as_dense, ref_m, ref_v, t, lr, tc)
+    (s_m, s_v), (d_m, d_v) = dense_moments(s_state), dense_moments(d_state)
     for name, p in sparse.items():
         assert p.data.tobytes() == dense[name].data.tobytes() == ref[name].tobytes(), name
-        assert s_state.m[name].tobytes() == d_state.m[name].tobytes() == ref_m[name].tobytes(), name
-        assert s_state.v[name].tobytes() == d_state.v[name].tobytes() == ref_v[name].tobytes(), name
+        assert s_m[name].tobytes() == d_m[name].tobytes() == ref_m[name].tobytes(), name
+        assert s_v[name].tobytes() == d_v[name].tobytes() == ref_v[name].tobytes(), name
 
 
 @pytest.mark.parametrize("chunk", [3, 1 << 15])
@@ -251,10 +253,78 @@ def test_adam_one_pass_matches_textbook_at_chunk_edges(monkeypatch, chunk):
         as_dense = {k: g.dense() if isinstance(g, RowGrad) else g.copy() for k, g in grads.items()}
         adam_step(params, grads, state, 1e-2 * t, tc)
         _reference_adam(ref, as_dense, ref_m, ref_v, t, 1e-2 * t, tc)
+    m, v = dense_moments(state)
     for name, p in params.items():
         assert p.data.tobytes() == ref[name].tobytes(), name
-        assert state.m[name].tobytes() == ref_m[name].tobytes(), name
-        assert state.v[name].tobytes() == ref_v[name].tobytes(), name
+        assert m[name].tobytes() == ref_m[name].tobytes(), name
+        assert v[name].tobytes() == ref_v[name].tobytes(), name
+
+
+def test_adam_holds_rows_reached_over_steps_out_of_row_order(monkeypatch):
+    """Rows first reached at steps 1, 2 and 3, and rows never reached: the
+    held slots run out of row order across chunk edges, yet params, m and
+    v are the textbook dense step's bytes and only reached rows are held."""
+    monkeypatch.setattr(training, "_ADAM_CHUNK", 4)   # two 2-wide ent_emb rows per chunk
+    cfg = ModelConfig(vocab_size=7, n_entities=12, d_model=2, n_layers=0,
+                      n_heads=1, d_ff=2, d_entity=2, max_len=2)
+    params = ModelParams.initialize(cfg, seed=8)
+    ref = {k: t.data.copy() for k, t in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = OptimizerState.for_params(params)
+    shape = params["ent_emb"].data.shape
+    reached = [[7, 9, 10], [0, 4, 9], [2, 5, 10, 11]]   # 1, 3, 6 and 8 never
+    rng = np.random.default_rng(9)
+    tc = TrainConfig()
+    for t, rows in enumerate(reached, start=1):
+        grads = {k: rng.normal(size=p.data.shape) for k, p in params.items()}
+        grads["ent_emb"] = RowGrad(np.array(rows), rng.normal(size=(len(rows),) + shape[1:]), shape)
+        as_dense = {k: g.dense() if isinstance(g, RowGrad) else g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, 1e-2 * t, tc)
+        _reference_adam(ref, as_dense, ref_m, ref_v, t, 1e-2 * t, tc)
+    held = state.moments["ent_emb"]
+    assert sorted(held.order[: held.n]) == [0, 2, 4, 5, 7, 9, 10, 11]
+    m, v = dense_moments(state)
+    for name, p in params.items():
+        assert p.data.tobytes() == ref[name].tobytes(), name
+        assert m[name].tobytes() == ref_m[name].tobytes(), name
+        assert v[name].tobytes() == ref_v[name].tobytes(), name
+
+
+def test_unlinked_batch_gives_ent_emb_an_empty_rowgrad_and_no_held_row():
+    """A batch with no linked mention reaches no ent_emb row: backward gives
+    an empty RowGrad, Adam holds no row for it, and the steps around it are
+    the textbook dense step's bytes."""
+    cfg = ModelConfig(vocab_size=30, n_entities=10, d_model=4, n_layers=1,
+                      n_heads=1, d_ff=4, d_entity=4, max_len=8)
+    params = ModelParams.initialize(cfg, seed=10, init_std=0.5)
+    rng = np.random.default_rng(11)
+
+    def context(labels):
+        return Context(tokens=rng.integers(4, 30, size=6).tolist(),
+                       char_offsets=[(i, i + 1) for i in range(6)], doc_id="d", labels=labels)
+
+    unlinked = M.build_batch([context([MentionLabel((1, 2), None, None)])], 0, [[]])
+    linked = M.build_batch([context([MentionLabel((2, 3), 4, None)])], 0,
+                           [[M.MentionTarget((2, 3), 1)]], np.array([2, 4, 7]))
+    ref = {k: t.data.copy() for k, t in params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = OptimizerState.for_params(params)
+    tc = TrainConfig()
+    for t, batch in enumerate([unlinked, linked, unlinked], start=1):
+        grads = M.backward(M.total_loss(params, batch)[0], params)
+        if batch is unlinked:
+            g = grads["ent_emb"]
+            assert isinstance(g, RowGrad) and len(g.rows) == 0 and g.values.shape == (0, 4)
+        as_dense = {k: g.dense() if isinstance(g, RowGrad) else g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, 1e-2, tc)
+        _reference_adam(ref, as_dense, ref_m, ref_v, t, 1e-2, tc)
+        if t == 1:
+            assert state.moments["ent_emb"].n == 0
+    assert sorted(state.moments["ent_emb"].order[: state.moments["ent_emb"].n]) == [2, 4, 7]
+    for name, p in params.items():
+        assert p.data.tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +352,32 @@ def test_pretrain_deterministic_logs_and_checkpoints(tmp_path):
         outs.append(out)
     for name in ("checkpoint.elck", "train_log.tsv", "checkpoint.elck.manifest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_pretrain_checkpoint_equals_textbook_adam_run(tmp_path, monkeypatch):
+    """Three pretrain steps write the same checkpoint and log bytes as a run
+    whose Adam step is the textbook dense formula."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    tcfg = TrainConfig(base_lr=1e-2, total_steps=3, batch_size=4, log_interval=1, rng_seed=12)
+    pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase,
+             out_dir=str(tmp_path / "held"))
+    m, v = {}, {}
+
+    def textbook(params, grads, state, lr, cfg):
+        state.step += 1
+        data = {k: t.data for k, t in params.items()}
+        if not m:
+            m.update({k: np.zeros_like(p) for k, p in data.items()})
+            v.update({k: np.zeros_like(p) for k, p in data.items()})
+        dense = {k: g.dense() if isinstance(g, RowGrad) else g for k, g in grads.items()}
+        _reference_adam(data, dense, m, v, state.step, lr, cfg)
+        return state
+
+    monkeypatch.setattr(training, "adam_step", textbook)
+    pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase,
+             out_dir=str(tmp_path / "textbook"))
+    for name in ("checkpoint.elck", "train_log.tsv"):
+        assert (tmp_path / "held" / name).read_bytes() == (tmp_path / "textbook" / name).read_bytes()
 
 
 def test_pretrain_loss_decreases_on_overfit_fixture():
