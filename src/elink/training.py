@@ -102,7 +102,6 @@ class HeldMoments:
     slot: np.ndarray
     order: np.ndarray
     n: int = 0
-    in_order: bool = True  # order[:n] == arange(n): slots are rows
 
     @classmethod
     def for_shape(cls, shape: tuple) -> "HeldMoments":
@@ -122,7 +121,6 @@ class HeldMoments:
             lo, hi = self.n, self.n + len(new)
             self.order[lo:hi] = new
             self.slot[new] = np.arange(lo, hi)
-            self.in_order = self.in_order and new[0] == lo and new[-1] == hi - 1
             self.n = hi
             slots = self.slot[rows]
         return slots
@@ -240,11 +238,8 @@ def adam_step(
             a /= b
             if not np.isfinite(a).all():
                 raise ValueError(f"non-finite Adam update for parameter group {name!r}")
-            if held.in_order:
-                p[lo:hi] -= a
-            else:
-                rows = held.order[lo:hi]
-                p[rows] = np.subtract(p[rows], a, out=a)
+            rows = held.order[lo:hi]
+            p[rows] = np.subtract(p[rows], a, out=a)
     return state
 
 
