@@ -1,11 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and remembers the operation that produced
-it. Calling backward() on a scalar replays the recorded graph in reverse
-topological order and accumulates exact gradients into every tensor built
-with requires_grad=True. Only the operations the linking model needs are
+A Tensor wraps a floating-point ndarray, keeping its dtype (other inputs
+become float64), and remembers the operation that produced it. Calling
+backward() on a scalar replays the recorded graph in reverse topological
+order and accumulates exact gradients into every tensor built with
+requires_grad=True. Only the operations the linking model needs are
 implemented; each backward rule is checked against central finite
 differences in the test suite.
+
+The parameters set the tape's dtype: every op's result, constant and
+gradient takes the dtype of the data it is given. Float32 parameters train
+and infer in float32; float64 ones, as the gradient checks use, run the
+same code in float64.
 
 The tape is single-use and frees itself: backward() drops each interior
 gradient as soon as its rule has consumed it, and after the sweep strips
@@ -29,18 +35,22 @@ hand-written backward, so a training step records and walks few full-size
 temporaries.
 """
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not np.float64: a numpy scalar would upcast float32 arrays.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         # Drop graph edges eagerly when nothing upstream needs gradients.
@@ -172,11 +182,11 @@ class RowGrad:
         if len(self.rows) == idx.size:
             # One term per row: a plain scatter, then 0.0 + x as the sum from
             # zero would give (it turns -0.0 into 0.0).
-            self.values = np.empty(g.shape)
+            self.values = np.empty(g.shape, g.dtype)
             self.values[inv] = g
             self.values += 0.0
         else:
-            self.values = np.zeros((len(self.rows),) + shape[1:])
+            self.values = np.zeros((len(self.rows),) + shape[1:], g.dtype)
             np.add.at(self.values, inv, g)
         self.shape = shape
 
@@ -189,7 +199,7 @@ class RowGrad:
         return out
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, self.values.dtype)
         out[self.rows] = self.values
         return out
 
@@ -238,8 +248,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _const(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def _const(x, like: np.ndarray) -> np.ndarray:
+    """x as an array of the tape data's dtype, so it does not upcast it."""
+    return np.asarray(x, dtype=like.dtype)
 
 
 # -- primitive ops -------------------------------------------------------
@@ -254,7 +265,7 @@ def add(a: Tensor, b) -> Tensor:
             _accum(b, _unbroadcast(g, b.data.shape))
 
     else:
-        bb = _const(b)
+        bb = _const(b, a.data)
         out = Tensor(a.data + bb, _parents=(a,))
 
         def bwd(g):
@@ -273,7 +284,7 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     else:
-        bb = _const(b)
+        bb = _const(b, a.data)
         out = Tensor(a.data * bb, _parents=(a,))
 
         def bwd(g):
@@ -406,7 +417,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
     """
     B, T, d = q.data.shape
     dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
 
     def heads(x: np.ndarray) -> np.ndarray:
         return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)

@@ -30,6 +30,11 @@ O_TAG, B_TAG, I_TAG = 0, 1, 2
 
 NEG_INF = -1e9
 
+# The dtype of parameters, training, inference and Adam moments; checkpoints
+# store it as little-endian float32. Tests build float64 parameters to run the
+# same code in float64.
+DTYPE = np.float32
+
 
 class GradientError(ValueError):
     """Non-finite gradient, named by parameter group."""
@@ -93,11 +98,12 @@ def _param_specs(cfg: ModelConfig):
     return specs
 
 
-# Values in one init block, and in one cast of the checkpoint writer. A
+# Values in one init block, and in one write of the checkpoint writer. A
 # "normal" tensor's block j (see _row_blocks) has its own random stream, so
 # init gives the same bytes on any number of threads, and a table that grows
-# keeps its whole blocks (a partial block's redraws follow its length). 2 MB
-# of float64 also stays near the cache.
+# keeps its whole blocks (a partial block's redraws follow its length). A
+# block is drawn in float64 (2 MB, near the cache) and rounded into the
+# float32 table.
 BLOCK_VALUES = 1 << 18
 
 
@@ -115,10 +121,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float, out=None) -> np.ndarray:
-    """N(0, std) draws redrawn until within +-2 std, written into out
-    (C-contiguous, of the given shape) when it is given."""
-    x = np.empty(shape) if out is None else out
+def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """float64 N(0, std) draws redrawn until within +-2 std."""
+    x = np.empty(shape)
     rng.standard_normal(out=x)
     x *= std
     x += 0.0  # rng.normal(0.0, std) computes 0.0 + std * z; this keeps its bytes
@@ -144,24 +149,25 @@ class ModelParams:
     def initialize(cls, config: ModelConfig, seed: int, init_std: float = 0.02):
         """Fresh parameters: zeros, ones, or for "normal" tensors a +-2 std
         truncated normal whose block j is drawn from
-        derive_rng(seed, "params", name, j). The blocks are drawn on a
-        thread pool with one thread per usable CPU (numpy's fill releases
-        the GIL); the values do not depend on it."""
+        derive_rng(seed, "params", name, j) in float64 and rounded to
+        DTYPE. The blocks are drawn on a thread pool with one thread per
+        usable CPU (numpy's fill releases the GIL); the values do not
+        depend on it."""
         tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         blocks = []
         for name, shape, kind in _param_specs(config):
             if kind == "normal":
-                data = np.empty(shape)  # filled below, through views of its blocks
+                data = np.empty(shape, DTYPE)  # filled below, through views of its blocks
                 blocks += [(name, j, data[rows]) for j, rows in enumerate(_row_blocks(shape))]
             elif kind == "ones":
-                data = np.ones(shape)
+                data = np.ones(shape, DTYPE)
             else:
-                data = np.zeros(shape)
+                data = np.zeros(shape, DTYPE)
             tensors[name] = Tensor(data, requires_grad=True)
 
         def draw(block):
             name, j, out = block
-            _trunc_normal(derive_rng(seed, "params", name, j), out.shape, init_std, out=out)
+            out[...] = _trunc_normal(derive_rng(seed, "params", name, j), out.shape, init_std)
 
         with ThreadPoolExecutor(min(len(blocks), _usable_cpus())) as pool:
             list(pool.map(draw, blocks))  # reading every result re-raises a worker's error
@@ -206,7 +212,7 @@ def encode(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None 
         pad_mask = np.zeros((B, T), dtype=bool)
 
     H = ad.take(params["tok_emb"], tokens) + ad.take(params["pos_emb"], np.arange(T))
-    key_bias = np.where(pad_mask, NEG_INF, 0.0)
+    key_bias = np.where(pad_mask, NEG_INF, 0.0).astype(H.data.dtype)
     for i in range(cfg.n_layers):
         H = _block(params, i, H, key_bias)
     return H
@@ -270,7 +276,7 @@ def score_and_prob(params: ModelParams, svec: np.ndarray, candidates=None):
     Probabilities use max-shifted exponentials and stay finite for scores
     up to +-1e4.
     """
-    sv = np.asarray(svec, dtype=np.float64)
+    sv = np.asarray(svec)
     single = sv.ndim == 1
     sv = np.atleast_2d(sv)
     if candidates is None:
@@ -419,7 +425,7 @@ def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Ten
     padded matrix.
     """
     if len(batch.ment_ex) == 0:
-        return Tensor(0.0), {"linking_acc": float("nan"), "n_linked_mentions": 0}
+        return _zero(H), {"linking_acc": float("nan"), "n_linked_mentions": 0}
     svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end)
     if batch.cand_rows is None or batch.cand_rows.ndim == 1:
         nll, pred = ad.table_softmax_nll(svec, params["ent_emb"], batch.cand_rows, batch.gold_pos)
@@ -437,12 +443,17 @@ def bio_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> Tensor:
     valid = ~batch.pad_mask
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return Tensor(0.0)
+        return _zero(H)
     logits = ad.linear(H, params["bio_w"], params["bio_b"])
     B, T, _ = logits.shape
     nll = ad.softmax_nll(ad.reshape(logits, (B * T, 3)), batch.bio_targets.reshape(-1))
-    masked = nll * valid.reshape(-1).astype(np.float64)
+    masked = nll * valid.reshape(-1)
     return masked.sum() * (1.0 / n_valid)
+
+
+def _zero(H: Tensor) -> Tensor:
+    """A constant 0 loss of H's dtype, which adds to a loss without upcasting it."""
+    return Tensor(np.zeros((), H.data.dtype))
 
 
 def total_loss(
@@ -456,9 +467,9 @@ def total_loss(
     if link_weight != 0.0:
         link, metrics = linking_loss(params, H, batch)
     else:
-        link = Tensor(0.0)
+        link = _zero(H)
         metrics = {"linking_acc": float("nan"), "n_linked_mentions": 0}
-    bio = bio_loss(params, H, batch) if bio_weight != 0.0 else Tensor(0.0)
+    bio = bio_loss(params, H, batch) if bio_weight != 0.0 else _zero(H)
     loss = link * link_weight + bio * bio_weight
     metrics["linking_loss"] = float(link.data)
     metrics["bio_loss"] = float(bio.data)
@@ -480,7 +491,8 @@ def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray | ad.Row
         g = t.grad
         if g is None:
             shape = t.data.shape
-            g = ad.RowGrad.of_rows(np.empty(0, np.int64), np.empty((0,) + shape[1:]), shape)
+            empty = np.empty((0,) + shape[1:], t.data.dtype)
+            g = ad.RowGrad.of_rows(np.empty(0, np.int64), empty, shape)
         if not np.isfinite(ad.grad_values(g)).all():
             raise GradientError(f"non-finite gradient in parameter group {name!r}")
         grads[name] = g
@@ -661,7 +673,8 @@ def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> Non
             entries.append(
                 {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": nbytes}
             )
-            # cast block by block: no float32 copy of a whole table
+            # block by block: a float64 table is cast without a whole copy, and
+            # 1 MB writes of the 100 MB e100k table ran 2-3x faster than one
             for rows in _row_blocks(t.data.shape):
                 f.write(np.ascontiguousarray(t.data[rows], dtype="<f4").data)
             offset += nbytes
@@ -677,30 +690,30 @@ def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> Non
 
 
 def load_checkpoint(path, requires_grad: bool = True) -> ModelParams:
-    """Parameters from a checkpoint file. With requires_grad False they
-    are constants, so inference on them records no autodiff graph."""
+    """Parameters from a checkpoint file, each tensor read from the file
+    straight into its own (aligned, writable) DTYPE array. With
+    requires_grad False they are constants, so inference on them records
+    no autodiff graph."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    version, cfg_len = struct.unpack("<II", blob[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    try:
-        cfg = ModelConfig(**json.loads(blob[12 : 12 + cfg_len].decode("utf-8")))
-    except (TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad config block: {exc}") from exc
-    offset = 12 + cfg_len
-    tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-    for name, shape, _ in _param_specs(cfg):
-        count = int(np.prod(shape))
-        nbytes = count * 4
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        data = data.reshape(shape).astype(np.float64)
-        tensors[name] = Tensor(data, requires_grad=requires_grad)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic {head[:4]!r}")
+        version, cfg_len = struct.unpack("<II", head[4:12])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        try:
+            cfg = ModelConfig(**json.loads(f.read(cfg_len).decode("utf-8")))
+        except (TypeError, ValueError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: bad config block: {exc}") from exc
+        offset = 12 + cfg_len
+        tensors: "OrderedDict[str, Tensor]" = OrderedDict()
+        for name, shape, _ in _param_specs(cfg):
+            data = np.empty(shape, "<f4")
+            if offset + data.nbytes > size or f.readinto(data) != data.nbytes:
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = Tensor(data.astype(DTYPE, copy=False), requires_grad=requires_grad)
+            offset += data.nbytes
+    if offset != size:
+        raise CheckpointError(f"{path}: {size - offset} trailing bytes")
     return ModelParams(cfg, tensors)

@@ -92,9 +92,9 @@ class HeldMoments:
     A row is held once any gradient has reached it. `order[:n]` lists the
     held rows in first-reach order, `slot` maps a row to its index there
     (-1 while the row is not held), and slot i of `m` and `v` holds the
-    moments of held row i. `m` and `v` are np.zeros, whose pages stay
-    unmapped until a slot is used, so a row no gradient has reached costs
-    no memory and no work.
+    moments of held row i. `m` and `v` are np.zeros of the parameter's
+    dtype, whose pages stay unmapped until a slot is used, so a row no
+    gradient has reached costs no memory and no work.
     """
 
     m: np.ndarray
@@ -104,10 +104,10 @@ class HeldMoments:
     n: int = 0
 
     @classmethod
-    def for_shape(cls, shape: tuple) -> "HeldMoments":
+    def for_shape(cls, shape: tuple, dtype) -> "HeldMoments":
         return cls(
-            m=np.zeros(shape),
-            v=np.zeros(shape),
+            m=np.zeros(shape, dtype),
+            v=np.zeros(shape, dtype),
             slot=np.full(shape[0], -1, dtype=np.int64),
             order=np.empty(shape[0], dtype=np.int64),
         )
@@ -133,7 +133,8 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        return cls(moments={k: HeldMoments.for_shape(t.data.shape) for k, t in params.items()})
+        moments = {k: HeldMoments.for_shape(t.data.shape, t.data.dtype) for k, t in params.items()}
+        return cls(moments=moments)
 
 
 @dataclass
@@ -168,8 +169,8 @@ def clip_gradients(grads: dict[str, Grad], clip_norm: float) -> dict[str, Grad]:
     for g in grads.values():
         flat = grad_values(g).reshape(-1)
         sq += float(flat @ flat)
-    norm = np.sqrt(sq)
-    if not np.isfinite(norm):
+    norm = math.sqrt(sq)  # a Python float: scaling by it runs in each gradient's dtype
+    if not math.isfinite(norm):
         raise ValueError("non-finite gradient norm")
     if norm > clip_norm:
         scale = clip_norm / norm
@@ -216,7 +217,7 @@ def adam_step(
             slots = slots[by_slot]
         chunk = max(1, _ADAM_CHUNK // max(1, math.prod(p.shape[1:])))
         cuts = np.searchsorted(slots, range(0, n + chunk, chunk))
-        num = np.empty((min(chunk, n),) + p.shape[1:])
+        num = np.empty((min(chunk, n),) + p.shape[1:], p.dtype)
         den = np.empty_like(num)
         for j, lo in enumerate(range(0, n, chunk)):
             hi = min(lo + chunk, n)

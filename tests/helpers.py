@@ -7,16 +7,28 @@ references for the loss and metric implementations.
 
 import math
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 
 from elink import autodiff as ad
-from elink.autodiff import RowGrad
+from elink.autodiff import RowGrad, Tensor
 from elink.candidates import PageLinks, PhraseTable
 from elink.corpus import Context, MentionLabel, TokenVocab
-from elink.model import predict_disambiguation
+from elink.model import ModelParams, predict_disambiguation
 
 N_FILLERS = 20
+
+
+def as_float64(params: ModelParams) -> ModelParams:
+    """A float64 copy of params. The tape follows the parameters' dtype, so
+    the float64 checks (finite differences, loss and ranking oracles,
+    bytewise Adam references) run the training code itself in float64."""
+    tensors = OrderedDict(
+        (name, Tensor(t.data.astype(np.float64), requires_grad=t.requires_grad))
+        for name, t in params.items()
+    )
+    return ModelParams(params.config, tensors)
 
 
 def make_world(n_entities=200, n_contexts=50, seed=0, ctx_len=12, mentions_per_context=2):
@@ -250,7 +262,8 @@ def oracle_micro_f1(pred_docs, gold_docs):
 
 def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float]:
     """Per-parameter-group relative error between analytic gradients and
-    central finite differences (64-bit throughout).
+    central finite differences. Give it float64 parameters (as_float64):
+    a step of h=1e-3 is below float32 loss resolution.
 
     The floor keeps structurally-zero-gradient groups (e.g. attention key
     biases, which cancel in the softmax) from turning FD round-off noise
@@ -258,6 +271,8 @@ def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float
     """
     from elink.model import backward
 
+    if any(t.data.dtype != np.float64 for _, t in params.items()):
+        raise TypeError("finite differences need float64 parameters (see as_float64)")
     grads = backward(loss_fn(), params)
     report = {}
     for name, tensor in params.items():

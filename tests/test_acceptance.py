@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     all_entity_accuracy,
+    as_float64,
     candidate_invariant_sweep,
     fd_group_errors,
     make_world,
@@ -71,7 +72,7 @@ def test_criterion_1_gradient_suite():
                           n_heads=2, d_ff=16, d_entity=8, max_len=16)
         # healthy parameter magnitudes keep gradients far from the FD noise
         # floor; correctness is scale-independent
-        params = ModelParams.initialize(cfg, seed=7, init_std=0.5)
+        params = as_float64(ModelParams.initialize(cfg, seed=7, init_std=0.5))
         rng = np.random.default_rng(1)
         contexts, targets = [], []
         for _ in range(2):
@@ -101,7 +102,7 @@ def test_criterion_2_loss_oracles():
     with criterion(2, "loss oracles"):
         cfg = ModelConfig(vocab_size=40, n_entities=25, d_model=8, n_layers=1,
                           n_heads=2, d_ff=16, d_entity=8, max_len=16)
-        params = ModelParams.initialize(cfg, seed=3, init_std=0.5)
+        params = as_float64(ModelParams.initialize(cfg, seed=3, init_std=0.5))
         rng = np.random.default_rng(17)
         for trial in range(1000):
             n_ctx = int(rng.integers(1, 3))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    as_float64,
     attention_prob_refs,
     fd_group_errors,
     oracle_bio_loss,
@@ -63,6 +64,13 @@ MULTI = ModelConfig(vocab_size=9000, n_entities=10_000, d_model=64, n_layers=1,
 @pytest.fixture
 def params():
     return ModelParams.initialize(TINY, seed=7, init_std=0.5)
+
+
+@pytest.fixture
+def params64(params):
+    """The same parameters in float64, for oracle comparisons at 1e-9 and
+    finer and for finite differences."""
+    return as_float64(params)
 
 
 def make_context(rng, n_tokens=10, labels=()):
@@ -143,8 +151,9 @@ def test_initialize_draws_each_row_block_from_its_own_stream():
         assert 2 * step < len(data) < 3 * step
         for j, lo in enumerate(range(0, len(data), step)):
             block = data[lo:lo + step]
+            # drawn in float64, rounded into the float32 table
             want = _trunc_normal(derive_rng(11, "params", name, j), block.shape, 0.02)
-            assert block.tobytes() == want.tobytes(), (name, j)
+            assert block.tobytes() == want.astype(np.float32).tobytes(), (name, j)
 
 
 def test_initialize_bytes_do_not_depend_on_worker_count(monkeypatch):
@@ -270,7 +279,7 @@ def test_linking_loss_all_null_is_zero(params):
     assert metrics["n_linked_mentions"] == 0
 
 
-def test_linking_loss_matches_oracle_shared_candidates(params):
+def test_linking_loss_matches_oracle_shared_candidates(params64):
     rng = np.random.default_rng(8)
     contexts, targets = [], []
     cand = np.array([3, 5, 9, 11, 4])
@@ -280,16 +289,16 @@ def test_linking_loss_matches_oracle_shared_candidates(params):
         contexts.append(ctx)
         targets.append([MentionTarget((1, 2), 1), MentionTarget((4, 4), 2)])
     batch = build_batch(contexts, 0, targets, cand)
-    H = encode(params, batch.tokens, batch.pad_mask)
-    loss, _ = linking_loss(params, H, batch)
+    H = encode(params64, batch.tokens, batch.pad_mask)
+    loss, _ = linking_loss(params64, H, batch)
 
-    svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
-    rows = svec @ params["ent_emb"].data[cand].T
+    svec = span_repr(params64, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
+    rows = svec @ params64["ent_emb"].data[cand].T
     expected = oracle_linking_loss(rows, batch.gold_pos, 3, batch.ment_ex)
     assert loss.data == pytest.approx(expected, abs=1e-9)
 
 
-def test_linking_loss_matches_oracle_ragged(params):
+def test_linking_loss_matches_oracle_ragged(params64):
     rng = np.random.default_rng(9)
     ctx = make_context(rng, labels=[MentionLabel((0, 1), 2, None),
                                     MentionLabel((3, 3), 7, None)])
@@ -298,12 +307,12 @@ def test_linking_loss_matches_oracle_ragged(params):
         MentionTarget((3, 3), 0, candidates=np.array([7, 1])),
     ]]
     batch = build_batch([ctx], 0, targets)
-    H = encode(params, batch.tokens, batch.pad_mask)
-    loss, _ = linking_loss(params, H, batch)
+    H = encode(params64, batch.tokens, batch.pad_mask)
+    loss, _ = linking_loss(params64, H, batch)
 
-    svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
-    row0 = svec[0] @ params["ent_emb"].data[[5, 2, 9]].T
-    row1 = svec[1] @ params["ent_emb"].data[[7, 1]].T
+    svec = span_repr(params64, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
+    row0 = svec[0] @ params64["ent_emb"].data[[5, 2, 9]].T
+    row1 = svec[1] @ params64["ent_emb"].data[[7, 1]].T
     expected = oracle_softmax_nll(list(row0), 1) + oracle_softmax_nll(list(row1), 0)
     assert loss.data == pytest.approx(expected, abs=1e-9)
 
@@ -317,14 +326,14 @@ def test_bio_overlap_rejected():
         bio_encode([(1, 3), (3, 4)], 6)
 
 
-def test_bio_loss_uniform_logits_is_ln3(params):
-    params["bio_w"].data[:] = 0.0
-    params["bio_b"].data[:] = 0.0
+def test_bio_loss_uniform_logits_is_ln3(params64):
+    params64["bio_w"].data[:] = 0.0
+    params64["bio_b"].data[:] = 0.0
     rng = np.random.default_rng(1)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 3, None)])
     batch = build_batch([ctx], 0, [[]])
-    H = encode(params, batch.tokens, batch.pad_mask)
-    assert bio_loss(params, H, batch).data == pytest.approx(math.log(3.0), abs=1e-12)
+    H = encode(params64, batch.tokens, batch.pad_mask)
+    assert bio_loss(params64, H, batch).data == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_bio_loss_vanishes_with_margin():
@@ -340,16 +349,16 @@ def test_bio_loss_vanishes_with_margin():
     assert bio_loss(p, H, batch).data < 1e-12
 
 
-def test_bio_loss_matches_oracle(params):
+def test_bio_loss_matches_oracle(params64):
     rng = np.random.default_rng(10)
     contexts = [
         make_context(rng, n_tokens=6, labels=[MentionLabel((1, 2), 3, None)]),
         make_context(rng, n_tokens=4, labels=[MentionLabel((0, 0), None, None)]),
     ]
     batch = build_batch(contexts, 0, [[], []])
-    H = encode(params, batch.tokens, batch.pad_mask)
-    loss = bio_loss(params, H, batch)
-    logits = (H.data @ params["bio_w"].data + params["bio_b"].data)
+    H = encode(params64, batch.tokens, batch.pad_mask)
+    loss = bio_loss(params64, H, batch)
+    logits = (H.data @ params64["bio_w"].data + params64["bio_b"].data)
     expected = oracle_bio_loss(logits, batch.bio_targets, ~batch.pad_mask)
     assert loss.data == pytest.approx(expected, abs=1e-9)
 
@@ -378,7 +387,7 @@ def test_total_loss_weights(params):
 # ---------------------------------------------------------------------------
 
 
-def test_gradients_match_finite_differences(params):
+def test_gradients_match_finite_differences(params64):
     rng = np.random.default_rng(12)
     contexts, targets = [], []
     for _ in range(2):
@@ -387,7 +396,7 @@ def test_gradients_match_finite_differences(params):
         contexts.append(ctx)
         targets.append([MentionTarget((2, 3), 1)])
     batch = build_batch(contexts, 0, targets, np.array([3, 5, 9, 11, 4]))
-    errors = fd_group_errors(lambda: total_loss(params, batch, 1.0, 1.0)[0], params)
+    errors = fd_group_errors(lambda: total_loss(params64, batch, 1.0, 1.0)[0], params64)
     worst = max(errors.values())
     assert worst < 1e-4, sorted(errors.items(), key=lambda kv: -kv[1])[:3]
 
@@ -630,49 +639,49 @@ def _plant_tie(params, tokens, span_index, tied, lower, scale=1.0):
     return scale * abs(x0)
 
 
-def test_rank_entities_matches_oracle_on_ragged_unordered_lists(params):
+def test_rank_entities_matches_oracle_on_ragged_unordered_lists(params64):
     ctx = make_context(np.random.default_rng(26))
     cands = [[15, 3, 8], [19, 2, 11, 0, 5], [7], [18, 4, 12, 3], [6, 1, 19, 14, 9, 10]]
-    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=3)
-    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 3))
+    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=3)
+    _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 3))
 
 
-def test_rank_entities_breaks_a_three_way_tie_at_top_k_toward_lowest_ids(params):
+def test_rank_entities_breaks_a_three_way_tie_at_top_k_toward_lowest_ids(params64):
     ctx = make_context(np.random.default_rng(27))
-    score = _plant_tie(params, ctx.tokens, 2, tied=[13, 4, 9], lower=[2, 16])
+    score = _plant_tie(params64, ctx.tokens, 2, tied=[13, 4, 9], lower=[2, 16])
     cands = [[5, 1], [17, 0, 3], [16, 13, 2, 9, 4], [11, 6, 18], [13, 9, 4]]
-    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=2)
+    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=2)
     assert got[2] == [(4, score), (9, score)]
-    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 2))
+    _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 2))
 
 
-def test_rank_entities_top_k_past_a_list_returns_only_that_list(params):
+def test_rank_entities_top_k_past_a_list_returns_only_that_list(params64):
     ctx = make_context(np.random.default_rng(28))
     cands = [[15, 3, 8], [19, 2], [7], [18, 4, 12, 3], [6, 1]]
-    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=4)
+    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=4)
     assert [sorted(e for e, _ in r) for r in got] == [sorted(c) for c in cands]
-    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 4))
+    _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 4))
 
 
-def test_rank_entities_empty_list_ranks_nothing(params):
+def test_rank_entities_empty_list_ranks_nothing(params64):
     ctx = make_context(np.random.default_rng(29))
     cands = [[15, 3, 8], [], [7, 2], [], [6, 1]]
-    got = rank_entities(params, ctx.tokens, SPANS, cands, top_k=2)
+    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=2)
     assert got[1] == [] and got[3] == []
-    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, cands, 2))
-    assert rank_entities(params, ctx.tokens, SPANS[:2], [[], []]) == [[], []]
+    _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 2))
+    assert rank_entities(params64, ctx.tokens, SPANS[:2], [[], []]) == [[], []]
 
 
-def test_rank_entities_full_vocabulary_matches_oracle(params):
+def test_rank_entities_full_vocabulary_matches_oracle(params64):
     ctx = make_context(np.random.default_rng(30))
-    score = _plant_tie(params, ctx.tokens, 1, tied=[17, 6, 11], lower=[0], scale=100.0)
-    got = rank_entities(params, ctx.tokens, SPANS, None, top_k=2)
+    score = _plant_tie(params64, ctx.tokens, 1, tied=[17, 6, 11], lower=[0], scale=100.0)
+    got = rank_entities(params64, ctx.tokens, SPANS, None, top_k=2)
     assert got[1] == [(6, score), (11, score)]
-    _assert_same_ranking(got, _oracle_ranking(params, ctx.tokens, SPANS, None, 2))
-    everything = rank_entities(params, ctx.tokens, SPANS, None, top_k=TINY.n_entities + 3)
+    _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, None, 2))
+    everything = rank_entities(params64, ctx.tokens, SPANS, None, top_k=TINY.n_entities + 3)
     assert all(len(r) == TINY.n_entities for r in everything)
     _assert_same_ranking(
-        everything, _oracle_ranking(params, ctx.tokens, SPANS, None, TINY.n_entities)
+        everything, _oracle_ranking(params64, ctx.tokens, SPANS, None, TINY.n_entities)
     )
 
 
@@ -697,20 +706,20 @@ def test_end_to_end_empty_when_all_outside(params):
     assert predict_end_to_end(params, ctx.tokens) == []
 
 
-def test_end_to_end_decodes_spans_and_probabilities(params):
+def test_end_to_end_decodes_spans_and_probabilities(params64):
     rng = np.random.default_rng(24)
     ctx = make_context(rng, n_tokens=4)
-    params["bio_w"].data[:] = 0.0
-    params["bio_b"].data[:] = [0.0, 50.0, 0.0]  # B everywhere: four single spans
-    out = predict_end_to_end(params, ctx.tokens)
+    params64["bio_w"].data[:] = 0.0
+    params64["bio_b"].data[:] = [0.0, 50.0, 0.0]  # B everywhere: four single spans
+    out = predict_end_to_end(params64, ctx.tokens)
     assert [span for span, _, _ in out] == [(0, 0), (1, 1), (2, 2), (3, 3)]
-    H = encode(params, np.asarray(ctx.tokens)[None, :])
+    H = encode(params64, np.asarray(ctx.tokens)[None, :])
     for span, ent, prob in out:
         assert 0 <= ent < TINY.n_entities
         assert 0.0 < prob <= 1.0
         # reference: this span scored on its own against every entity
-        sv = span_repr(params, H, [0], [span[0]], [span[1]]).data[0]
-        scores, probs = score_and_prob(params, sv)
+        sv = span_repr(params64, H, [0], [span[0]], [span[1]]).data[0]
+        scores, probs = score_and_prob(params64, sv)
         assert ent == int(np.flatnonzero(scores == scores.max())[0])
         assert prob == pytest.approx(probs[ent], rel=1e-12)
 

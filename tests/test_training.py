@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_entity_accuracy, attention_prob_refs, dense_moments, make_world
+from helpers import all_entity_accuracy, as_float64, attention_prob_refs, dense_moments, make_world
 
 from elink import model as M
 from elink import training
 from elink.aliastable import AliasTable
-from elink.autodiff import RowGrad
+from elink.autodiff import RowGrad, grad_values
 from elink.candidates import CandidateConfig
 from elink.corpus import Context, MentionLabel
 from elink.model import ModelConfig, ModelParams, load_checkpoint
@@ -199,7 +199,7 @@ def test_adam_rowgrad_equals_dense_bytewise(monkeypatch, chunk):
     monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
     cfg = ModelConfig(vocab_size=11, n_entities=9, d_model=4, n_layers=1,
                       n_heads=1, d_ff=4, d_entity=5, max_len=4)
-    sparse, dense = ModelParams.initialize(cfg, seed=3), ModelParams.initialize(cfg, seed=3)
+    sparse, dense = (as_float64(ModelParams.initialize(cfg, seed=3)) for _ in range(2))
     ref = {k: t.data.copy() for k, t in sparse.items()}
     ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
     ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -233,7 +233,7 @@ def test_adam_one_pass_matches_textbook_at_chunk_edges(monkeypatch, chunk):
     per = chunk // width                      # ent_emb rows per chunk
     cfg = ModelConfig(vocab_size=7, n_entities=4 * per + 1, d_model=2, n_layers=0,
                       n_heads=1, d_ff=2, d_entity=width, max_len=2)
-    params = ModelParams.initialize(cfg, seed=5)
+    params = as_float64(ModelParams.initialize(cfg, seed=5))
     ref = {k: t.data.copy() for k, t in params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
     ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -267,7 +267,7 @@ def test_adam_holds_rows_reached_over_steps_out_of_row_order(monkeypatch):
     monkeypatch.setattr(training, "_ADAM_CHUNK", 4)   # two 2-wide ent_emb rows per chunk
     cfg = ModelConfig(vocab_size=7, n_entities=12, d_model=2, n_layers=0,
                       n_heads=1, d_ff=2, d_entity=2, max_len=2)
-    params = ModelParams.initialize(cfg, seed=8)
+    params = as_float64(ModelParams.initialize(cfg, seed=8))
     ref = {k: t.data.copy() for k, t in params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
     ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -445,8 +445,9 @@ def test_pretrain_empty_corpus_rejected():
 
 def test_pretrain_diverging_loss_aborts(tmp_path):
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
-    # an absurd learning rate overflows float64 on the next forward pass
-    tcfg = TrainConfig(base_lr=1e300, total_steps=50, batch_size=8, log_interval=1,
+    # an absurd learning rate, still finite in float32 (max ~3.4e38), makes
+    # weights whose products overflow float32 on the next forward pass
+    tcfg = TrainConfig(base_lr=1e30, total_steps=50, batch_size=8, log_interval=1,
                        clip_norm=1e18, rng_seed=3, checkpoint_interval=1)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged, match="last good checkpoint"):
@@ -455,6 +456,70 @@ def test_pretrain_diverging_loss_aborts(tmp_path):
     # periodic checkpoints from before the divergence survive
     assert any(p.name.startswith("ckpt_step") for p in tmp_path.iterdir())
     assert not (tmp_path / "checkpoint.elck").exists()
+
+
+def test_pretrain_keeps_a_float32_tape_on_padded_batches(monkeypatch):
+    """Two pretrain steps from float32 parameters on padded batches: the
+    encoder output, the loss, every gradient (dense or RowGrad), every held
+    Adam moment and every parameter stay float32."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    # filler tails of 0-2 tokens, so every batch mixes lengths and pads
+    contexts = [
+        Context(c.tokens + [4] * (i % 3), c.char_offsets + [(0, 1)] * (i % 3), c.doc_id, c.labels)
+        for i, c in enumerate(contexts)
+    ]
+    seen = {"encode": [], "loss": [], "grads": [], "moments": [], "params": [], "padded": []}
+
+    def spy(module, name, record):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(M, "encode", lambda args, H: seen["encode"].append(H.data.dtype))
+
+    def on_loss(args, out):
+        seen["loss"].append(out[0].data.dtype)
+        seen["padded"].append(bool(args[1].pad_mask.any()))
+
+    spy(M, "total_loss", on_loss)
+    spy(M, "backward", lambda args, grads: seen["grads"].extend(
+        (type(g).__name__, grad_values(g).dtype) for g in grads.values()))
+
+    def on_adam(args, state):
+        params = args[0]
+        seen["params"].extend(t.data.dtype for _, t in params.items())
+        seen["moments"].extend(a.dtype for h in state.moments.values() for a in (h.m, h.v))
+
+    spy(training, "adam_step", on_adam)
+    params = ModelParams.initialize(mcfg, seed=1)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=2)
+    pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase, params=params)
+    assert seen["padded"] == [True, True]
+    assert len(seen["encode"]) == len(seen["loss"]) == 2
+    assert {"RowGrad", "ndarray"} <= {kind for kind, _ in seen["grads"]}
+    for key in ("encode", "loss", "grads", "moments", "params"):
+        dtypes = [d for _, d in seen[key]] if key == "grads" else seen[key]
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}, key
+
+
+def test_loaded_checkpoint_is_writable_aligned_float32_and_finetunes(tmp_path):
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    path = tmp_path / "init.elck"
+    M.save_checkpoint(path, ModelParams.initialize(mcfg, seed=1))
+    params = load_checkpoint(path)
+    for name, t in params.items():
+        flags = t.data.flags
+        assert t.data.dtype == np.float32 and flags.writeable and flags.aligned, name
+    before = {name: t.data.copy() for name, t in params.items()}
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=6)
+    _, rows, _ = finetune(params, contexts, "all_entities", vocab, tcfg)
+    assert len(rows) == 2 and np.isfinite([r.loss for r in rows]).all()
+    assert all(not np.array_equal(t.data, before[name]) for name, t in params.items())
 
 
 def test_pretrain_full_softmax_mode():
