@@ -28,21 +28,29 @@ it as it is, so an embedding table's gradient costs what the batch
 touches, not the table size. A `RowGrad` meeting a dense gradient on the
 same tensor is densified.
 
-The model's dense layers (`linear`), multi-head attention (`attention`) and
-softmax losses (`softmax_nll`, and `table_softmax_nll` for span vectors
-scored against entity-table rows) are fused: each is one tape node with a
-hand-written backward, so a training step records and walks few full-size
-temporaries.
+The model's dense layers (`linear`), multi-head attention (`attention`),
+activation (`gelu`), normalisation (`layer_norm`) and softmax losses
+(`softmax_nll`, and `table_softmax_nll` for span vectors scored against
+entity-table rows) are fused: each is one tape node with a hand-written
+backward, so a training step records and walks few full-size temporaries.
+Their elementwise work is kept cheap:
+- `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
+  with its exact derivative, as Google's BERT code computes it;
+- `layer_norm` takes its row means and variances, forward and backward, as
+  GEMVs against a 1/n column, and `attention` its softmax row sums as a
+  GEMV against a ones column;
+- `attention` scales the queries, not the T x T scores, and its softmax
+  backward takes each query's sum(dP * P) as the dot of its output gradient
+  with its own output (FlashAttention, Dao et al., arXiv 2205.14135).
 """
 
 import math
 
 import numpy as np
-from scipy.special import erf
 
 # Python floats, not np.float64: a numpy scalar would upcast float32 arrays.
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 class Tensor:
@@ -414,6 +422,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
     key_bias (B, T) is added to every query's scores for that key (a large
     negative value masks a padding key). Heads are split and merged inside
     the node; only the attention probabilities are kept for the backward.
+    The score scale is applied to the queries, and in the backward to the
+    query and key gradients, so it touches B*T*d values, not B*H*T*T scores.
     """
     B, T, d = q.data.shape
     dh = d // n_heads
@@ -422,27 +432,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
     def heads(x: np.ndarray) -> np.ndarray:
         return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
 
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(B, T, d)
+
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
+    p = heads(q.data * scale) @ kh.swapaxes(-1, -2)
     p += key_bias[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = (p @ vh).transpose(0, 2, 1, 3).reshape(B, T, d)
+    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    ctx = merge(p @ vh)
     out = Tensor(ctx, _parents=(q, k, v))
 
     def bwd(g):
         gh = heads(g)
-        _accum(v, (p.swapaxes(-1, -2) @ gh).transpose(0, 2, 1, 3).reshape(B, T, d))
+        _accum(v, merge(p.swapaxes(-1, -2) @ gh))
+        # softmax backward p * (gp - sum(gp * p)), where each query's
+        # sum(gp * p) = g . sum(p * v) = g . ctx, a dot over dh, not over T keys
+        dot = (gh * heads(ctx)).sum(axis=-1, keepdims=True)
         gs = gh @ vh.swapaxes(-1, -2)
-        # softmax backward: p * (gp - sum(gp * p)), then the score scale
-        dot = (gs * p).sum(axis=-1, keepdims=True)
         gs -= dot
         gs *= p
-        gs *= scale
-        _accum(q, (gs @ kh).transpose(0, 2, 1, 3).reshape(B, T, d))
-        _accum(k, (gs.swapaxes(-1, -2) @ qh).transpose(0, 2, 1, 3).reshape(B, T, d))
+        gq = merge(gs @ kh)
+        gq *= scale
+        _accum(q, gq)
+        gk = merge(gs.swapaxes(-1, -2) @ qh)
+        gk *= scale
+        _accum(k, gk)
 
     out._backward = bwd if out.requires_grad else None
     return out
@@ -524,36 +540,70 @@ def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, 
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """GELU in its tanh form, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
+    as Google's BERT code computes it. The backward is this function's
+    exact derivative."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = x * x
+    cdf *= _GELU_C * _GELU_A
+    cdf += _GELU_C
+    cdf *= x
+    np.tanh(cdf, out=cdf)
+    cdf *= 0.5
+    cdf += 0.5
     out = Tensor(x * cdf, _parents=(a,))
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        _accum(a, g * (cdf + x * pdf))
+        # cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2); x^2 is
+        # recomputed rather than kept through the forward
+        d = x * x
+        d *= 6.0 * _GELU_C * _GELU_A
+        d += 2.0 * _GELU_C
+        d *= x
+        d *= cdf
+        d *= 1.0 - cdf
+        d += cdf
+        d *= g
+        _accum(a, d)
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, _parents=(a, gain, bias))
+    """Normalize over the last axis, then scale and shift.
+
+    Row means and variances, forward and backward, are GEMVs of the (N, n)
+    row view against a 1/n column. Each row is first shifted by its own
+    first value: the result is the same, but a float32 mean is then accurate
+    to the row's spread rather than to its offset from zero.
+    """
+    n = a.data.shape[-1]
+    x = a.data.reshape(-1, n)
+    col = np.full(n, 1.0 / n, dtype=x.dtype)
+    xhat = x - x[:, :1]
+    xhat -= (xhat @ col)[:, None]
+    inv = 1.0 / np.sqrt((xhat * xhat) @ col + eps)
+    xhat *= inv[:, None]
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y.reshape(a.data.shape), _parents=(a, gain, bias))
 
     def bwd(g):
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (dxhat - m1 - xhat * m2))
+        g = g.reshape(-1, n)
+        gx = g * xhat
+        _accum(gain, gx.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
+        # the two row means of dxhat = g * gain and of dxhat * xhat
+        wcol = gain.data * (1.0 / n)
+        m1 = g @ wcol
+        m2 = gx @ wcol
+        dx = g * gain.data
+        dx -= m1[:, None]
+        np.multiply(xhat, m2[:, None], out=gx)
+        dx -= gx
+        dx *= inv[:, None]
+        _accum(a, dx.reshape(a.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out

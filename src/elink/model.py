@@ -1,12 +1,13 @@
 """Transformer linking model: encoder, span scoring, losses, and inference.
 
 The encoder is a BERT-family stack (learned positions, post-layer-norm
-blocks, GELU) built on the local autodiff tape, so training gradients are
-exact and checkable against finite differences. A span is represented by
-the concatenation of its start and end hidden states projected into entity
-space; entities are scored by dot product against an embedding table, with
-a softmax over either a candidate set or the full entity vocabulary.
-Mention detection is a per-token BIO head.
+blocks, GELU in BERT's tanh form, layer norm with its row statistics taken
+as GEMVs; see autodiff) built on the local autodiff tape, so training
+gradients are exact and checkable against finite differences. A span is
+represented by the concatenation of its start and end hidden states
+projected into entity space; entities are scored by dot product against an
+embedding table, with a softmax over either a candidate set or the full
+entity vocabulary. Mention detection is a per-token BIO head.
 """
 
 import json

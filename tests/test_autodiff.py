@@ -1,5 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,24 @@ def test_attention_weights_sum_to_one(rng):
     assert np.allclose(out.data, v.data, atol=1e-12)
 
 
+def test_attention_float32_matches_float64_on_a_padded_batch(rng):
+    q, k, v, pad, bias = _padded_attention_inputs(rng, B=3, T=16, d=32)
+    pad[2, 9:] = True
+    bias = np.where(pad, -1e9, 0.0)
+    w = rng.normal(size=q.shape)
+    runs = []
+    for dtype in (np.float64, np.float32):
+        ins = [Tensor(t.data.astype(dtype), requires_grad=True) for t in (q, k, v)]
+        out = ad.attention(*ins, bias.astype(dtype), 4)
+        (out * w.astype(dtype)).sum().backward()
+        assert out.data.dtype == dtype and all(t.grad.dtype == dtype for t in ins)
+        runs.append([out.data] + [t.grad for t in ins])
+    # each array's error is measured against its largest entry: elementwise,
+    # a gradient that cancels to near zero has no float32 relative accuracy
+    for want, got in zip(*runs):
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+
 def test_softmax_nll_grad(rng):
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     w = rng.normal(size=3)
@@ -284,12 +304,45 @@ def test_gelu_grad(rng):
     fd_check(lambda: (ad.gelu(a) * 0.3).sum(), [a])
 
 
+def test_gelu_grad_in_the_tails(rng):
+    # |x| in 3-6, where the tanh nears +-1 and the derivative nears 0 or 1
+    x = rng.uniform(3.0, 6.0, size=(4, 3)) * rng.choice([-1.0, 1.0], size=(4, 3))
+    a = Tensor(x, requires_grad=True)
+    w = rng.normal(size=(4, 3))
+    fd_check(lambda: (ad.gelu(a) * w).sum(), [a])
+
+
+def test_gelu_matches_the_tanh_form():
+    x = np.arange(-80, 81) / 10.0
+    c = math.sqrt(2.0 / math.pi)
+    want = [0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v**3))) for v in x]
+    got = ad.gelu(Tensor(x)).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert got[x == 0.0] == 0.0
+    # saturated tails: the tanh rounds to +-1, so gelu(8) = 8 and gelu(-8) = 0
+    assert got[-1] == 8.0 and got[0] == 0.0
+
+
 def test_layer_norm_grad(rng):
     a = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
     g = Tensor(rng.normal(size=(6,)) + 1.0, requires_grad=True)
     b = Tensor(rng.normal(size=(6,)), requires_grad=True)
     w = rng.normal(size=(2, 3, 6))
     fd_check(lambda: (ad.layer_norm(a, g, b) * w).sum(), [a, g, b])
+
+
+def test_layer_norm_float32_at_a_large_common_offset(rng):
+    x = (1e3 + 0.1 * rng.normal(size=(4, 8, 64))).astype(np.float32)
+    # the bias keeps every output near 2-3, so an elementwise rtol measures
+    # error against the normalised scale rather than against zero
+    gain = rng.uniform(0.2, 0.5, size=64).astype(np.float32)
+    bias = rng.uniform(2.0, 3.0, size=64).astype(np.float32)
+    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert got.dtype == np.float32
+    x64 = x.astype(np.float64)
+    xc = x64 - x64.mean(axis=-1, keepdims=True)
+    want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+    np.testing.assert_allclose(got, want, rtol=1e-4)
 
 
 def test_backward_accumulates_shared_nodes(rng):

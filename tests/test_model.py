@@ -205,7 +205,8 @@ def test_single_token_span_concatenates_itself(params):
     h = H.data[0, 2]
     x = np.concatenate([h, h])
     hidden_in = x @ params["span_w1"].data + params["span_b1"].data
-    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(hidden_in / np.sqrt(2)))
+    c = math.sqrt(2.0 / math.pi)
+    cdf = 0.5 * (1.0 + np.vectorize(math.tanh)(c * (hidden_in + 0.044715 * hidden_in**3)))
     manual = (hidden_in * cdf) @ params["span_w2"].data + params["span_b2"].data
     assert np.allclose(sv, manual)
 
@@ -372,13 +373,13 @@ def test_gold_outside_candidates_rejected(params):
         build_batch([ctx], 0, [[MentionTarget((1, 2), 2, candidates=np.array([5, 3]))]])
 
 
-def test_total_loss_weights(params):
+def test_total_loss_weights(params64):
     rng = np.random.default_rng(11)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
     batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 0)]], np.array([5, 3, 1]))
-    full, _ = total_loss(params, batch, 1.0, 1.0)
-    link_only, _ = total_loss(params, batch, 1.0, 0.0)
-    bio_only, _ = total_loss(params, batch, 0.0, 1.0)
+    full, _ = total_loss(params64, batch, 1.0, 1.0)
+    link_only, _ = total_loss(params64, batch, 1.0, 0.0)
+    bio_only, _ = total_loss(params64, batch, 0.0, 1.0)
     assert full.data == pytest.approx(link_only.data + bio_only.data, abs=1e-12)
 
 

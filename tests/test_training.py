@@ -138,7 +138,7 @@ def test_adam_zero_gradients_leave_params():
 def test_adam_first_step_update_value():
     # scalar parameter, g=1, lr=1e-3: bias-corrected update is
     # -lr * 1 / (1 + eps) ~= -9.99999990e-4
-    params = tiny_params()
+    params = as_float64(tiny_params())
     grads = {k: np.zeros_like(t.data) for k, t in params.items()}
     grads["bio_b"] = np.zeros(3)
     grads["bio_b"][0] = 1.0
