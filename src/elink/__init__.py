@@ -6,6 +6,8 @@ softmax, and evaluating disambiguation accuracy and end-to-end
 strong-matching micro-F1.
 """
 
+# first: it caps glibc's malloc arenas before any elink thread allocates
+from . import threads  # noqa: F401
 from .aliastable import AliasTable, RedirectMap, normalize_alias, resolve, table_stats
 from .candidates import (
     CandidateConfig,

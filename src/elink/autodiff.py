@@ -26,13 +26,15 @@ gathered rows and their summed gradients; so does `table_softmax_nll` for
 the table rows it scores. Adam, clipping and the finiteness check consume
 it as it is, so an embedding table's gradient costs what the batch
 touches, not the table size. A `RowGrad` meeting a dense gradient on the
-same tensor is densified.
+same tensor is densified. `add_grads` sums two gradients of one tensor, as
+training does with the gradients of a batch's two shards.
 
 The model's dense layers (`linear`), multi-head attention (`attention`),
 activation (`gelu`), normalisation (`layer_norm`) and softmax losses
-(`softmax_nll`, and `table_softmax_nll` for span vectors scored against
-entity-table rows) are fused: each is one tape node with a hand-written
-backward, so a training step records and walks few full-size temporaries.
+(`softmax_nll`, which with per-row weights gives their weighted sum, and
+`table_softmax_nll` for span vectors scored against entity-table rows) are
+fused: each is one tape node with a hand-written backward, so a training
+step records and walks few full-size temporaries.
 Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
@@ -51,6 +53,8 @@ import numpy as np
 # Python floats, not np.float64: a numpy scalar would upcast float32 arrays.
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# score values per block of table_softmax_nll's row-gradient GEMMs (1 MB of float32)
+_GRAD_BLOCK = 1 << 18
 
 
 class Tensor:
@@ -210,6 +214,28 @@ class RowGrad:
         out = np.zeros(self.shape, self.values.dtype)
         out[self.rows] = self.values
         return out
+
+
+def add_grads(a, b):
+    """The gradient a + b of one tensor, each a dense array or a RowGrad.
+    It adds into a dense operand, or into a when both are RowGrads over the
+    same rows, so the caller must own both."""
+    if isinstance(a, RowGrad) and not isinstance(b, RowGrad):
+        a, b = b, a  # float addition is commutative: b + a has a + b's bytes
+    if not isinstance(a, RowGrad):
+        if isinstance(b, RowGrad):
+            a[b.rows] += b.values
+        else:
+            a += b
+        return a
+    if np.array_equal(a.rows, b.rows):
+        a.values += b.values
+        return a
+    rows = np.union1d(a.rows, b.rows)
+    values = np.zeros((len(rows),) + a.shape[1:], a.values.dtype)
+    values[np.searchsorted(rows, a.rows)] = a.values
+    values[np.searchsorted(rows, b.rows)] += b.values
+    return RowGrad.of_rows(rows, values, a.shape)
 
 
 def grad_values(g) -> np.ndarray:
@@ -464,24 +490,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
     return out
 
 
-def softmax_nll(scores: Tensor, gold) -> Tensor:
-    """Per-row negative log softmax probability of column gold[i] of (N, K)
-    scores. Max-shifted, so it stays finite for scores up to +-1e4; the
-    backward is (softmax - onehot(gold)) * g."""
+def softmax_nll(scores: Tensor, gold, weights=None) -> Tensor:
+    """Negative log softmax probability of column gold[...] of scores
+    (..., K), one per row (shaped like gold); with per-row `weights` (shaped
+    like gold), their weighted sum, a scalar. Max-shifted, so it stays finite
+    for scores up to +-1e4; the backward is (softmax - onehot(gold)) * g,
+    each row times its weight."""
     gold = np.asarray(gold, dtype=np.int64)
-    rows = np.arange(len(gold))
-    s = scores.data
+    s = scores.data.reshape(-1, scores.data.shape[-1])
+    at = np.arange(gold.size)
+    flat_gold = gold.reshape(-1)
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     total = e.sum(axis=-1, keepdims=True)
-    lse = np.log(total) + m
-    out = Tensor(lse[:, 0] - s[rows, gold], _parents=(scores,))
+    nll = (np.log(total) + m)[:, 0] - s[at, flat_gold]
+    if weights is None:
+        out = Tensor(nll.reshape(gold.shape), _parents=(scores,))
+    else:
+        w = _const(weights, s).reshape(-1)
+        out = Tensor(nll @ w, _parents=(scores,))
 
     def bwd(g):
         grad = e / total
-        grad[rows, gold] -= 1.0
-        grad *= g[:, None]
-        _accum(scores, grad)
+        grad[at, flat_gold] -= 1.0
+        grad *= (g.reshape(-1) if weights is None else g * w)[:, None]
+        _accum(scores, grad.reshape(scores.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out
@@ -492,23 +525,24 @@ def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, 
 
     Column j scores table row rows[j] (rows=None: every row, in order) and
     gold[i] is a column. Returns the (N,) per-row NLL and each row's argmax
-    column. The forward gathers the rows once and turns the score matrix
-    into max-shifted exponentials in place; the backward turns it into
-    (softmax - onehot(gold)) * g in place and hands the table its gradient
-    as a RowGrad over the sorted rows (dense when rows is None).
+    column. The forward gathers the rows for the score GEMM and drops them,
+    then turns the score matrix into max-shifted exponentials in place; the
+    backward turns it into (softmax - onehot(gold)) * g in place, gathers
+    the rows again (the tape's leaves do not change before the backward) and,
+    once they are spent, writes the table's gradient into their buffer, a
+    block of sorted rows at a time. So the node holds no gathered rows
+    between forward and backward and makes no second row-sized array; the
+    gradient is a RowGrad over the sorted rows (dense when rows is None).
     """
     gold = np.asarray(gold, dtype=np.int64)
     at = np.arange(len(gold))
-    if rows is None:
-        emb = table.data
-    else:
+    if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
         order = np.argsort(rows)
         rows_sorted = rows[order]
         if rows_sorted.size and (rows_sorted[0] < 0 or (rows_sorted[1:] == rows_sorted[:-1]).any()):
             raise ValueError("table rows must be distinct and non-negative")
-        emb = table.data[rows]
-    s = svec.data @ emb.T
+    s = svec.data @ (table.data if rows is None else table.data[rows]).T
     pred = s.argmax(axis=-1)
     picked = s[at, gold]
     m = s[at, pred][:, None]  # each row's max, without a second pass
@@ -522,18 +556,19 @@ def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, 
         np.divide(s, total, out=s)
         s[at, gold] -= 1.0
         np.multiply(s, g[:, None], out=s)
+        emb = table.data if rows is None else table.data[rows]
         if svec.requires_grad:
             _accum(svec, s @ emb)
         if not table.requires_grad:
             return
-        gt = s.T @ svec.data
         if rows is None:
-            _accum(table, gt)
-        else:
-            # the gathered rows are spent: their buffer takes the sorted
-            # gradient (mode="clip" keeps take from buffering; order is in range)
-            np.take(gt, order, axis=0, out=emb, mode="clip")
-            _accum(table, RowGrad.of_rows(rows_sorted, emb, table.data.shape))
+            _accum(table, s.T @ svec.data)
+            return
+        # emb is spent: block by block, it takes the gradient of the sorted rows
+        step = max(1, _GRAD_BLOCK // max(1, len(gold)))
+        for lo in range(0, len(order), step):
+            np.matmul(s[:, order[lo : lo + step]].T, svec.data, out=emb[lo : lo + step])
+        _accum(table, RowGrad.of_rows(rows_sorted, emb, table.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out, pred

@@ -631,21 +631,6 @@ def load_documents(path) -> list[Document]:
     return docs
 
 
-def save_documents(path, docs) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for d in docs:
-            rec = {
-                "doc_id": d.doc_id,
-                "title": d.title,
-                "text": d.text,
-                "mentions": [
-                    {"start_char": m.start_char, "end_char": m.end_char, "entity": m.entity}
-                    for m in d.mentions
-                ],
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def save_contexts(path, contexts) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for c in contexts:

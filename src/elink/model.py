@@ -15,7 +15,7 @@ import os
 import struct
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -177,6 +177,15 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
+    def shared_leaves(self) -> "ModelParams":
+        """New leaf tensors over these same arrays. A tape recorded on them
+        leaves its gradients on them, not on self, and an in-place update of
+        self's arrays (Adam's) is an update of theirs."""
+        tensors = OrderedDict(
+            (name, Tensor(t.data, requires_grad=t.requires_grad)) for name, t in self.items()
+        )
+        return ModelParams(self.config, tensors)
+
     def items(self):
         return self.tensors.items()
 
@@ -319,17 +328,21 @@ def mention_nll(scores: Tensor, gold_pos) -> Tensor:
 
 @dataclass
 class ModelBatch:
-    """Padded inputs plus linking/detection targets for one step."""
+    """Padded inputs plus linking/detection targets for one step, or for one
+    shard of a step's batch (see split_batch). The two loss divisors,
+    n_examples and n_tokens, count the whole batch, so the losses of a
+    batch's shards sum to the batch's loss."""
 
     tokens: np.ndarray                 # (B, T) int64
     pad_mask: np.ndarray               # (B, T) bool, True at padding
-    n_examples: int
+    n_examples: int                    # examples in the whole batch
     ment_ex: np.ndarray                # (M,) example index per linked mention
     ment_start: np.ndarray             # (M,)
     ment_end: np.ndarray               # (M,)
     gold_pos: np.ndarray               # (M,) candidate position or entity id
     cand_rows: np.ndarray | None       # None | (K,) | (M, Kmax) with -1 padding
     bio_targets: np.ndarray            # (B, T) int64 in {O, B, I}
+    n_tokens: int                      # non-pad tokens in the whole batch
 
 
 @dataclass(frozen=True)
@@ -413,11 +426,45 @@ def build_batch(
         gold_pos=np.asarray(gold, dtype=np.int64),
         cand_rows=cand_rows,
         bio_targets=bio,
+        n_tokens=int((~pad_mask).sum()),
     )
 
 
+def split_batch(batch: ModelBatch, cut: int) -> tuple[ModelBatch, ModelBatch]:
+    """The batch's examples [:cut] and [cut:] as two shards, whose losses
+    sum to the batch's. Each shard keeps the batch's loss divisors and its
+    shared candidate list (or full-vocabulary scoring); per-mention
+    candidate rows go with their mentions. A shard is padded only to its
+    own longest context: padding keys get exactly zero attention and pad
+    positions zero loss weight, so the losses still sum to the batch's."""
+    shards = []
+    first = batch.ment_ex < cut
+    for rows, ments in ((slice(0, cut), first), (slice(cut, None), ~first)):
+        length = int((~batch.pad_mask[rows]).sum(axis=1).max(initial=1))
+        cells = (rows, slice(0, length))
+        cand_rows = batch.cand_rows
+        if cand_rows is not None and cand_rows.ndim == 2:
+            cand_rows = cand_rows[ments]
+        shards.append(replace(
+            batch,
+            tokens=batch.tokens[cells],
+            pad_mask=batch.pad_mask[cells],
+            ment_ex=batch.ment_ex[ments] - rows.start,
+            ment_start=batch.ment_start[ments],
+            ment_end=batch.ment_end[ments],
+            gold_pos=batch.gold_pos[ments],
+            cand_rows=cand_rows,
+            bio_targets=batch.bio_targets[cells],
+        ))
+    return shards[0], shards[1]
+
+
+def _no_links() -> dict:
+    return {"linking_acc": float("nan"), "n_linked_mentions": 0, "n_correct_links": 0}
+
+
 def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Tensor, dict]:
-    """Mean over examples of the summed per-mention candidate NLL.
+    """Mean over the batch's examples of the summed per-mention candidate NLL.
 
     Unlinked mentions carry no target and contribute zero. Every gold must
     be present in its candidate row (guaranteed upstream). Against a
@@ -426,7 +473,7 @@ def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Ten
     padded matrix.
     """
     if len(batch.ment_ex) == 0:
-        return _zero(H), {"linking_acc": float("nan"), "n_linked_mentions": 0}
+        return _zero(H), _no_links()
     svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end)
     if batch.cand_rows is None or batch.cand_rows.ndim == 1:
         nll, pred = ad.table_softmax_nll(svec, params["ent_emb"], batch.cand_rows, batch.gold_pos)
@@ -435,21 +482,23 @@ def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Ten
         nll = mention_nll(scores, batch.gold_pos)
         pred = scores.data.argmax(axis=-1)
     loss = nll.sum() * (1.0 / batch.n_examples)
-    acc = float((pred == batch.gold_pos).mean())
-    return loss, {"linking_acc": acc, "n_linked_mentions": len(batch.ment_ex)}
+    correct = int((pred == batch.gold_pos).sum())
+    return loss, {
+        "linking_acc": correct / len(batch.ment_ex),
+        "n_linked_mentions": len(batch.ment_ex),
+        "n_correct_links": correct,
+    }
 
 
 def bio_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> Tensor:
-    """Mean per-token 3-way cross-entropy of the BIO head over non-pad positions."""
-    valid = ~batch.pad_mask
-    n_valid = int(valid.sum())
-    if n_valid == 0:
+    """Mean per-token 3-way cross-entropy of the BIO head over the batch's
+    non-pad positions: one weighted softmax_nll node, in which each non-pad
+    position weighs 1/n_tokens and each pad position 0."""
+    if batch.n_tokens == 0:
         return _zero(H)
     logits = ad.linear(H, params["bio_w"], params["bio_b"])
-    B, T, _ = logits.shape
-    nll = ad.softmax_nll(ad.reshape(logits, (B * T, 3)), batch.bio_targets.reshape(-1))
-    masked = nll * valid.reshape(-1)
-    return masked.sum() * (1.0 / n_valid)
+    weights = (~batch.pad_mask) * (1.0 / batch.n_tokens)
+    return ad.softmax_nll(logits, batch.bio_targets, weights)
 
 
 def _zero(H: Tensor) -> Tensor:
@@ -469,7 +518,7 @@ def total_loss(
         link, metrics = linking_loss(params, H, batch)
     else:
         link = _zero(H)
-        metrics = {"linking_acc": float("nan"), "n_linked_mentions": 0}
+        metrics = _no_links()
     bio = bio_loss(params, H, batch) if bio_weight != 0.0 else _zero(H)
     loss = link * link_weight + bio * bio_weight
     metrics["linking_loss"] = float(link.data)

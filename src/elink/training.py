@@ -4,20 +4,31 @@ Pretraining samples batches of corpus contexts, assembles per-example
 candidate sets extended with in-batch negatives, optionally noises the
 inputs, and optimizes the summed linking + mention-detection loss.
 Fine-tuning reuses the loop with per-mention alias-table candidates or a
-full-vocabulary softmax. All randomness is derived from config seeds, so
-identical configs produce bytewise-identical checkpoints and logs.
+full-vocabulary softmax.
+
+Each step runs its batch as two shards, the first ceil(B/2) examples and
+the rest, each recording its own tape on its own thread, and sums their
+gradients (shard 0's, then shard 1's) before one clip and one Adam update.
+For the whole loop OpenBLAS runs on one thread, so training uses at most two
+cores, and a shard's bytes do not depend on the thread that computes it or
+on the core count. All randomness is derived from config seeds, so
+identical configs produce bytewise-identical checkpoints and logs, on any
+number of cores when numpy's OpenBLAS is found (see threads).
 """
 
+import contextvars
 import logging
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as M
+from . import threads
 from .aliastable import AliasTable
-from .autodiff import RowGrad, grad_values
+from .autodiff import RowGrad, add_grads, grad_values
 from .candidates import CandidateConfig, PageLinks, PhraseTable, assemble_candidates, batch_negatives
 from .corpus import Context, TokenVocab
 from .model import MentionTarget, ModelConfig, ModelParams, build_batch, save_checkpoint
@@ -278,33 +289,80 @@ class _RunLogger:
             self._fh.close()
 
 
+def _on_shards(worker: ThreadPoolExecutor | None, fn, shard_args: list[tuple]) -> list:
+    """fn(*args) for each shard's args, in shard order. With a worker, the
+    second shard's call runs on it, in a copy of this thread's context (so
+    np.errstate holds there too), while this thread runs the first; its
+    exception, if any, is raised here."""
+    if worker is None or len(shard_args) == 1:
+        return [fn(*args) for args in shard_args]
+    second = worker.submit(contextvars.copy_context().run, fn, *shard_args[1])
+    first = fn(*shard_args[0])
+    return [first, second.result()]
+
+
+def _sum_shards(shard_grads: list[dict[str, Grad]]) -> dict[str, Grad]:
+    """Each group's gradient summed over the shards, shard 0's first."""
+    grads = shard_grads[0]
+    for other in shard_grads[1:]:
+        for name, g in other.items():
+            grads[name] = add_grads(grads[name], g)
+    return grads
+
+
 def _run_loop(params, batches_fn, train_cfg, out_dir) -> tuple[ModelParams, list[LogRow]]:
-    """Shared optimizer loop: forward, backward, clip, Adam, logs, checkpoints."""
+    """Shared optimizer loop: sharded forward and backward, clip, Adam, logs,
+    checkpoints.
+
+    A step splits its batch into two shards (model.split_batch), the first
+    ceil(B/2) examples and the rest; a shard with no examples (B=1) is
+    skipped. Each shard records its tape on its own leaf tensors, which share
+    params' arrays. Both forwards finish before the summed loss is checked,
+    so a non-finite loss stops the run before any backward; the shards'
+    gradients are then summed in shard order and clipped and applied once.
+    The shards run on two threads when numpy's OpenBLAS is found and two
+    CPUs are usable, else one after the other on this thread; the bytes are
+    the same.
+    """
     state = OptimizerState.for_params(params)
     logger = _RunLogger(out_dir)
     last_ckpt = None
+    shards = [params.shared_leaves(), params.shared_leaves()]
+
+    def forward(leaves, batch):
+        return M.total_loss(leaves, batch, train_cfg.link_weight, train_cfg.bio_weight)
+
     try:
-        for step in range(1, train_cfg.total_steps + 1):
-            batch = batches_fn(step)
-            loss, metrics = M.total_loss(
-                params, batch, train_cfg.link_weight, train_cfg.bio_weight
-            )
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(step, last_ckpt)
-            grads = M.backward(loss, params)
-            clip_gradients(grads, train_cfg.clip_norm)
-            lr = lr_schedule(step, train_cfg)
-            adam_step(params, grads, state, lr, train_cfg)
-            if step % train_cfg.log_interval == 0 or step == train_cfg.total_steps:
-                acc = metrics.get("linking_acc", float("nan"))
-                logger.log(LogRow(step=step, lr=lr, loss=float(loss.data), linking_acc=acc))
-            if (
-                out_dir is not None
-                and train_cfg.checkpoint_interval > 0
-                and step % train_cfg.checkpoint_interval == 0
-            ):
-                last_ckpt = os.path.join(out_dir, f"ckpt_step{step}.elck")
-                save_checkpoint(last_ckpt, params)
+        with threads.one_blas_thread() as pinned, ThreadPoolExecutor(1) as pool:
+            worker = pool if pinned and M._usable_cpus() > 1 else None
+            for step in range(1, train_cfg.total_steps + 1):
+                batch = batches_fn(step)
+                parts = M.split_batch(batch, (batch.n_examples + 1) // 2)
+                live = [(leaves, b) for leaves, b in zip(shards, parts) if len(b.tokens)]
+                outs = _on_shards(worker, forward, live)
+                loss = sum(out[0].data for out in outs)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(step, last_ckpt)
+                grads = _sum_shards(_on_shards(
+                    worker, M.backward, [(out[0], leaves) for out, (leaves, _) in zip(outs, live)]
+                ))
+                for leaves in shards:
+                    leaves.zero_grad()  # the sum holds what it needs of them
+                clip_gradients(grads, train_cfg.clip_norm)
+                lr = lr_schedule(step, train_cfg)
+                adam_step(params, grads, state, lr, train_cfg)
+                if step % train_cfg.log_interval == 0 or step == train_cfg.total_steps:
+                    n_linked = sum(m["n_linked_mentions"] for _, m in outs)
+                    correct = sum(m["n_correct_links"] for _, m in outs)
+                    acc = correct / n_linked if n_linked else float("nan")
+                    logger.log(LogRow(step=step, lr=lr, loss=float(loss), linking_acc=acc))
+                if (
+                    out_dir is not None
+                    and train_cfg.checkpoint_interval > 0
+                    and step % train_cfg.checkpoint_interval == 0
+                ):
+                    last_ckpt = os.path.join(out_dir, f"ckpt_step{step}.elck")
+                    save_checkpoint(last_ckpt, params)
     finally:
         logger.close()
     if out_dir is not None:

@@ -159,6 +159,24 @@ def make_raw_world(out_dir, n_entities=10, n_docs=20, seed=0):
     return paths, docs
 
 
+def save_documents(path, docs) -> None:
+    """Write Documents as the documents JSONL that corpus.load_documents reads."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as f:
+        for d in docs:
+            rec = {
+                "doc_id": d.doc_id,
+                "title": d.title,
+                "text": d.text,
+                "mentions": [
+                    {"start_char": m.start_char, "end_char": m.end_char, "entity": m.entity}
+                    for m in d.mentions
+                ],
+            }
+            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
 def candidate_invariant_sweep(master: np.random.Generator, n_trials: int) -> None:
     """Randomized assemble_candidates calls asserting the spec invariants.
 

@@ -248,6 +248,38 @@ def test_softmax_nll_stable_at_large_scores(rng):
     fd_check(lambda: (ad.softmax_nll(a, gold) * np.array([0.3, -1.2, 0.7])).sum(), [a], h=1e-3)
 
 
+def test_weighted_softmax_nll_grad(rng):
+    """Per-row weights over (B, T, K) scores: the weighted sum of the
+    unweighted per-row NLL, and its gradient matches finite differences."""
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    gold = np.array([[0, 3, 1], [2, 2, 0]])
+    w = np.array([[0.5, 0.0, 1.5], [0.25, 1.0, 0.0]])
+    y = ad.softmax_nll(a, gold, w)
+    assert y.shape == ()
+    assert y.data == pytest.approx(float((ad.softmax_nll(a, gold).data * w).sum()), abs=1e-15)
+    fd_check(lambda: ad.softmax_nll(a, gold, w), [a])
+
+
+@pytest.mark.parametrize("kinds", ["dense+dense", "dense+rows", "rows+dense", "rows+other_rows",
+                                   "rows+same_rows", "rows+no_rows"])
+def test_add_grads_equals_the_dense_sum(rng, kinds):
+    shape = (6, 3)
+
+    def make(kind):
+        if kind == "dense":
+            return rng.normal(size=shape)
+        rows = {"rows": [4, 0, 4, 2], "other_rows": [5, 1, 2], "same_rows": [2, 0, 4],
+                "no_rows": []}[kind]
+        return RowGrad(np.array(rows, dtype=np.int64), rng.normal(size=(len(rows), 3)), shape)
+
+    a, b = (make(k) for k in kinds.split("+"))
+    dense = [g.dense() if isinstance(g, RowGrad) else g.copy() for g in (a, b)]
+    out = ad.add_grads(a, b)
+    got = out.dense() if isinstance(out, RowGrad) else out
+    assert got.tobytes() == (dense[0] + dense[1]).tobytes()
+    assert isinstance(out, RowGrad) == ("dense" not in kinds)
+
+
 def _table_case(rng):
     """A 7-row table, an unsorted first-appearance union of 5 of its rows,
     and golds at the union's first and last positions."""
@@ -290,6 +322,21 @@ def test_table_softmax_nll_matches_the_gather_matmul_composition(rng, full):
         assert table.grad.rows.tolist() == sorted(rows.tolist())
     got = _dense_grad(table)
     assert np.abs(got - want_table).max() <= 1e-12 * np.abs(want_table).max()
+
+
+def test_table_softmax_nll_writes_the_table_gradient_in_row_blocks(rng, monkeypatch):
+    """A table gradient written in blocks of 2, 2 and 1 sorted rows equals
+    the one written as a single block."""
+    svec, table, rows, gold = _table_case(rng)
+    w = rng.normal(size=3)
+    grads = []
+    for block in (ad._GRAD_BLOCK, 6):   # 6 score values: 2 rows of 3 spans
+        monkeypatch.setattr(ad, "_GRAD_BLOCK", block)
+        nll, _ = ad.table_softmax_nll(svec, table, rows, gold)
+        (nll * w).sum().backward()
+        grads.append(_dense_grad(table))
+        svec.grad = table.grad = None
+    assert np.abs(grads[1] - grads[0]).max() <= 1e-14 * np.abs(grads[0]).max()
 
 
 def test_table_softmax_nll_rejects_repeated_or_negative_rows(rng):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import save_documents
+
 from elink import corpus as cp
 from elink.aliastable import RedirectMap, load_alias_tsv
 from elink.candidates import PageLinks, PhraseTable
@@ -25,7 +27,6 @@ from elink.corpus import (
     make_eval_context,
     newline_sentences,
     save_contexts,
-    save_documents,
     tokenize,
     window_context,
 )

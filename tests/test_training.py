@@ -1,5 +1,7 @@
 """Schedule, clipping, Adam, and the pretrain/finetune loops."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import all_entity_accuracy, as_float64, attention_prob_refs, dense_moments, make_world
 
 from elink import model as M
-from elink import training
+from elink import threads, training
 from elink.aliastable import AliasTable
 from elink.autodiff import RowGrad, grad_values
 from elink.candidates import CandidateConfig
@@ -421,20 +423,38 @@ def test_noise_toggle_changes_inputs_never_targets():
 
 
 def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
+    """When any shard's forward of step t+1 starts, no attention
+    probabilities of step t, of either shard, are alive: each shard's tape
+    has freed itself. The second shard of a step may already be recording,
+    so each forward counts only the probabilities of finished steps. Shards
+    on two threads and on one."""
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
     probs = attention_prob_refs(monkeypatch)
-    alive = []
-    orig = M.total_loss
+    finished = [0]   # len(probs) when the last finished step reached Adam
+    alive = []       # per forward: (probabilities of finished steps, how many alive)
+    orig_loss, orig_adam = M.total_loss, training.adam_step
 
     def total_loss(*args, **kwargs):
-        alive.append(sum(r() is not None for r in probs))
-        return orig(*args, **kwargs)
+        done = probs[: finished[0]]
+        alive.append((len(done), sum(r() is not None for r in done)))
+        return orig_loss(*args, **kwargs)
+
+    def adam_step(*args, **kwargs):
+        finished[0] = len(probs)
+        return orig_adam(*args, **kwargs)
 
     monkeypatch.setattr(M, "total_loss", total_loss)
-    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=2)
-    pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
-    assert len(probs) == 2 * mcfg.n_layers
-    assert alive == [0, 0]
+    monkeypatch.setattr(training, "adam_step", adam_step)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=3, batch_size=4, log_interval=1, rng_seed=2)
+    per_step = 2 * mcfg.n_layers   # shards x layers
+    for cpus in (2, 1):
+        monkeypatch.setattr(M, "_usable_cpus", lambda n=cpus: n)
+        probs.clear()
+        alive.clear()
+        finished[0] = 0
+        pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
+        assert len(probs) == 3 * per_step
+        assert alive == [(0, 0)] * 2 + [(per_step, 0)] * 2 + [(2 * per_step, 0)] * 2
 
 
 def test_pretrain_empty_corpus_rejected():
@@ -460,12 +480,13 @@ def test_pretrain_diverging_loss_aborts(tmp_path):
 
 def test_pretrain_keeps_a_float32_tape_on_padded_batches(monkeypatch):
     """Two pretrain steps from float32 parameters on padded batches: the
-    encoder output, the loss, every gradient (dense or RowGrad), every held
-    Adam moment and every parameter stay float32."""
+    encoder output and loss of every shard, every gradient (dense or
+    RowGrad), every held Adam moment and every parameter stay float32."""
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
-    # filler tails of 0-2 tokens, so every batch mixes lengths and pads
+    # a filler tail of i tokens on context i, so every shard of two or more
+    # contexts mixes lengths and pads
     contexts = [
-        Context(c.tokens + [4] * (i % 3), c.char_offsets + [(0, 1)] * (i % 3), c.doc_id, c.labels)
+        Context(c.tokens + [4] * i, c.char_offsets + [(0, 1)] * i, c.doc_id, c.labels)
         for i, c in enumerate(contexts)
     ]
     seen = {"encode": [], "loss": [], "grads": [], "moments": [], "params": [], "padded": []}
@@ -499,8 +520,8 @@ def test_pretrain_keeps_a_float32_tape_on_padded_batches(monkeypatch):
     params = ModelParams.initialize(mcfg, seed=1)
     tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=2)
     pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase, params=params)
-    assert seen["padded"] == [True, True]
-    assert len(seen["encode"]) == len(seen["loss"]) == 2
+    assert seen["padded"] == [True] * 4   # 2 steps x 2 shards
+    assert len(seen["encode"]) == len(seen["loss"]) == 4
     assert {"RowGrad", "ndarray"} <= {kind for kind, _ in seen["grads"]}
     for key in ("encode", "loss", "grads", "moments", "params"):
         dtypes = [d for _, d in seen[key]] if key == "grads" else seen[key]
@@ -541,6 +562,147 @@ def test_periodic_checkpoints_written(tmp_path):
     assert (tmp_path / "checkpoint.elck").exists()
     loaded = load_checkpoint(tmp_path / "ckpt_step2.elck")
     assert loaded.config.vocab_size == len(vocab)
+
+
+# ---------------------------------------------------------------------------
+# sharded steps
+# ---------------------------------------------------------------------------
+
+SHARD_CASES = ["shared_union", "full_vocabulary", "alias_rows", "one_example",
+               "links_in_one_half", "links_in_one_half_full_vocabulary"]
+
+
+def _first_sharded_step(monkeypatch, case):
+    """One training step of `case` from float64 parameters, on two shard
+    threads where numpy's OpenBLAS is found. Returns the parameters before
+    the step, the step's whole batch, its log row and the summed gradients
+    that reached clipping (dense copies)."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    if case.startswith("links_in_one_half"):
+        # only the first context keeps its links; the others keep BIO labels
+        contexts = contexts[:1] + [
+            Context(c.tokens, c.char_offsets, c.doc_id,
+                    [MentionLabel(l.span, None, l.surface) for l in c.labels])
+            for c in contexts[1:]
+        ]
+    monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
+    seen = {}
+    orig_split, orig_clip = M.split_batch, training.clip_gradients
+
+    def split_batch(batch, cut):
+        seen["batch"], seen["cut"] = batch, cut
+        return orig_split(batch, cut)
+
+    def clip_gradients(grads, clip_norm):
+        seen["grads"] = {k: g.dense() if isinstance(g, RowGrad) else g.copy()
+                         for k, g in grads.items()}
+        return orig_clip(grads, clip_norm)
+
+    monkeypatch.setattr(M, "split_batch", split_batch)
+    monkeypatch.setattr(training, "clip_gradients", clip_gradients)
+    params = as_float64(ModelParams.initialize(mcfg, seed=1, init_std=0.3))
+    before = as_float64(params)   # a copy: Adam updates params in place
+    full = case.endswith("full_vocabulary")
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=1, batch_size=1 if case == "one_example" else 7,
+                       log_interval=1, rng_seed=3,
+                       softmax_mode="all_entities" if full else "candidates")
+    if case == "alias_rows":
+        # two or three candidates per name, so the (M, Kmax) rows carry padding
+        table = AliasTable({f"n{i}": [2 * i, 2 * i + 1] + [(2 * i + 2) % 20] * (i % 2)
+                            for i in range(10)})
+        _, rows, _ = finetune(params, contexts, "alias_candidates", vocab, tcfg, table)
+    else:
+        _, rows = pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase,
+                           params=params)
+    return before, seen["batch"], seen["cut"], rows[0], seen["grads"]
+
+
+@pytest.mark.parametrize("case", SHARD_CASES)
+def test_sharded_step_equals_one_tape_in_float64(monkeypatch, case):
+    """The shards' summed loss, linking accuracy and every gradient group
+    equal those of one tape over the whole batch, in float64."""
+    before, batch, cut, row, grads = _first_sharded_step(monkeypatch, case)
+    B = batch.n_examples
+    assert B == (1 if case == "one_example" else 7) and cut == (B + 1) // 2
+    assert len(batch.ment_ex) > 0
+    if case.startswith("links_in_one_half"):
+        assert (batch.ment_ex < cut).all() or (batch.ment_ex >= cut).all()
+    if case == "alias_rows":
+        assert batch.cand_rows.ndim == 2 and (batch.cand_rows < 0).any()
+    if case.endswith("full_vocabulary"):
+        assert batch.cand_rows is None
+    if case in ("shared_union", "one_example", "links_in_one_half"):
+        assert batch.cand_rows.ndim == 1
+
+    loss, metrics = M.total_loss(before, batch)
+    ref = M.backward(loss, before)
+    assert row.loss == pytest.approx(float(loss.data), rel=1e-14, abs=0)
+    assert row.linking_acc == metrics["linking_acc"]
+    assert set(grads) == set(ref)
+    for name, g in ref.items():
+        want = g.dense() if isinstance(g, RowGrad) else g
+        np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-16, err_msg=name)
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune"])
+def test_training_bytes_do_not_depend_on_the_shard_threads(tmp_path, monkeypatch, run):
+    """Shards on one thread and on two write the same checkpoint and log
+    bytes; batches of 5 and 2 give shards of 3 and 2 and of 1 and 1."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=4, batch_size=5, log_interval=1, rng_seed=13)
+    idents = {}
+    orig = M.total_loss
+
+    def total_loss(*args, **kwargs):
+        idents[cpus].add(threading.get_ident())
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(M, "total_loss", total_loss)
+    for cpus in (1, 2):
+        idents[cpus] = set()
+        monkeypatch.setattr(M, "_usable_cpus", lambda n=cpus: n)
+        out = str(tmp_path / str(cpus))
+        if run == "pretrain":
+            pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase, out_dir=out)
+        else:
+            table = AliasTable({f"n{i}": [2 * i, 2 * i + 1] for i in range(10)})
+            finetune(ModelParams.initialize(mcfg, seed=1), contexts, "alias_candidates", vocab,
+                     tcfg, table, out_dir=out)
+    found = threads._openblas_controls() is not None
+    assert len(idents[1]) == 1 and len(idents[2]) == (2 if found else 1)
+    for name in ("checkpoint.elck", "train_log.tsv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_pretrain_pins_blas_to_one_thread_and_restores_its_count(tmp_path, monkeypatch):
+    """OpenBLAS runs on one thread during every step, and its count is
+    restored after pretrain, also when pretrain raises TrainingDiverged."""
+    controls = threads._openblas_controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    set_threads, get_threads = controls
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    during = []
+    orig = training.adam_step
+
+    def adam_step(*args, **kwargs):
+        during.append(get_threads())
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", adam_step)
+    before = get_threads()
+    set_threads(2)
+    try:
+        tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=3)
+        pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
+        assert during == [1, 1] and get_threads() == 2
+        diverging = TrainConfig(base_lr=1e30, total_steps=50, batch_size=8, log_interval=1,
+                                clip_norm=1e18, rng_seed=3)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+            pretrain(contexts, vocab, 20, mcfg, diverging, ccfg, ncfg, pages, phrase)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 # ---------------------------------------------------------------------------
