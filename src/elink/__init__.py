@@ -41,8 +41,8 @@ from .model import (
     encode,
     linking_loss,
     load_checkpoint,
-    predict_disambiguation,
     predict_end_to_end,
+    rank_entities,
     save_checkpoint,
     score_and_prob,
     span_repr,

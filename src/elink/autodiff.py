@@ -4,9 +4,12 @@ A Tensor wraps a floating-point ndarray, keeping its dtype (other inputs
 become float64), and remembers the operation that produced it. Calling
 backward() on a scalar replays the recorded graph in reverse topological
 order and accumulates exact gradients into every tensor built with
-requires_grad=True. Only the operations the linking model needs are
-implemented; each backward rule is checked against central finite
-differences in the test suite.
+requires_grad=True. Only the operations the linking model calls are
+implemented, and a test fails if one of them is no longer called: `add`
+(tensor + tensor), `mul` (by a constant), `tsum` (to a scalar), `concat`,
+the row gathers `take` and `take2`, and the fused nodes below. Each
+backward rule is checked against central finite differences in the test
+suite.
 
 The parameters set the tape's dtype: every op's result, constant and
 gradient takes the dtype of the data it is given. Float32 parameters train
@@ -31,10 +34,11 @@ training does with the gradients of a batch's two shards.
 
 The model's dense layers (`linear`), multi-head attention (`attention`),
 activation (`gelu`), normalisation (`layer_norm`) and softmax losses
-(`softmax_nll`, which with per-row weights gives their weighted sum, and
-`table_softmax_nll` for span vectors scored against entity-table rows) are
-fused: each is one tape node with a hand-written backward, so a training
-step records and walks few full-size temporaries.
+(`softmax_nll`, the weighted sum of per-row NLLs, and `table_softmax_nll`
+for span vectors scored against entity-table rows, with an optional
+per-row score bias that masks columns out of a row's softmax) are fused:
+each is one tape node with a hand-written backward, so a training step
+records and walks few full-size temporaries.
 Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
@@ -73,13 +77,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -88,44 +85,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; divide by a constant")
-        return mul(self, 1.0 / np.asarray(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
+    def sum(self):
+        return tsum(self)
 
     # -- backward pass ---------------------------------------------------
 
@@ -290,87 +254,36 @@ def _const(x, like: np.ndarray) -> np.ndarray:
 # -- primitive ops -------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        out = Tensor(a.data + b.data, _parents=(a, b))
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    else:
-        bb = _const(b, a.data)
-        out = Tensor(a.data + bb, _parents=(a,))
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        out = Tensor(a.data * b.data, _parents=(a, b))
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    else:
-        bb = _const(b, a.data)
-        out = Tensor(a.data * bb, _parents=(a,))
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g * bb, a.data.shape))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy semantics, batch dims broadcast."""
-    out = Tensor(a.data @ b.data, _parents=(a, b))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for two tensors, broadcast as numpy does."""
+    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,))
+def mul(a: Tensor, c) -> Tensor:
+    """a times a constant c (a number or an array), broadcast as numpy does."""
+    cc = _const(c, a.data)
+    out = Tensor(a.data * cc, _parents=(a,))
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, _unbroadcast(g * cc, a.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
+def tsum(a: Tensor) -> Tensor:
+    """The sum of all of a's entries, a scalar."""
+    out = Tensor(a.data.sum(), _parents=(a,))
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes), _parents=(a,))
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        _accum(a, np.transpose(g, inv))
+        _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     out._backward = bwd if out.requires_grad else None
     return out
@@ -490,12 +403,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
     return out
 
 
-def softmax_nll(scores: Tensor, gold, weights=None) -> Tensor:
-    """Negative log softmax probability of column gold[...] of scores
-    (..., K), one per row (shaped like gold); with per-row `weights` (shaped
-    like gold), their weighted sum, a scalar. Max-shifted, so it stays finite
-    for scores up to +-1e4; the backward is (softmax - onehot(gold)) * g,
-    each row times its weight."""
+def softmax_nll(scores: Tensor, gold, weights) -> Tensor:
+    """The weighted sum, a scalar, of the negative log softmax probability
+    of column gold[...] of each row of scores (..., K); gold and the per-row
+    weights are shaped like the rows. Max-shifted, so it stays finite for
+    scores up to +-1e4; the backward is (softmax - onehot(gold)) * g, each
+    row times its weight."""
     gold = np.asarray(gold, dtype=np.int64)
     s = scores.data.reshape(-1, scores.data.shape[-1])
     at = np.arange(gold.size)
@@ -504,35 +417,40 @@ def softmax_nll(scores: Tensor, gold, weights=None) -> Tensor:
     e = np.exp(s - m)
     total = e.sum(axis=-1, keepdims=True)
     nll = (np.log(total) + m)[:, 0] - s[at, flat_gold]
-    if weights is None:
-        out = Tensor(nll.reshape(gold.shape), _parents=(scores,))
-    else:
-        w = _const(weights, s).reshape(-1)
-        out = Tensor(nll @ w, _parents=(scores,))
+    w = _const(weights, s).reshape(-1)
+    out = Tensor(nll @ w, _parents=(scores,))
 
     def bwd(g):
         grad = e / total
         grad[at, flat_gold] -= 1.0
-        grad *= (g.reshape(-1) if weights is None else g * w)[:, None]
+        grad *= (g * w)[:, None]
         _accum(scores, grad.reshape(scores.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, np.ndarray]:
-    """softmax_nll over the scores svec @ table[rows].T, as one node.
+def table_softmax_nll(
+    svec: Tensor, table: Tensor, rows, gold, bias=None
+) -> tuple[Tensor, np.ndarray]:
+    """softmax_nll over the scores svec @ table[rows].T (+ bias), as one node.
 
     Column j scores table row rows[j] (rows=None: every row, in order) and
-    gold[i] is a column. Returns the (N,) per-row NLL and each row's argmax
-    column. The forward gathers the rows for the score GEMM and drops them,
-    then turns the score matrix into max-shifted exponentials in place; the
-    backward turns it into (softmax - onehot(gold)) * g in place, gathers
-    the rows again (the tape's leaves do not change before the backward) and,
-    once they are spent, writes the table's gradient into their buffer, a
-    block of sorted rows at a time. So the node holds no gathered rows
-    between forward and backward and makes no second row-sized array; the
-    gradient is a RowGrad over the sorted rows (dense when rows is None).
+    gold[i] is a column. An optional (N, K) `bias` is added to the scores
+    before the max and the exponentials: a column biased by -1e9 gets an
+    exponential of exactly 0, so it adds nothing to that row's softmax and
+    gets no gradient from it, and the NLL is that of the row's unmasked
+    columns alone. Returns the (N,) per-row NLL and each row's argmax
+    column (exact ties to the lowest column, so to the lowest entity when
+    rows are sorted). The forward gathers the rows for the score GEMM and
+    drops them, then turns the score matrix into max-shifted exponentials in
+    place; the backward turns it into (softmax - onehot(gold)) * g in place,
+    gathers the rows again (the tape's leaves do not change before the
+    backward) and, once they are spent, writes the table's gradient into
+    their buffer, a block of sorted rows at a time. So the node holds no
+    gathered rows between forward and backward and makes no second
+    row-sized array; the gradient is a RowGrad over the sorted rows (dense
+    when rows is None).
     """
     gold = np.asarray(gold, dtype=np.int64)
     at = np.arange(len(gold))
@@ -543,6 +461,8 @@ def table_softmax_nll(svec: Tensor, table: Tensor, rows, gold) -> tuple[Tensor, 
         if rows_sorted.size and (rows_sorted[0] < 0 or (rows_sorted[1:] == rows_sorted[:-1]).any()):
             raise ValueError("table rows must be distinct and non-negative")
     s = svec.data @ (table.data if rows is None else table.data[rows]).T
+    if bias is not None:
+        s += bias
     pred = s.argmax(axis=-1)
     picked = s[at, gold]
     m = s[at, pred][:, None]  # each row's max, without a second pass

@@ -7,7 +7,8 @@ gradients are exact and checkable against finite differences. A span is
 represented by the concatenation of its start and end hidden states
 projected into entity space; entities are scored by dot product against an
 embedding table, with a softmax over either a candidate set or the full
-entity vocabulary. Mention detection is a per-token BIO head.
+entity vocabulary; per-mention candidate lists are scored as one masked
+union. Mention detection is a per-token BIO head.
 """
 
 import json
@@ -266,19 +267,6 @@ def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_scores(params: ModelParams, svec: Tensor, cand_rows: np.ndarray) -> Tensor:
-    """(M, Kmax) scores of each span vector against its own candidates.
-
-    cand_rows is (M, Kmax), padded with -1; padded slots score NEG_INF.
-    """
-    M, K = cand_rows.shape
-    clipped = np.where(cand_rows >= 0, cand_rows, 0)
-    emb = ad.take(params["ent_emb"], clipped)          # (M, K, d)
-    d = emb.shape[-1]
-    scores = (ad.reshape(svec, (M, 1, d)) * emb).sum(axis=-1)
-    return scores + np.where(cand_rows >= 0, 0.0, NEG_INF)
-
-
 def score_and_prob(params: ModelParams, svec: np.ndarray, candidates=None):
     """Dot-product scores and softmax probabilities for span vector(s).
 
@@ -311,16 +299,6 @@ def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def mention_nll(scores: Tensor, gold_pos) -> Tensor:
-    """Per-mention negative log-probability of the gold among candidates.
-
-    scores: (M, K) Tensor; gold_pos: (M,) positions (or entity ids when the
-    score matrix spans the full vocabulary). Padded candidate slots must
-    already carry a large negative bias.
-    """
-    return ad.softmax_nll(scores, gold_pos)
-
-
 # ---------------------------------------------------------------------------
 # Batches and losses
 # ---------------------------------------------------------------------------
@@ -331,7 +309,12 @@ class ModelBatch:
     """Padded inputs plus linking/detection targets for one step, or for one
     shard of a step's batch (see split_batch). The two loss divisors,
     n_examples and n_tokens, count the whole batch, so the losses of a
-    batch's shards sum to the batch's loss."""
+    batch's shards sum to the batch's loss.
+
+    Every mention is scored against the same entity rows: cand_rows, or the
+    whole table when it is None. Per-mention candidate lists are the sorted
+    union of the batch's lists, and cand_bias masks each mention's softmax
+    down to its own list."""
 
     tokens: np.ndarray                 # (B, T) int64
     pad_mask: np.ndarray               # (B, T) bool, True at padding
@@ -339,8 +322,9 @@ class ModelBatch:
     ment_ex: np.ndarray                # (M,) example index per linked mention
     ment_start: np.ndarray             # (M,)
     ment_end: np.ndarray               # (M,)
-    gold_pos: np.ndarray               # (M,) candidate position or entity id
-    cand_rows: np.ndarray | None       # None | (K,) | (M, Kmax) with -1 padding
+    gold_pos: np.ndarray               # (M,) column of cand_rows, or entity id
+    cand_rows: np.ndarray | None       # None (every entity) | (K,) entity rows
+    cand_bias: np.ndarray | None       # None | (M, K) 0 on own candidates, NEG_INF elsewhere
     bio_targets: np.ndarray            # (B, T) int64 in {O, B, I}
     n_tokens: int                      # non-pad tokens in the whole batch
 
@@ -365,10 +349,13 @@ def build_batch(
 
     BIO targets encode every label of every context (including unlinked
     mentions); linking targets come from targets_per_context. When
-    shared_candidates is given, gold values index into it; when a target
-    carries its own candidate array, rows are padded with -1; when neither,
-    the loss runs over the full entity vocabulary and gold values are
-    entity ids.
+    shared_candidates is given, gold values index into it. When each target
+    carries its own candidate array (distinct, non-negative entities), gold
+    values index into that array; the batch scores the sorted union of the
+    arrays, with a per-mention bias of 0 on the mention's own entities and
+    NEG_INF on the rest, and gold_pos holds each gold's union column. When
+    neither, the loss runs over the full entity vocabulary and gold values
+    are entity ids.
     """
     B = len(contexts)
     seqs = tokens_override if tokens_override is not None else [c.tokens for c in contexts]
@@ -383,14 +370,19 @@ def build_batch(
         bio[b] = bio_encode([l.span for l in ctx.labels], T)
 
     ex, ss, ee, gold = [], [], [], []
-    ragged: list[np.ndarray] = []
-    has_ragged = False
+    own: list[np.ndarray | None] = []
     for b, targets in enumerate(targets_per_context):
         for t in targets:
+            cands = None if t.candidates is None else np.asarray(t.candidates, dtype=np.int64)
             if shared_candidates is not None:
                 in_range = 0 <= t.gold < len(shared_candidates)
-            elif t.candidates is not None:
-                in_range = 0 <= t.gold < len(t.candidates)
+            elif cands is not None:
+                if cands.size and (cands.min() < 0 or np.unique(cands).size < cands.size):
+                    raise ValueError(
+                        f"candidate list for span {t.span} repeats an entity or holds a "
+                        "negative index"
+                    )
+                in_range = 0 <= t.gold < len(cands)
             else:
                 in_range = t.gold >= 0
             if not in_range:
@@ -399,22 +391,20 @@ def build_batch(
             ss.append(t.span[0])
             ee.append(t.span[1])
             gold.append(t.gold)
-            if t.candidates is not None:
-                has_ragged = True
-            ragged.append(t.candidates)
+            own.append(cands)
 
-    cand_rows: np.ndarray | None
+    gold_pos = np.asarray(gold, dtype=np.int64)
+    cand_rows = cand_bias = None
     if shared_candidates is not None:
         cand_rows = np.asarray(shared_candidates, dtype=np.int64)
-    elif has_ragged:
-        if any(c is None for c in ragged):
+    elif any(c is not None for c in own):
+        if any(c is None for c in own):
             raise ValueError("mixed per-mention and full-vocabulary targets in one batch")
-        kmax = max(len(c) for c in ragged)
-        cand_rows = np.full((len(ragged), kmax), -1, dtype=np.int64)
-        for i, c in enumerate(ragged):
-            cand_rows[i, : len(c)] = c
-    else:
-        cand_rows = None
+        cand_rows, cols = np.unique(np.concatenate(own), return_inverse=True)
+        lens = np.array([len(c) for c in own])
+        cand_bias = np.full((len(own), len(cand_rows)), NEG_INF, dtype=DTYPE)
+        cand_bias[np.repeat(np.arange(len(own)), lens), cols] = 0.0
+        gold_pos = cols[np.cumsum(lens) - lens + gold_pos]
 
     return ModelBatch(
         tokens=tokens,
@@ -423,8 +413,9 @@ def build_batch(
         ment_ex=np.asarray(ex, dtype=np.int64),
         ment_start=np.asarray(ss, dtype=np.int64),
         ment_end=np.asarray(ee, dtype=np.int64),
-        gold_pos=np.asarray(gold, dtype=np.int64),
+        gold_pos=gold_pos,
         cand_rows=cand_rows,
+        cand_bias=cand_bias,
         bio_targets=bio,
         n_tokens=int((~pad_mask).sum()),
     )
@@ -433,18 +424,15 @@ def build_batch(
 def split_batch(batch: ModelBatch, cut: int) -> tuple[ModelBatch, ModelBatch]:
     """The batch's examples [:cut] and [cut:] as two shards, whose losses
     sum to the batch's. Each shard keeps the batch's loss divisors and its
-    shared candidate list (or full-vocabulary scoring); per-mention
-    candidate rows go with their mentions. A shard is padded only to its
-    own longest context: padding keys get exactly zero attention and pad
-    positions zero loss weight, so the losses still sum to the batch's."""
+    candidate rows (or full-vocabulary scoring); per-mention bias rows go
+    with their mentions. A shard is padded only to its own longest context:
+    padding keys get exactly zero attention and pad positions zero loss
+    weight, so the losses still sum to the batch's."""
     shards = []
     first = batch.ment_ex < cut
     for rows, ments in ((slice(0, cut), first), (slice(cut, None), ~first)):
         length = int((~batch.pad_mask[rows]).sum(axis=1).max(initial=1))
         cells = (rows, slice(0, length))
-        cand_rows = batch.cand_rows
-        if cand_rows is not None and cand_rows.ndim == 2:
-            cand_rows = cand_rows[ments]
         shards.append(replace(
             batch,
             tokens=batch.tokens[cells],
@@ -453,7 +441,7 @@ def split_batch(batch: ModelBatch, cut: int) -> tuple[ModelBatch, ModelBatch]:
             ment_start=batch.ment_start[ments],
             ment_end=batch.ment_end[ments],
             gold_pos=batch.gold_pos[ments],
-            cand_rows=cand_rows,
+            cand_bias=None if batch.cand_bias is None else batch.cand_bias[ments],
             bio_targets=batch.bio_targets[cells],
         ))
     return shards[0], shards[1]
@@ -467,20 +455,17 @@ def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Ten
     """Mean over the batch's examples of the summed per-mention candidate NLL.
 
     Unlinked mentions carry no target and contribute zero. Every gold must
-    be present in its candidate row (guaranteed upstream). Against a
-    candidate list shared by the batch, or the full vocabulary, scores and
-    NLL are one `table_softmax_nll` node; per-mention lists are scored as a
-    padded matrix.
+    be present in its candidate row (guaranteed upstream). Scores and NLL
+    are one `table_softmax_nll` node against the batch's candidate rows (or
+    the full vocabulary), with the per-mention bias, if any, masking each
+    mention's softmax down to its own candidates.
     """
     if len(batch.ment_ex) == 0:
         return _zero(H), _no_links()
     svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end)
-    if batch.cand_rows is None or batch.cand_rows.ndim == 1:
-        nll, pred = ad.table_softmax_nll(svec, params["ent_emb"], batch.cand_rows, batch.gold_pos)
-    else:
-        scores = _candidate_scores(params, svec, batch.cand_rows)
-        nll = mention_nll(scores, batch.gold_pos)
-        pred = scores.data.argmax(axis=-1)
+    nll, pred = ad.table_softmax_nll(
+        svec, params["ent_emb"], batch.cand_rows, batch.gold_pos, batch.cand_bias
+    )
     loss = nll.sum() * (1.0 / batch.n_examples)
     correct = int((pred == batch.gold_pos).sum())
     return loss, {
@@ -650,16 +635,6 @@ def rank_entities(
         ents = top if own is None else own[i][top]
         out.append([(int(e), float(row[j])) for e, j in zip(ents, top)])
     return out
-
-
-def predict_disambiguation(
-    params: ModelParams,
-    tokens,
-    spans: list[tuple[int, int]],
-    candidates: list | None = None,
-) -> list[int]:
-    """Best entity per gold span, over candidates or the full vocabulary."""
-    return [ranked[0][0] for ranked in rank_entities(params, tokens, spans, candidates, top_k=1)]
 
 
 def predict_end_to_end(params: ModelParams, tokens) -> list[tuple[tuple[int, int], int, float]]:

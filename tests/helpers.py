@@ -15,7 +15,7 @@ from elink import autodiff as ad
 from elink.autodiff import RowGrad, Tensor
 from elink.candidates import PageLinks, PhraseTable
 from elink.corpus import Context, MentionLabel, TokenVocab
-from elink.model import ModelParams, predict_disambiguation
+from elink.model import ModelParams, rank_entities
 
 N_FILLERS = 20
 
@@ -74,6 +74,11 @@ def make_world(n_entities=200, n_contexts=50, seed=0, ctx_len=12, mentions_per_c
     return vocab, contexts, phrase, pages
 
 
+def top1(params, tokens, spans, candidates=None) -> list[int]:
+    """Each span's best entity: rank_entities with top_k=1."""
+    return [ranked[0][0] for ranked in rank_entities(params, tokens, spans, candidates, top_k=1)]
+
+
 def all_entity_accuracy(params, contexts) -> float:
     """Disambiguation accuracy (%) over the full entity vocabulary, gold spans."""
     correct = total = 0
@@ -81,7 +86,7 @@ def all_entity_accuracy(params, contexts) -> float:
         labeled = [l for l in c.labels if l.entity is not None]
         if not labeled:
             continue
-        preds = predict_disambiguation(params, c.tokens, [l.span for l in labeled])
+        preds = top1(params, c.tokens, [l.span for l in labeled])
         for p, l in zip(preds, labeled):
             total += 1
             correct += int(p == l.entity)
@@ -303,9 +308,9 @@ def fd_group_errors(loss_fn, params, h=1e-3, norm_floor=1e-6) -> dict[str, float
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = loss_fn().item()
+            fp = float(loss_fn().data)
             flat[i] = orig - h
-            fm = loss_fn().item()
+            fm = float(loss_fn().data)
             flat[i] = orig
             nflat[i] = (fp - fm) / (2.0 * h)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), norm_floor)

@@ -19,6 +19,7 @@ from helpers import (
     oracle_bio_loss,
     oracle_linking_loss,
     oracle_micro_f1,
+    top1,
 )
 
 from elink.aliastable import RedirectCycleError, RedirectMap, resolve, table_stats
@@ -36,7 +37,6 @@ from elink.model import (
     encode,
     linking_loss,
     load_checkpoint,
-    predict_disambiguation,
     predict_end_to_end,
     save_checkpoint,
     span_repr,
@@ -170,7 +170,8 @@ def test_criterion_2_loss_oracles():
                 else:
                     ids = np.asarray(cand_matrix[i])
                 score_rows.append(svec[i] @ params["ent_emb"].data[ids].T)
-            expected_link = oracle_linking_loss(score_rows, batch.gold_pos,
+            gold_positions = [t.gold for row in prepared for t in row]
+            expected_link = oracle_linking_loss(score_rows, gold_positions,
                                                 batch.n_examples, batch.ment_ex)
             logits = H.data @ params["bio_w"].data + params["bio_b"].data
             expected_bio = oracle_bio_loss(logits, batch.bio_targets, ~batch.pad_mask)
@@ -421,8 +422,8 @@ def test_criterion_11_checkpoint_roundtrip(tmp_path):
         loaded = load_checkpoint(path)
         for ctx in contexts[:10]:
             spans = [l.span for l in ctx.labels]
-            assert (predict_disambiguation(loaded, ctx.tokens, spans)
-                    == predict_disambiguation(params, ctx.tokens, spans))
+            assert (top1(loaded, ctx.tokens, spans)
+                    == top1(params, ctx.tokens, spans))
             before = [(span, ent) for span, ent, _ in predict_end_to_end(params, ctx.tokens)]
             after = [(span, ent) for span, ent, _ in predict_end_to_end(loaded, ctx.tokens)]
             assert before == after

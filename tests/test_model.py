@@ -17,9 +17,10 @@ from helpers import (
     fd_group_errors,
     oracle_bio_loss,
     oracle_linking_loss,
-    oracle_softmax_nll,
+    top1,
 )
 
+from elink import autodiff as ad
 from elink import model
 from elink.autodiff import RowGrad, Tensor
 from elink.corpus import Context, MentionLabel
@@ -39,8 +40,6 @@ from elink.model import (
     linking_loss,
     load_checkpoint,
     manifest_path,
-    mention_nll,
-    predict_disambiguation,
     predict_end_to_end,
     rank_entities,
     save_checkpoint,
@@ -258,16 +257,23 @@ def test_empty_candidates_error(params):
 # ---------------------------------------------------------------------------
 
 
+def _mention_nll(scores: list[float], gold: int) -> float:
+    """The linking node's NLL of one mention whose columns score `scores`:
+    a 1-D span vector of 1 against a one-column table holding the scores."""
+    nll, _ = ad.table_softmax_nll(Tensor(np.ones((1, 1))), Tensor(np.array(scores)[:, None]),
+                                  None, [gold])
+    return float(nll.data[0])
+
+
 def test_mention_nll_worked_example():
     # gold score 1.0 against two zeros: loss = -ln(e / (e + 2))
-    nll = mention_nll(Tensor(np.array([[1.0, 0.0, 0.0]])), [0])
-    assert nll.data[0] == pytest.approx(-math.log(math.e / (math.e + 2)), abs=1e-12)
-    assert nll.data[0] == pytest.approx(0.5514, abs=1e-4)
+    nll = _mention_nll([1.0, 0.0, 0.0], 0)
+    assert nll == pytest.approx(-math.log(math.e / (math.e + 2)), abs=1e-12)
+    assert nll == pytest.approx(0.5514, abs=1e-4)
 
 
 def test_mention_nll_gold_dominates_to_zero():
-    nll = mention_nll(Tensor(np.array([[1e4, 0.0, 0.0]])), [0])
-    assert 0.0 <= nll.data[0] < 1e-12
+    assert 0.0 <= _mention_nll([1e4, 0.0, 0.0], 0) < 1e-12
 
 
 def test_linking_loss_all_null_is_zero(params):
@@ -300,22 +306,38 @@ def test_linking_loss_matches_oracle_shared_candidates(params64):
 
 
 def test_linking_loss_matches_oracle_ragged(params64):
+    """Per-mention lists of unequal length that overlap across mentions and
+    examples: each mention's gold is a negative of another, and every
+    mention's NLL runs over its own list alone."""
     rng = np.random.default_rng(9)
-    ctx = make_context(rng, labels=[MentionLabel((0, 1), 2, None),
-                                    MentionLabel((3, 3), 7, None)])
-    targets = [[
-        MentionTarget((0, 1), 1, candidates=np.array([5, 2, 9])),
-        MentionTarget((3, 3), 0, candidates=np.array([7, 1])),
-    ]]
-    batch = build_batch([ctx], 0, targets)
+    lists = [
+        [([5, 2, 9], 1, (0, 1)), ([7, 1], 0, (3, 3))],
+        [([9, 2, 7, 4], 0, (2, 4)), ([2], 0, (6, 6)), ([1, 5, 7], 2, (8, 9))],
+    ]
+    contexts, targets, rows = [], [], []
+    for per_ctx in lists:
+        labels, tgts = [], []
+        for cands, gold, span in per_ctx:
+            labels.append(MentionLabel(span, cands[gold], None))
+            tgts.append(MentionTarget(span, gold, candidates=np.array(cands)))
+            rows.append((cands, gold))
+        contexts.append(make_context(rng, labels=labels))
+        targets.append(tgts)
+    batch = build_batch(contexts, 0, targets)
+    assert batch.cand_rows.tolist() == [1, 2, 4, 5, 7, 9]
+    assert batch.cand_rows[batch.gold_pos].tolist() == [2, 7, 9, 2, 7]
+    for own, bias in zip(rows, batch.cand_bias):
+        assert batch.cand_rows[bias == 0.0].tolist() == sorted(own[0])
+        assert (bias[bias != 0.0] == model.NEG_INF).all()
     H = encode(params64, batch.tokens, batch.pad_mask)
-    loss, _ = linking_loss(params64, H, batch)
+    loss, metrics = linking_loss(params64, H, batch)
 
     svec = span_repr(params64, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
-    row0 = svec[0] @ params64["ent_emb"].data[[5, 2, 9]].T
-    row1 = svec[1] @ params64["ent_emb"].data[[7, 1]].T
-    expected = oracle_softmax_nll(list(row0), 1) + oracle_softmax_nll(list(row1), 0)
+    score_rows = [svec[i] @ params64["ent_emb"].data[c].T for i, (c, _) in enumerate(rows)]
+    expected = oracle_linking_loss(score_rows, [g for _, g in rows], 2, batch.ment_ex)
     assert loss.data == pytest.approx(expected, abs=1e-9)
+    correct = sum(int(np.argmax(r)) == g for r, (_, g) in zip(score_rows, rows))
+    assert metrics["n_correct_links"] == correct
 
 
 def test_bio_targets_example():
@@ -371,6 +393,10 @@ def test_gold_outside_candidates_rejected(params):
         build_batch([ctx], 0, [[MentionTarget((1, 2), 7)]], np.array([5, 3]))
     with pytest.raises(ValueError, match="gold missing"):
         build_batch([ctx], 0, [[MentionTarget((1, 2), 2, candidates=np.array([5, 3]))]])
+    # a per-mention list must hold distinct, non-negative entities; -1 is not padding
+    for cands in ([5, 3, 5], [5, -1], [-1, 5]):
+        with pytest.raises(ValueError, match=r"span \(1, 2\) repeats an entity or holds a negative"):
+            build_batch([ctx], 0, [[MentionTarget((1, 2), 0, candidates=np.array(cands))]])
 
 
 def test_total_loss_weights(params64):
@@ -535,7 +561,7 @@ def test_bio_decode_valid_on_arbitrary_tags(tags):
 def test_single_candidate_returned(params):
     rng = np.random.default_rng(16)
     ctx = make_context(rng)
-    assert predict_disambiguation(params, ctx.tokens, [(1, 2)], [[13]]) == [13]
+    assert top1(params, ctx.tokens, [(1, 2)], [[13]]) == [13]
 
 
 def test_predict_matches_brute_force_full_vocab(params):
@@ -545,7 +571,7 @@ def test_predict_matches_brute_force_full_vocab(params):
     sv = span_repr(params, H, [0], [1], [2]).data[0]
     scores = [float(sv @ params["ent_emb"].data[c]) for c in range(TINY.n_entities)]
     best = max(range(TINY.n_entities), key=lambda c: (scores[c], -c))
-    assert predict_disambiguation(params, ctx.tokens, [(1, 2)]) == [best]
+    assert top1(params, ctx.tokens, [(1, 2)]) == [best]
 
 
 def test_hand_set_embeddings_select_entity_two(params):
@@ -555,14 +581,14 @@ def test_hand_set_embeddings_select_entity_two(params):
     sv = span_repr(params, H, [0], [1], [2]).data[0]
     params["ent_emb"].data[:] = -np.ones_like(params["ent_emb"].data)
     params["ent_emb"].data[2] = 10.0 * sv / np.linalg.norm(sv)
-    assert predict_disambiguation(params, ctx.tokens, [(1, 2)]) == [2]
+    assert top1(params, ctx.tokens, [(1, 2)]) == [2]
 
 
 def test_exact_tie_breaks_to_lowest_entity(params):
     rng = np.random.default_rng(19)
     ctx = make_context(rng)
     params["ent_emb"].data[9] = params["ent_emb"].data[5]  # exact tie
-    pred = predict_disambiguation(params, ctx.tokens, [(1, 2)], [[9, 5]])
+    pred = top1(params, ctx.tokens, [(1, 2)], [[9, 5]])
     assert pred == [5]
 
 
@@ -570,11 +596,11 @@ def test_candidate_subset_consistent_with_full(params):
     rng = np.random.default_rng(20)
     for _ in range(25):
         ctx = make_context(rng)
-        full = predict_disambiguation(params, ctx.tokens, [(1, 2)])[0]
+        full = top1(params, ctx.tokens, [(1, 2)])[0]
         cands = list(rng.choice(TINY.n_entities, size=6, replace=False))
         if full not in cands:
             cands.append(full)
-        sub = predict_disambiguation(params, ctx.tokens, [(1, 2)], [cands])[0]
+        sub = top1(params, ctx.tokens, [(1, 2)], [cands])[0]
         assert sub == full
 
 
@@ -582,11 +608,11 @@ def test_constant_score_shift_leaves_argmax(params):
     rng = np.random.default_rng(21)
     ctx = make_context(rng)
     cands = [[1, 4, 7, 9]]
-    before = predict_disambiguation(params, ctx.tokens, [(1, 2)], cands)
+    before = top1(params, ctx.tokens, [(1, 2)], cands)
     # adding one shared vector to every entity embedding shifts all scores
     # of a given span by the same constant
     params["ent_emb"].data += rng.normal(size=TINY.d_entity) * 3.0
-    after = predict_disambiguation(params, ctx.tokens, [(1, 2)], cands)
+    after = top1(params, ctx.tokens, [(1, 2)], cands)
     assert before == after
 
 
@@ -738,8 +764,8 @@ def test_checkpoint_roundtrip_predictions(tmp_path, params):
     loaded = load_checkpoint(path)
     assert loaded.config == params.config
     spans = [(1, 2), (4, 4)]
-    assert predict_disambiguation(loaded, ctx.tokens, spans) == \
-        predict_disambiguation(load_checkpoint(path), ctx.tokens, spans)
+    assert top1(loaded, ctx.tokens, spans) == \
+        top1(load_checkpoint(path), ctx.tokens, spans)
 
 
 def test_checkpoint_header_and_manifest(tmp_path, params):

@@ -607,7 +607,7 @@ def _first_sharded_step(monkeypatch, case):
                        log_interval=1, rng_seed=3,
                        softmax_mode="all_entities" if full else "candidates")
     if case == "alias_rows":
-        # two or three candidates per name, so the (M, Kmax) rows carry padding
+        # two or three candidates per name, so each mention's list is a part of the union
         table = AliasTable({f"n{i}": [2 * i, 2 * i + 1] + [(2 * i + 2) % 20] * (i % 2)
                             for i in range(10)})
         _, rows, _ = finetune(params, contexts, "alias_candidates", vocab, tcfg, table)
@@ -628,10 +628,14 @@ def test_sharded_step_equals_one_tape_in_float64(monkeypatch, case):
     if case.startswith("links_in_one_half"):
         assert (batch.ment_ex < cut).all() or (batch.ment_ex >= cut).all()
     if case == "alias_rows":
-        assert batch.cand_rows.ndim == 2 and (batch.cand_rows < 0).any()
+        # a union column outside some mention's own list is masked for it
+        assert batch.cand_bias.shape == (len(batch.ment_ex), len(batch.cand_rows))
+        assert (batch.cand_bias == M.NEG_INF).any()
+    else:
+        assert batch.cand_bias is None
     if case.endswith("full_vocabulary"):
         assert batch.cand_rows is None
-    if case in ("shared_union", "one_example", "links_in_one_half"):
+    else:
         assert batch.cand_rows.ndim == 1
 
     loss, metrics = M.total_loss(before, batch)
