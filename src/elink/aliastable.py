@@ -73,6 +73,12 @@ class AliasTable:
 
     def __init__(self, table: dict[str, list[int]] | None = None):
         self.table = dict(table or {})
+        for alias, cands in self.table.items():
+            if len(set(cands)) != len(cands) or (cands and min(cands) < 0):
+                raise ValueError(
+                    f"alias {alias!r}: candidates {list(cands)} repeat an entity "
+                    "or hold a negative index"
+                )
 
     def lookup(self, surface: str) -> list[int]:
         return self.table.get(normalize_alias(surface), [])

@@ -21,7 +21,10 @@ gradient as soon as its rule has consumed it, and after the sweep strips
 every interior node of its backward rule and parents, so a step's
 activations die with its backward rather than with the next step's
 forward. Leaves keep their gradients; a second backward() through the
-spent graph raises.
+spent graph raises. Two nodes keep less than that: `table_softmax_nll`
+drops its (N, K) score matrix as soon as its rule has run, not at the end
+of the sweep, and `gelu` keeps only its input and recomputes the rest in
+its backward.
 
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
@@ -450,7 +453,8 @@ def table_softmax_nll(
     their buffer, a block of sorted rows at a time. So the node holds no
     gathered rows between forward and backward and makes no second
     row-sized array; the gradient is a RowGrad over the sorted rows (dense
-    when rows is None).
+    when rows is None). The rule then drops the score matrix, so it does
+    not live on through the rest of the backward sweep.
     """
     gold = np.asarray(gold, dtype=np.int64)
     at = np.arange(len(gold))
@@ -473,32 +477,31 @@ def table_softmax_nll(
     out = Tensor(lse[:, 0] - picked, _parents=(svec, table))
 
     def bwd(g):
-        np.divide(s, total, out=s)
-        s[at, gold] -= 1.0
-        np.multiply(s, g[:, None], out=s)
+        nonlocal s
+        ds, s = s, None  # the rule is the score matrix's last reader
+        np.divide(ds, total, out=ds)
+        ds[at, gold] -= 1.0
+        np.multiply(ds, g[:, None], out=ds)
         emb = table.data if rows is None else table.data[rows]
         if svec.requires_grad:
-            _accum(svec, s @ emb)
+            _accum(svec, ds @ emb)
         if not table.requires_grad:
             return
         if rows is None:
-            _accum(table, s.T @ svec.data)
+            _accum(table, ds.T @ svec.data)
             return
         # emb is spent: block by block, it takes the gradient of the sorted rows
         step = max(1, _GRAD_BLOCK // max(1, len(gold)))
         for lo in range(0, len(order), step):
-            np.matmul(s[:, order[lo : lo + step]].T, svec.data, out=emb[lo : lo + step])
+            np.matmul(ds[:, order[lo : lo + step]].T, svec.data, out=emb[lo : lo + step])
         _accum(table, RowGrad.of_rows(rows_sorted, emb, table.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out, pred
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU in its tanh form, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
-    as Google's BERT code computes it. The backward is this function's
-    exact derivative."""
-    x = a.data
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """0.5 (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), as a new array."""
     cdf = x * x
     cdf *= _GELU_C * _GELU_A
     cdf += _GELU_C
@@ -506,11 +509,21 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(cdf, out=cdf)
     cdf *= 0.5
     cdf += 0.5
-    out = Tensor(x * cdf, _parents=(a,))
+    return cdf
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU in its tanh form, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
+    as Google's BERT code computes it. The backward is this function's
+    exact derivative. The node keeps only its input: the backward recomputes
+    the cdf from it with the forward's ops in the forward's order, so it
+    gets the forward's bytes."""
+    x = a.data
+    out = Tensor(x * _gelu_cdf(x), _parents=(a,))
 
     def bwd(g):
-        # cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2); x^2 is
-        # recomputed rather than kept through the forward
+        # cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2)
+        cdf = _gelu_cdf(x)
         d = x * x
         d *= 6.0 * _GELU_C * _GELU_A
         d += 2.0 * _GELU_C

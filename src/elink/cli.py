@@ -71,6 +71,12 @@ def _load_model(args, cfg: RunConfig, training: bool = False):
     return tvocab, evocab, params
 
 
+def _load_dataset(args, cfg: RunConfig, tvocab, evocab) -> list[cp.Context]:
+    """The --dataset context cache, its ids checked against the vocabularies."""
+    path = _pick(args.dataset, cfg.paths.dataset, "dataset")
+    return cp.load_contexts(path, len(tvocab), len(evocab))
+
+
 def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
     s = cfg.model
     return ModelConfig(
@@ -160,7 +166,9 @@ def cmd_pretrain(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
     tvocab, evocab = _load_vocabs(args, cfg)
-    contexts = cp.load_contexts(_pick(args.corpus, cfg.paths.corpus, "corpus"))
+    contexts = cp.load_contexts(
+        _pick(args.corpus, cfg.paths.corpus, "corpus"), len(tvocab), len(evocab)
+    )
     page_links = (
         PageLinks.from_tsv(cfg.paths.page_links, evocab) if cfg.paths.page_links else None
     )
@@ -200,7 +208,7 @@ def cmd_finetune(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
     tvocab, evocab, params = _load_model(args, cfg, training=True)
-    contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
+    contexts = _load_dataset(args, cfg, tvocab, evocab)
     if params is None:
         params = ModelParams.initialize(
             _model_config(cfg, tvocab, evocab),
@@ -241,7 +249,7 @@ def _write_or_print(report: dict, out_path) -> None:
 def cmd_eval_disambig(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     tvocab, evocab, params = _load_model(args, cfg)
-    contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
+    contexts = _load_dataset(args, cfg, tvocab, evocab)
     alias_table = None
     if args.candidates == "alias":
         alias_table, _ = _load_alias_table(args, cfg, evocab)
@@ -254,8 +262,8 @@ def cmd_eval_disambig(args, overrides) -> int:
 
 def cmd_eval_e2e(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
-    _, _, params = _load_model(args, cfg)
-    contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
+    tvocab, evocab, params = _load_model(args, cfg)
+    contexts = _load_dataset(args, cfg, tvocab, evocab)
     result = ev.run_end_to_end(params, contexts)
     _write_or_print(result.report(), args.out)
     return 0

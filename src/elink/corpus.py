@@ -646,7 +646,15 @@ def save_contexts(path, contexts) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def load_contexts(path) -> list[Context]:
+def load_contexts(
+    path, n_tokens: int | None = None, n_entities: int | None = None
+) -> list[Context]:
+    """The contexts of a JSONL context cache, one per non-blank line.
+
+    Given the vocabulary sizes, every token id must lie in [0, n_tokens) and
+    every label's entity index in [0, n_entities) or be null. A malformed
+    line raises CorpusFormatError naming path:line.
+    """
     contexts = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -658,14 +666,27 @@ def load_contexts(path) -> list[Context]:
                     MentionLabel(tuple(l["span"]), l["entity"], l.get("surface"))
                     for l in rec.get("labels", [])
                 ]
-                contexts.append(
-                    Context(
-                        tokens=list(rec["tokens"]),
-                        char_offsets=[tuple(o) for o in rec["char_offsets"]],
-                        doc_id=rec["doc_id"],
-                        labels=labels,
-                    )
+                ctx = Context(
+                    tokens=list(rec["tokens"]),
+                    char_offsets=[tuple(o) for o in rec["char_offsets"]],
+                    doc_id=rec["doc_id"],
+                    labels=labels,
                 )
+                _check_indices(ctx, n_tokens, n_entities)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+            contexts.append(ctx)
     return contexts
+
+
+def _check_indices(ctx: Context, n_tokens: int | None, n_entities: int | None) -> None:
+    """Raise ValueError if a token id or entity index of ctx falls outside
+    its vocabulary (a size of None skips that check)."""
+    if n_tokens is not None and ctx.tokens:
+        for t in (min(ctx.tokens), max(ctx.tokens)):
+            if not 0 <= t < n_tokens:
+                raise ValueError(f"token id {t} outside [0, {n_tokens})")
+    if n_entities is not None:
+        for l in ctx.labels:
+            if l.entity is not None and not 0 <= l.entity < n_entities:
+                raise ValueError(f"entity index {l.entity} outside [0, {n_entities})")

@@ -9,6 +9,8 @@ full-vocabulary softmax.
 Each step runs its batch as two shards, the first ceil(B/2) examples and
 the rest, each recording its own tape on its own thread, and sums their
 gradients (shard 0's, then shard 1's) before one clip and one Adam update.
+A step's batch, tapes and gradients die with the step, so the next step's
+forward does not run beside them.
 For the whole loop OpenBLAS runs on one thread, so training uses at most two
 cores, and a shard's bytes do not depend on the thread that computes it or
 on the core count. All randomness is derived from config seeds, so
@@ -332,30 +334,36 @@ def _run_loop(params, batches_fn, train_cfg, out_dir) -> tuple[ModelParams, list
     def forward(leaves, batch):
         return M.total_loss(leaves, batch, train_cfg.link_weight, train_cfg.bio_weight)
 
+    def train_step(step: int, worker) -> LogRow:
+        """One clipped Adam step. Its batch, losses and gradients are locals,
+        so they die when it returns, before the next step's batch is built."""
+        batch = batches_fn(step)
+        parts = M.split_batch(batch, (batch.n_examples + 1) // 2)
+        live = [(leaves, b) for leaves, b in zip(shards, parts) if len(b.tokens)]
+        outs = _on_shards(worker, forward, live)
+        loss = sum(out[0].data for out in outs)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(step, last_ckpt)
+        grads = _sum_shards(_on_shards(
+            worker, M.backward, [(out[0], leaves) for out, (leaves, _) in zip(outs, live)]
+        ))
+        for leaves in shards:
+            leaves.zero_grad()  # the sum holds what it needs of them
+        clip_gradients(grads, train_cfg.clip_norm)
+        lr = lr_schedule(step, train_cfg)
+        adam_step(params, grads, state, lr, train_cfg)
+        n_linked = sum(m["n_linked_mentions"] for _, m in outs)
+        correct = sum(m["n_correct_links"] for _, m in outs)
+        acc = correct / n_linked if n_linked else float("nan")
+        return LogRow(step=step, lr=lr, loss=float(loss), linking_acc=acc)
+
     try:
         with threads.one_blas_thread() as pinned, ThreadPoolExecutor(1) as pool:
             worker = pool if pinned and M._usable_cpus() > 1 else None
             for step in range(1, train_cfg.total_steps + 1):
-                batch = batches_fn(step)
-                parts = M.split_batch(batch, (batch.n_examples + 1) // 2)
-                live = [(leaves, b) for leaves, b in zip(shards, parts) if len(b.tokens)]
-                outs = _on_shards(worker, forward, live)
-                loss = sum(out[0].data for out in outs)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(step, last_ckpt)
-                grads = _sum_shards(_on_shards(
-                    worker, M.backward, [(out[0], leaves) for out, (leaves, _) in zip(outs, live)]
-                ))
-                for leaves in shards:
-                    leaves.zero_grad()  # the sum holds what it needs of them
-                clip_gradients(grads, train_cfg.clip_norm)
-                lr = lr_schedule(step, train_cfg)
-                adam_step(params, grads, state, lr, train_cfg)
+                row = train_step(step, worker)
                 if step % train_cfg.log_interval == 0 or step == train_cfg.total_steps:
-                    n_linked = sum(m["n_linked_mentions"] for _, m in outs)
-                    correct = sum(m["n_correct_links"] for _, m in outs)
-                    acc = correct / n_linked if n_linked else float("nan")
-                    logger.log(LogRow(step=step, lr=lr, loss=float(loss), linking_acc=acc))
+                    logger.log(row)
                 if (
                     out_dir is not None
                     and train_cfg.checkpoint_interval > 0

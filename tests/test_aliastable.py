@@ -94,6 +94,12 @@ def test_duplicate_targets_kept_once(evocab):
     assert report.n_resolved == 2  # both entries resolved; list deduplicates
 
 
+@pytest.mark.parametrize("cands", [[14, 15, 14], [3, -1]], ids=["repeated", "negative"])
+def test_alias_table_rejects_a_repeated_or_negative_entity(cands):
+    with pytest.raises(ValueError, match="alias 'n7'"):
+        AliasTable({"n6": [1, 2], "n7": cands})
+
+
 def test_lookup_normalizes_queries(evocab):
     table, _ = resolve([("New  York", "New_York_City")], None, evocab)
     assert table.lookup("  NEW   YORK ") == [0]
@@ -141,8 +147,9 @@ def test_stats_bounds_random():
 
     rng = np.random.default_rng(5)
     for _ in range(50):
-        table = AliasTable({f"s{i}": list(rng.integers(0, 20, size=rng.integers(0, 5)))
-                            for i in range(10)})
+        # an alias table's lists are duplicate-free: keep each draw's first copy
+        draws = [rng.integers(0, 20, size=rng.integers(0, 5)) for _ in range(10)]
+        table = AliasTable({f"s{i}": list(dict.fromkeys(d)) for i, d in enumerate(draws)})
         mentions = [(f"s{rng.integers(0, 12)}", int(rng.integers(0, 20))) for _ in range(8)]
         recall, ambiguity = table_stats(table, mentions)
         assert 0.0 <= recall <= 100.0

@@ -1,6 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,39 @@ def test_table_softmax_nll_rejects_repeated_or_negative_rows(rng):
     for rows in ([1, 4, 1], [2, -1]):
         with pytest.raises(ValueError, match="distinct"):
             ad.table_softmax_nll(svec, table, np.array(rows), np.zeros(3))
+
+
+def _closure_arrays(rule) -> list:
+    """The arrays a backward rule's closure holds directly."""
+    return [c.cell_contents for c in rule.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+
+
+def test_table_softmax_nll_drops_its_scores_once_its_rule_has_run(rng):
+    """The (N, K) score matrix is unreferenced as soon as the node's rule
+    has run, while the sweep still has the node's input to walk."""
+    svec, table, rows, gold = _table_case(rng)
+    h = svec * 1.0   # an interior input, whose rule runs after the node's
+    nll, _ = ad.table_softmax_nll(h, table, rows, gold)
+    (scores,) = [a for a in _closure_arrays(nll._backward) if a.shape == (3, 5)]
+    ref = weakref.ref(scores)
+    del scores
+    alive_at_input = []
+    rule = h._backward
+
+    def watched(g):
+        alive_at_input.append(ref() is not None)
+        rule(g)
+
+    h._backward = watched
+    nll.sum().backward()
+    assert alive_at_input == [False]
+
+
+def test_gelu_keeps_only_its_input(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    out = ad.gelu(a)
+    held = _closure_arrays(out._backward)
+    assert held and all(x is a.data for x in held)
 
 
 def test_gelu_grad(rng):

@@ -425,6 +425,30 @@ def test_eval_vocab_size_mismatch(world, built_corpus, trained, tmp_path, capsys
     assert "vocab-size mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval-disambig", "eval-e2e"])
+def test_context_ids_are_checked_against_the_vocabularies(world, built_corpus, trained,
+                                                          tmp_path, capsys, command):
+    """A token id of -1, which numpy would wrap to the last embedding row,
+    fails every command that reads contexts with the file's path:line."""
+    root, paths, _ = world
+    lines = open(built_corpus).read().splitlines()
+    rec = json.loads(lines[1])
+    rec["tokens"][0] = -1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    vocabs = ["--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"]]
+    argv = {
+        "pretrain": ["--corpus", str(bad), "--out-dir", str(tmp_path / "run")],
+        "finetune": ["--dataset", str(bad), "--mode", "all_entities",
+                     "--out-dir", str(tmp_path / "run")],
+        "eval-disambig": ["--checkpoint", trained, "--dataset", str(bad), "--candidates", "all"],
+        "eval-e2e": ["--checkpoint", trained, "--dataset", str(bad)],
+    }[command]
+    assert main([command] + argv + vocabs) == 1
+    assert f"{bad}:2: token id -1 outside" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # alias-stats
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tokenization, chunking, alignment, eval contexts, and corpus files."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -484,3 +485,32 @@ def test_context_cache_roundtrip(tmp_path_factory, contexts):
     save_contexts(path, contexts)
     loaded = load_contexts(path)
     assert loaded == contexts
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("token", -1, "token id -1 outside"),
+    ("token", 10**7, "token id 10000000 outside"),
+    ("entity", 10**7, "entity index 10000000 outside"),
+    ("entity", -1, "entity index -1 outside"),
+])
+def test_load_contexts_checks_ids_against_the_vocabulary_sizes(tmp_path, field, value, message):
+    """An id outside its vocabulary fails with path:line once the sizes are
+    given; without them the file loads as written."""
+    good = Context(tokens=[4, 5, 6], char_offsets=[(0, 1), (2, 3), (4, 5)], doc_id="d",
+                   labels=[MentionLabel((0, 1), 2, "yuri gagarin")])
+    bad = Context(tokens=[4, value, 6] if field == "token" else [4, 5, 6],
+                  char_offsets=good.char_offsets, doc_id="e",
+                  labels=[MentionLabel((0, 1), value if field == "entity" else 2, "x")])
+    path = tmp_path / "cache.jsonl"
+    save_contexts(path, [good, bad])
+    assert load_contexts(path) == [good, bad]
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: {message}")):
+        load_contexts(path, 10, 3)
+
+
+def test_load_contexts_accepts_ids_at_the_vocabulary_edges(tmp_path):
+    ctx = Context(tokens=[0, 9], char_offsets=[(0, 1), (2, 3)], doc_id="d",
+                  labels=[MentionLabel((0, 0), 2), MentionLabel((1, 1), None)])
+    path = tmp_path / "cache.jsonl"
+    save_contexts(path, [ctx])
+    assert load_contexts(path, 10, 3) == [ctx]

@@ -1,6 +1,7 @@
 """Schedule, clipping, Adam, and the pretrain/finetune loops."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -426,22 +427,29 @@ def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
     """When any shard's forward of step t+1 starts, no attention
     probabilities of step t, of either shard, are alive: each shard's tape
     has freed itself. The second shard of a step may already be recording,
-    so each forward counts only the probabilities of finished steps. Shards
-    on two threads and on one."""
+    so each forward counts only the probabilities of finished steps. No
+    gradient array handed to step t's adam_step is alive either: a step's
+    gradients die with it. Shards on two threads and on one."""
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
     probs = attention_prob_refs(monkeypatch)
+    handed = []      # weakrefs to the arrays of every gradient handed to adam_step
     finished = [0]   # len(probs) when the last finished step reached Adam
-    alive = []       # per forward: (probabilities of finished steps, how many alive)
+    alive = []       # per forward: (probabilities of finished steps, how many
+                     # alive, how many handed gradient arrays alive)
     orig_loss, orig_adam = M.total_loss, training.adam_step
 
     def total_loss(*args, **kwargs):
         done = probs[: finished[0]]
-        alive.append((len(done), sum(r() is not None for r in done)))
+        alive.append((len(done), sum(r() is not None for r in done),
+                      sum(r() is not None for r in handed)))
         return orig_loss(*args, **kwargs)
 
-    def adam_step(*args, **kwargs):
+    def adam_step(params, grads, *args, **kwargs):
         finished[0] = len(probs)
-        return orig_adam(*args, **kwargs)
+        for g in grads.values():
+            arrays = (g.rows, g.values) if isinstance(g, RowGrad) else (g,)
+            handed.extend(weakref.ref(a) for a in arrays)
+        return orig_adam(params, grads, *args, **kwargs)
 
     monkeypatch.setattr(M, "total_loss", total_loss)
     monkeypatch.setattr(training, "adam_step", adam_step)
@@ -450,11 +458,13 @@ def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
     for cpus in (2, 1):
         monkeypatch.setattr(M, "_usable_cpus", lambda n=cpus: n)
         probs.clear()
+        handed.clear()
         alive.clear()
         finished[0] = 0
         pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
         assert len(probs) == 3 * per_step
-        assert alive == [(0, 0)] * 2 + [(per_step, 0)] * 2 + [(2 * per_step, 0)] * 2
+        assert handed
+        assert alive == [(0, 0, 0)] * 2 + [(per_step, 0, 0)] * 2 + [(2 * per_step, 0, 0)] * 2
 
 
 def test_pretrain_empty_corpus_rejected():
