@@ -4,10 +4,10 @@ Each training example gets a fixed-size candidate set: its gold entities,
 hard negatives from the source article's link set ("page") and from a
 surface-string phrase table ("phrase"), topped up with uniform-random
 entities. Within a batch, every example additionally sees the union of all
-examples' candidates.
+examples' candidates. A gold stays an entity id throughout; the batch
+builder finds its column in the union.
 """
 
-import copy
 import logging
 from dataclasses import dataclass
 
@@ -41,29 +41,14 @@ class CandidateConfig:
 
 @dataclass
 class CandidateSet:
-    """Ordered duplicate-free entity indices plus, per mention label, the
-    position of its gold entity in that list (None for unlinked mentions)."""
+    """Ordered duplicate-free entity indices. The golds they must hold are
+    the entity ids of the mention labels they were built for."""
 
     entities: list[int]
-    gold_positions: list[int | None]
 
     def __post_init__(self):
         if len(set(self.entities)) != len(self.entities):
             raise ValueError("candidate entities contain duplicates")
-        self._check_gold_positions()
-
-    def _check_gold_positions(self):
-        for pos in self.gold_positions:
-            if pos is not None and not (0 <= pos < len(self.entities)):
-                raise ValueError(f"gold position {pos} outside candidate list")
-
-    def with_gold_positions(self, gold_positions: list[int | None]) -> "CandidateSet":
-        """A set over this one's entity list (shared, not copied or rechecked)
-        with other gold positions."""
-        out = copy.copy(self)
-        out.gold_positions = gold_positions
-        out._check_gold_positions()
-        return out
 
 
 class PhraseTable:
@@ -184,7 +169,6 @@ def _phrase_budgets(total: int, n_mentions: int) -> list[int]:
 
 def assemble_candidates(
     labels: list[MentionLabel],
-    surfaces: list[str | None],
     doc_id: str,
     cfg: CandidateConfig,
     page_links: PageLinks | None,
@@ -194,14 +178,13 @@ def assemble_candidates(
 ) -> CandidateSet:
     """Build one example's candidate set of exactly cfg.k entities.
 
-    Contains every non-null gold, then page candidates, then phrase-table
-    candidates split across mentions, then uniform-random fill. Duplicates
-    keep their highest-priority role (gold > page > phrase > random), and
-    page/phrase additions stop at k - min_random so the random floor holds
-    whenever the entity vocabulary allows it.
+    Contains every non-null gold entity id, then page candidates, then
+    phrase-table candidates for each label's surface, split across
+    mentions, then uniform-random fill. Duplicates keep their
+    highest-priority role (gold > page > phrase > random), and page/phrase
+    additions stop at k - min_random so the random floor holds whenever the
+    entity vocabulary allows it.
     """
-    if len(surfaces) != len(labels):
-        raise ValueError("labels and surfaces must be parallel")
     if rng is None:
         rng = derive_rng(cfg.rng_seed, "assemble")
 
@@ -231,10 +214,10 @@ def assemble_candidates(
 
     if phrase_table is not None and cfg.max_phrase > 0 and labels:
         budgets = _phrase_budgets(cfg.max_phrase, len(labels))
-        for surface, budget in zip(surfaces, budgets):
-            if surface is None:
+        for lab, budget in zip(labels, budgets):
+            if lab.surface is None:
                 continue
-            for e in phrase_candidates(normalize_alias(surface), phrase_table, budget):
+            for e in phrase_candidates(normalize_alias(lab.surface), phrase_table, budget):
                 if len(chosen) >= cap:
                     break
                 if e not in seen:
@@ -245,31 +228,14 @@ def assemble_candidates(
     if need > 0:
         chosen.extend(random_candidates(seen, n_entities, need, rng))
 
-    positions = {e: i for i, e in enumerate(chosen)}
-    gold_positions = [
-        None if lab.entity is None else positions[lab.entity] for lab in labels
-    ]
-    return CandidateSet(entities=chosen, gold_positions=gold_positions)
+    return CandidateSet(entities=chosen)
 
 
 def batch_negatives(sets: list[CandidateSet]) -> list[CandidateSet]:
     """Share candidates across a batch: everyone sees the deduplicated union.
 
-    Union order is first appearance over example order; gold positions are
-    re-indexed into the union. The union is built and validated once, and
-    every returned set shares that one entity list.
+    Union order is first appearance over example order. The union is built
+    and validated once, and every returned set is that one set.
     """
-    union: list[int] = []
-    where: dict[int, int] = {}
-    for cs in sets:
-        for e in cs.entities:
-            if e not in where:
-                where[e] = len(union)
-                union.append(e)
-    shared = CandidateSet(entities=union, gold_positions=[])
-    return [
-        shared.with_gold_positions(
-            [None if pos is None else where[cs.entities[pos]] for pos in cs.gold_positions]
-        )
-        for cs in sets
-    ]
+    shared = CandidateSet(entities=list(dict.fromkeys(e for cs in sets for e in cs.entities)))
+    return [shared] * len(sets)

@@ -275,7 +275,9 @@ def cmd_alias_stats(args, overrides) -> int:
         _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab")
     )
     table, report = _load_alias_table(args, cfg, evocab)
-    contexts = cp.load_contexts(_pick(args.dataset, cfg.paths.dataset, "dataset"))
+    contexts = cp.load_contexts(
+        _pick(args.dataset, cfg.paths.dataset, "dataset"), n_entities=len(evocab)
+    )
     mentions = [
         (l.surface, l.entity)
         for c in contexts

@@ -651,9 +651,11 @@ def load_contexts(
 ) -> list[Context]:
     """The contexts of a JSONL context cache, one per non-blank line.
 
-    Given the vocabulary sizes, every token id must lie in [0, n_tokens) and
-    every label's entity index in [0, n_entities) or be null. A malformed
-    line raises CorpusFormatError naming path:line.
+    Token ids, span ends and non-null entity indices must be JSON integers
+    (not floats or booleans). Given the vocabulary sizes, every token id
+    must lie in [0, n_tokens) and every label's entity index in
+    [0, n_entities) or be null. A malformed line raises CorpusFormatError
+    naming path:line.
     """
     contexts = []
     with open(path, encoding="utf-8") as f:
@@ -680,8 +682,17 @@ def load_contexts(
 
 
 def _check_indices(ctx: Context, n_tokens: int | None, n_entities: int | None) -> None:
-    """Raise ValueError if a token id or entity index of ctx falls outside
-    its vocabulary (a size of None skips that check)."""
+    """Raise ValueError if a token id, span end or entity index of ctx is
+    not an integer, or if a token id or entity index falls outside its
+    vocabulary (a size of None skips that check)."""
+    for what, values in (
+        ("token id", ctx.tokens),
+        ("span end", [e for l in ctx.labels for e in l.span]),
+        ("entity index", [l.entity for l in ctx.labels if l.entity is not None]),
+    ):
+        for v in values:
+            if type(v) is not int:  # bool is an int subclass, and is rejected too
+                raise ValueError(f"{what} {json.dumps(v)} is not an integer")
     if n_tokens is not None and ctx.tokens:
         for t in (min(ctx.tokens), max(ctx.tokens)):
             if not 0 <= t < n_tokens:

@@ -331,7 +331,8 @@ class ModelBatch:
 
 @dataclass(frozen=True)
 class MentionTarget:
-    """One linked mention prepared for the loss: span plus gold/candidates."""
+    """One linked mention prepared for the loss: its span, its gold entity
+    id and, optionally, its own candidate entity ids."""
 
     span: tuple[int, int]
     gold: int
@@ -348,14 +349,14 @@ def build_batch(
     """Pad contexts into arrays and collect mention targets.
 
     BIO targets encode every label of every context (including unlinked
-    mentions); linking targets come from targets_per_context. When
-    shared_candidates is given, gold values index into it. When each target
-    carries its own candidate array (distinct, non-negative entities), gold
-    values index into that array; the batch scores the sorted union of the
+    mentions); linking targets come from targets_per_context, and every
+    gold is an entity id. The batch scores shared_candidates when given.
+    When instead each target carries its own candidate array (distinct,
+    non-negative entities), the batch scores the sorted union of the
     arrays, with a per-mention bias of 0 on the mention's own entities and
-    NEG_INF on the rest, and gold_pos holds each gold's union column. When
-    neither, the loss runs over the full entity vocabulary and gold values
-    are entity ids.
+    NEG_INF on the rest. gold_pos then holds each gold's column in those
+    rows, found by one lookup. When neither, the loss runs over the full
+    entity vocabulary and gold_pos holds the entity ids themselves.
     """
     B = len(contexts)
     seqs = tokens_override if tokens_override is not None else [c.tokens for c in contexts]
@@ -374,26 +375,20 @@ def build_batch(
     for b, targets in enumerate(targets_per_context):
         for t in targets:
             cands = None if t.candidates is None else np.asarray(t.candidates, dtype=np.int64)
-            if shared_candidates is not None:
-                in_range = 0 <= t.gold < len(shared_candidates)
-            elif cands is not None:
-                if cands.size and (cands.min() < 0 or np.unique(cands).size < cands.size):
-                    raise ValueError(
-                        f"candidate list for span {t.span} repeats an entity or holds a "
-                        "negative index"
-                    )
-                in_range = 0 <= t.gold < len(cands)
-            else:
-                in_range = t.gold >= 0
-            if not in_range:
-                raise ValueError(f"gold missing from candidate set for span {t.span}")
+            if cands is not None and cands.size and (
+                cands.min() < 0 or np.unique(cands).size < cands.size
+            ):
+                raise ValueError(
+                    f"candidate list for span {t.span} repeats an entity or holds a "
+                    "negative index"
+                )
             ex.append(b)
             ss.append(t.span[0])
             ee.append(t.span[1])
             gold.append(t.gold)
             own.append(cands)
 
-    gold_pos = np.asarray(gold, dtype=np.int64)
+    gold = np.asarray(gold, dtype=np.int64)
     cand_rows = cand_bias = None
     if shared_candidates is not None:
         cand_rows = np.asarray(shared_candidates, dtype=np.int64)
@@ -404,7 +399,18 @@ def build_batch(
         lens = np.array([len(c) for c in own])
         cand_bias = np.full((len(own), len(cand_rows)), NEG_INF, dtype=DTYPE)
         cand_bias[np.repeat(np.arange(len(own)), lens), cols] = 0.0
-        gold_pos = cols[np.cumsum(lens) - lens + gold_pos]
+    if cand_rows is None:
+        gold_pos, found = gold, gold >= 0
+    else:
+        order = np.argsort(cand_rows)
+        # a gold past every row gets column -1, which the sentinel rejects
+        gold_pos = np.append(order, -1)[np.searchsorted(cand_rows, gold, sorter=order)]
+        found = (gold_pos >= 0) & (np.append(cand_rows, -1)[gold_pos] == gold)
+        if cand_bias is not None:
+            found &= cand_bias[np.arange(len(gold)), gold_pos] == 0.0
+    if not found.all():
+        m = int(np.argmin(found))
+        raise ValueError(f"gold missing from candidate set for span {(ss[m], ee[m])}")
 
     return ModelBatch(
         tokens=tokens,

@@ -419,42 +419,22 @@ def pretrain(
             tokens_override = [
                 apply_noise(c.tokens, noise_cfg, vocab, noise_rng)[0] for c in batch_ctx
             ]
+        targets = [
+            [MentionTarget(span=l.span, gold=l.entity) for l in c.labels if l.entity is not None]
+            for c in batch_ctx
+        ]
         if full_softmax:
-            targets = [
-                [
-                    MentionTarget(span=l.span, gold=l.entity)
-                    for l in c.labels
-                    if l.entity is not None
-                ]
-                for c in batch_ctx
-            ]
             return build_batch(batch_ctx, vocab.pad_index, targets, None, tokens_override)
 
         cand_rng = derive_rng(cand_cfg.rng_seed, "candidates", step)
         sets = [
             assemble_candidates(
-                c.labels,
-                [l.surface for l in c.labels],
-                c.doc_id,
-                cand_cfg,
-                page_links,
-                phrase_table,
-                n_entities,
-                cand_rng,
+                c.labels, c.doc_id, cand_cfg, page_links, phrase_table, n_entities, cand_rng
             )
             for c in batch_ctx
         ]
         sets = batch_negatives(sets)
         union = np.asarray(sets[0].entities if sets else [], dtype=np.int64)
-        targets = []
-        for c, cs in zip(batch_ctx, sets):
-            targets.append(
-                [
-                    MentionTarget(span=l.span, gold=pos)
-                    for l, pos in zip(c.labels, cs.gold_positions)
-                    if pos is not None
-                ]
-            )
         return build_batch(batch_ctx, vocab.pad_index, targets, union, tokens_override)
 
     return _run_loop(params, make_batch, train_cfg, out_dir)
@@ -509,9 +489,7 @@ def finetune(
                 continue
             targets.append(
                 MentionTarget(
-                    span=l.span,
-                    gold=cands.index(l.entity),
-                    candidates=np.asarray(cands, dtype=np.int64),
+                    span=l.span, gold=l.entity, candidates=np.asarray(cands, dtype=np.int64)
                 )
             )
         prepared.append(targets)

@@ -81,7 +81,7 @@ def test_criterion_1_gradient_suite():
                 tokens=toks, char_offsets=[(i, i + 1) for i in range(10)], doc_id="d",
                 labels=[MentionLabel((2, 3), 5, None), MentionLabel((6, 6), None, None)],
             ))
-            targets.append([MentionTarget((2, 3), 1)])
+            targets.append([MentionTarget((2, 3), 5)])
         batch = build_batch(contexts, 0, targets, np.array([3, 5, 9, 11, 4]))
 
         errors = fd_group_errors(lambda: total_loss(params, batch, 1.0, 1.0)[0],
@@ -136,7 +136,7 @@ def test_criterion_2_loss_oracles():
                     for s, e, gold in tgt:
                         if gold not in shared:
                             shared = np.append(shared, gold)
-                        row.append(MentionTarget((s, e), int(np.where(shared == gold)[0][0])))
+                        row.append(MentionTarget((s, e), gold))
                     prepared.append(row)
                 batch = build_batch(contexts, 0, prepared, shared)
                 cand_matrix = None
@@ -150,8 +150,7 @@ def test_criterion_2_loss_oracles():
                         cands = list(rng.choice(25, size=k, replace=False))
                         if gold not in cands:
                             cands.append(gold)
-                        row.append(MentionTarget((s, e), cands.index(gold),
-                                                 candidates=np.asarray(cands)))
+                        row.append(MentionTarget((s, e), gold, candidates=np.asarray(cands)))
                         rows.append(cands)
                     prepared.append(row)
                 batch = build_batch(contexts, 0, prepared)
@@ -163,14 +162,14 @@ def test_criterion_2_loss_oracles():
 
             svec = (span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end).data
                     if len(batch.ment_ex) else np.zeros((0, cfg.d_entity)))
-            score_rows = []
-            for i in range(len(batch.ment_ex)):
+            score_rows, gold_positions = [], []
+            for i, t in enumerate(t for row in prepared for t in row):
                 if cand_matrix is None:
                     ids = batch.cand_rows
                 else:
                     ids = np.asarray(cand_matrix[i])
                 score_rows.append(svec[i] @ params["ent_emb"].data[ids].T)
-            gold_positions = [t.gold for row in prepared for t in row]
+                gold_positions.append(int(np.flatnonzero(ids == t.gold)[0]))
             expected_link = oracle_linking_loss(score_rows, gold_positions,
                                                 batch.n_examples, batch.ment_ex)
             logits = H.data @ params["bio_w"].data + params["bio_b"].data

@@ -29,6 +29,11 @@ def lab(entity, span=(0, 0), surface=None):
     return MentionLabel(span, entity, surface)
 
 
+def gold_columns(cs, labels):
+    """Where each linked label's gold entity id sits in cs.entities."""
+    return [cs.entities.index(l.entity) for l in labels if l.entity is not None]
+
+
 @pytest.fixture
 def rng():
     return derive_rng(7)
@@ -175,11 +180,11 @@ def test_paper_shaped_assembly():
     links, phrase, n_ent = world()
     cfg = CandidateConfig(k=768, max_page=256, max_phrase=384, min_random=128, rng_seed=1)
     labels = [lab(3, surface="alpha"), lab(450, surface="beta")]
-    cs = assemble_candidates(labels, ["alpha", "beta"], "d", cfg, links, phrase, n_ent)
+    cs = assemble_candidates(labels, "d", cfg, links, phrase, n_ent)
     assert len(cs.entities) == 768
     assert len(set(cs.entities)) == 768
     assert cs.entities[0] == 3 and cs.entities[1] == 450
-    assert cs.gold_positions == [0, 1]
+    assert gold_columns(cs, labels) == [0, 1]
     # non-random portion is capped at k - min_random, so >= 128 randoms
     non_random_cap = 768 - 128
     randoms = len(cs.entities) - non_random_cap
@@ -189,7 +194,7 @@ def test_paper_shaped_assembly():
 def test_fill_with_random_when_no_sources():
     cfg = CandidateConfig(k=16, max_page=4, max_phrase=4, min_random=4, rng_seed=2)
     labels = [lab(1), lab(2)]
-    cs = assemble_candidates(labels, [None, None], "d", cfg, None, None, 100)
+    cs = assemble_candidates(labels, "d", cfg, None, None, 100)
     assert len(cs.entities) == 16
     assert cs.entities[:2] == [1, 2]
     assert len(set(cs.entities)) == 16
@@ -231,14 +236,7 @@ def test_budget_too_small_for_golds():
     cfg = CandidateConfig(k=4, max_page=0, max_phrase=0, min_random=0, rng_seed=0)
     labels = [lab(i) for i in range(5)]
     with pytest.raises(CandidateBudgetError, match="candidate budget too small"):
-        assemble_candidates(labels, [None] * 5, "d", cfg, None, None, 100)
-
-
-def test_null_mentions_have_no_gold_position():
-    cfg = CandidateConfig(k=8, max_page=0, max_phrase=0, min_random=0, rng_seed=0)
-    labels = [lab(None), lab(6)]
-    cs = assemble_candidates(labels, [None, None], "d", cfg, None, None, 50)
-    assert cs.gold_positions == [None, 0]
+        assemble_candidates(labels, "d", cfg, None, None, 100)
 
 
 def test_phrase_budget_split_evenly_with_remainder():
@@ -246,7 +244,7 @@ def test_phrase_budget_split_evenly_with_remainder():
     phrase = PhraseTable({"a": [10, 11, 12, 13], "b": [20, 21, 22, 23], "c": [30, 31, 32, 33]})
     cfg = CandidateConfig(k=32, max_page=0, max_phrase=8, min_random=8, rng_seed=0)
     labels = [lab(None, surface="a"), lab(None, surface="b"), lab(None, surface="c")]
-    cs = assemble_candidates(labels, ["a", "b", "c"], "d", cfg, links, phrase, 200)
+    cs = assemble_candidates(labels, "d", cfg, links, phrase, 200)
     # budgets 3, 3, 2: earliest mentions get the remainder
     assert [e for e in cs.entities if 10 <= e < 20] == [10, 11, 12]
     assert [e for e in cs.entities if 20 <= e < 30] == [20, 21, 22]
@@ -258,7 +256,7 @@ def test_dedup_priority_gold_over_sources():
     phrase = PhraseTable({"s": [5, 6]})
     cfg = CandidateConfig(k=8, max_page=2, max_phrase=2, min_random=2, rng_seed=0)
     labels = [lab(5, surface="s")]
-    cs = assemble_candidates(labels, ["s"], "d", cfg, links, phrase, 100)
+    cs = assemble_candidates(labels, "d", cfg, links, phrase, 100)
     assert cs.entities[0] == 5
     assert cs.entities.count(5) == 1
     assert 6 in cs.entities
@@ -268,10 +266,10 @@ def test_determinism_same_seed():
     links, phrase, n_ent = world()
     cfg = CandidateConfig(k=64, max_page=16, max_phrase=16, min_random=16, rng_seed=11)
     labels = [lab(3, surface="alpha")]
-    a = assemble_candidates(labels, ["alpha"], "d", cfg, links, phrase, n_ent)
-    b = assemble_candidates(labels, ["alpha"], "d", cfg, links, phrase, n_ent)
+    a = assemble_candidates(labels, "d", cfg, links, phrase, n_ent)
+    b = assemble_candidates(labels, "d", cfg, links, phrase, n_ent)
     assert a.entities == b.entities
-    assert a.gold_positions == b.gold_positions
+    assert gold_columns(a, labels) == gold_columns(b, labels)
 
 
 def test_ablation_configs_expressible():
@@ -281,7 +279,7 @@ def test_ablation_configs_expressible():
     for max_page, max_phrase in ((0, 384), (256, 0), (0, 0)):
         cfg = CandidateConfig(k=768, max_page=max_page, max_phrase=max_phrase,
                               min_random=128, rng_seed=3)
-        cs = assemble_candidates(labels, ["alpha"], "d", cfg, links, phrase, n_ent)
+        cs = assemble_candidates(labels, "d", cfg, links, phrase, n_ent)
         assert len(cs.entities) == 768
         assert cs.entities[0] == 3
         if max_page == 0 and max_phrase == 0:
@@ -303,43 +301,40 @@ def test_config_validation():
 
 
 def test_union_disjoint_sets():
-    a = CandidateSet([1, 2, 3], [0])
-    b = CandidateSet([4, 5, 6], [2])
+    a = CandidateSet([1, 2, 3])
+    b = CandidateSet([4, 5, 6])
     out = batch_negatives([a, b])
     assert out[0].entities == [1, 2, 3, 4, 5, 6]
     assert out[1].entities == [1, 2, 3, 4, 5, 6]
-    assert out[0].gold_positions == [0]
-    assert out[1].gold_positions == [5]
+    assert gold_columns(out[0], [lab(1)]) == [0]
+    assert gold_columns(out[1], [lab(6)]) == [5]
 
 
 def test_union_identical_sets():
-    a = CandidateSet([7, 8], [1])
-    b = CandidateSet([7, 8], [0])
+    a = CandidateSet([7, 8])
+    b = CandidateSet([7, 8])
     out = batch_negatives([a, b])
     assert out[0].entities == [7, 8]
-    assert out[1].gold_positions == [0]
+    assert gold_columns(out[1], [lab(7)]) == [0]
 
 
 def test_union_batch_of_one():
-    a = CandidateSet([3, 1, 2], [None, 2])
+    a = CandidateSet([3, 1, 2])
     (out,) = batch_negatives([a])
     assert out.entities == [3, 1, 2]
-    assert out.gold_positions == [None, 2]
+    assert gold_columns(out, [lab(None), lab(2)]) == [2]
 
 
-def test_union_is_shared_and_gold_positions_checked():
-    a = CandidateSet([1, 2], [1])
-    b = CandidateSet([2, 3], [0, None])
+def test_union_is_shared():
+    a = CandidateSet([1, 2])
+    b = CandidateSet([2, 3])
     out = batch_negatives([a, b])
     assert out[0].entities is out[1].entities
-    assert [cs.gold_positions for cs in out] == [[1], [1, None]]
-    with pytest.raises(ValueError, match="outside"):
-        out[0].with_gold_positions([3])
 
 
 def test_union_order_is_first_appearance():
-    a = CandidateSet([5, 1], [])
-    b = CandidateSet([1, 9], [])
+    a = CandidateSet([5, 1])
+    b = CandidateSet([1, 9])
     out = batch_negatives([a, b])
     assert out[0].entities == [5, 1, 9]
 
@@ -360,6 +355,6 @@ def test_adversarial_golds_outside_sources():
     links, phrase, n_ent = world()
     cfg = CandidateConfig(k=32, max_page=8, max_phrase=8, min_random=8, rng_seed=5)
     labels = [lab(900, surface="alpha"), lab(901, surface="alpha")]
-    cs = assemble_candidates(labels, ["alpha", "alpha"], "d", cfg, links, phrase, n_ent)
+    cs = assemble_candidates(labels, "d", cfg, links, phrase, n_ent)
     assert len(cs.entities) == 32
     assert cs.entities[0] == 900 and cs.entities[1] == 901

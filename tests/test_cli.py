@@ -425,15 +425,23 @@ def test_eval_vocab_size_mismatch(world, built_corpus, trained, tmp_path, capsys
     assert "vocab-size mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval-disambig", "eval-e2e"])
+@pytest.mark.parametrize("command",
+                         ["pretrain", "finetune", "eval-disambig", "eval-e2e", "alias-stats"])
 def test_context_ids_are_checked_against_the_vocabularies(world, built_corpus, trained,
                                                           tmp_path, capsys, command):
     """A token id of -1, which numpy would wrap to the last embedding row,
-    fails every command that reads contexts with the file's path:line."""
+    fails every command that reads contexts with the file's path:line.
+    alias-stats reads no token vocabulary; an entity index past the entity
+    vocabulary, which it would count as a recall miss, fails it instead."""
     root, paths, _ = world
     lines = open(built_corpus).read().splitlines()
     rec = json.loads(lines[1])
-    rec["tokens"][0] = -1
+    if command == "alias-stats":
+        next(l for l in rec["labels"] if l["entity"] is not None)["entity"] = 10**7
+        message = "entity index 10000000 outside"
+    else:
+        rec["tokens"][0] = -1
+        message = "token id -1 outside"
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
     vocabs = ["--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"]]
@@ -443,9 +451,10 @@ def test_context_ids_are_checked_against_the_vocabularies(world, built_corpus, t
                      "--out-dir", str(tmp_path / "run")],
         "eval-disambig": ["--checkpoint", trained, "--dataset", str(bad), "--candidates", "all"],
         "eval-e2e": ["--checkpoint", trained, "--dataset", str(bad)],
+        "alias-stats": ["--alias-table", paths["alias_table"], "--dataset", str(bad)],
     }[command]
     assert main([command] + argv + vocabs) == 1
-    assert f"{bad}:2: token id -1 outside" in capsys.readouterr().err
+    assert f"{bad}:2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

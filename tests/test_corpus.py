@@ -508,6 +508,31 @@ def test_load_contexts_checks_ids_against_the_vocabulary_sizes(tmp_path, field, 
         load_contexts(path, 10, 3)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("token", 5.7, "token id 5.7 is not an integer"),
+    ("token", True, "token id true is not an integer"),
+    ("token", "5", 'token id "5" is not an integer'),
+    ("span", 1.0, "span end 1.0 is not an integer"),
+    ("entity", 1.9, "entity index 1.9 is not an integer"),
+    ("entity", False, "entity index false is not an integer"),
+])
+def test_load_contexts_rejects_ids_that_are_not_integers(tmp_path, field, value, message):
+    """A float, boolean or string where an id belongs fails with path:line,
+    with or without the vocabulary sizes; batching would truncate 5.7 to 5
+    and take true as 1."""
+    good = Context(tokens=[4, 5, 6], char_offsets=[(0, 1), (2, 3), (4, 5)], doc_id="d",
+                   labels=[MentionLabel((0, 1), 2, "yuri gagarin")])
+    bad = Context(tokens=[4, value, 6] if field == "token" else [4, 5, 6],
+                  char_offsets=good.char_offsets, doc_id="e",
+                  labels=[MentionLabel((0, value) if field == "span" else (0, 1),
+                                       value if field == "entity" else 2, "x")])
+    path = tmp_path / "cache.jsonl"
+    save_contexts(path, [good, bad])
+    for sizes in ((), (10, 3)):
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: {message}")):
+            load_contexts(path, *sizes)
+
+
 def test_load_contexts_accepts_ids_at_the_vocabulary_edges(tmp_path):
     ctx = Context(tokens=[0, 9], char_offsets=[(0, 1), (2, 3)], doc_id="d",
                   labels=[MentionLabel((0, 0), 2), MentionLabel((1, 1), None)])

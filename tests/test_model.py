@@ -294,7 +294,7 @@ def test_linking_loss_matches_oracle_shared_candidates(params64):
         ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None),
                                         MentionLabel((4, 4), 9, None)])
         contexts.append(ctx)
-        targets.append([MentionTarget((1, 2), 1), MentionTarget((4, 4), 2)])
+        targets.append([MentionTarget((1, 2), 5), MentionTarget((4, 4), 9)])
     batch = build_batch(contexts, 0, targets, cand)
     H = encode(params64, batch.tokens, batch.pad_mask)
     loss, _ = linking_loss(params64, H, batch)
@@ -319,7 +319,7 @@ def test_linking_loss_matches_oracle_ragged(params64):
         labels, tgts = [], []
         for cands, gold, span in per_ctx:
             labels.append(MentionLabel(span, cands[gold], None))
-            tgts.append(MentionTarget(span, gold, candidates=np.array(cands)))
+            tgts.append(MentionTarget(span, cands[gold], candidates=np.array(cands)))
             rows.append((cands, gold))
         contexts.append(make_context(rng, labels=labels))
         targets.append(tgts)
@@ -392,17 +392,29 @@ def test_gold_outside_candidates_rejected(params):
     with pytest.raises(ValueError, match="gold missing"):
         build_batch([ctx], 0, [[MentionTarget((1, 2), 7)]], np.array([5, 3]))
     with pytest.raises(ValueError, match="gold missing"):
-        build_batch([ctx], 0, [[MentionTarget((1, 2), 2, candidates=np.array([5, 3]))]])
+        build_batch([ctx], 0, [[MentionTarget((1, 2), 7, candidates=np.array([5, 3]))]])
     # a per-mention list must hold distinct, non-negative entities; -1 is not padding
     for cands in ([5, 3, 5], [5, -1], [-1, 5]):
         with pytest.raises(ValueError, match=r"span \(1, 2\) repeats an entity or holds a negative"):
-            build_batch([ctx], 0, [[MentionTarget((1, 2), 0, candidates=np.array(cands))]])
+            build_batch([ctx], 0, [[MentionTarget((1, 2), 5, candidates=np.array(cands))]])
+
+
+def test_gold_in_the_union_only_through_another_list_is_rejected():
+    """A per-mention gold that the batch union holds only through another
+    mention's list is still missing from its own list: under its NEG_INF
+    bias its loss would be ~1e9, so build_batch raises."""
+    rng = np.random.default_rng(27)
+    ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None), MentionLabel((4, 4), 3, None)])
+    targets = [[MentionTarget((1, 2), 5, candidates=np.array([5, 3])),
+                MentionTarget((4, 4), 3, candidates=np.array([7, 9]))]]
+    with pytest.raises(ValueError, match=r"gold missing from candidate set for span \(4, 4\)"):
+        build_batch([ctx], 0, targets)
 
 
 def test_total_loss_weights(params64):
     rng = np.random.default_rng(11)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
-    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 0)]], np.array([5, 3, 1]))
+    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 5)]], np.array([5, 3, 1]))
     full, _ = total_loss(params64, batch, 1.0, 1.0)
     link_only, _ = total_loss(params64, batch, 1.0, 0.0)
     bio_only, _ = total_loss(params64, batch, 0.0, 1.0)
@@ -421,7 +433,7 @@ def test_gradients_match_finite_differences(params64):
         ctx = make_context(rng, labels=[MentionLabel((2, 3), 5, None),
                                         MentionLabel((6, 6), None, None)])
         contexts.append(ctx)
-        targets.append([MentionTarget((2, 3), 1)])
+        targets.append([MentionTarget((2, 3), 5)])
     batch = build_batch(contexts, 0, targets, np.array([3, 5, 9, 11, 4]))
     errors = fd_group_errors(lambda: total_loss(params64, batch, 1.0, 1.0)[0], params64)
     worst = max(errors.values())
@@ -441,7 +453,7 @@ def test_zero_signal_batch_has_zero_gradients(params):
 def test_uncandidated_entity_embedding_gradient_is_zero(params):
     rng = np.random.default_rng(14)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
-    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 0)]], np.array([5, 3]))
+    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 5)]], np.array([5, 3]))
     loss, _ = total_loss(params, batch, 1.0, 1.0)
     grads = backward(loss, params)
     g = grads["ent_emb"].dense()
@@ -453,7 +465,7 @@ def test_uncandidated_entity_embedding_gradient_is_zero(params):
 def _linked_batch(seed):
     rng = np.random.default_rng(seed)
     contexts = [make_context(rng, labels=[MentionLabel((2, 3), 5, None)]) for _ in range(2)]
-    return build_batch(contexts, 0, [[MentionTarget((2, 3), 1)]] * 2, np.array([3, 5, 9]))
+    return build_batch(contexts, 0, [[MentionTarget((2, 3), 5)]] * 2, np.array([3, 5, 9]))
 
 
 def _grad_bytes(g) -> tuple:
@@ -497,7 +509,7 @@ def test_second_backward_of_a_loss_raises(params):
 def test_backward_flags_nonfinite_gradients(params):
     rng = np.random.default_rng(15)
     ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
-    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 0)]], np.array([5, 3]))
+    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 5)]], np.array([5, 3]))
     params["span_w2"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         loss, _ = total_loss(params, batch, 1.0, 0.0)

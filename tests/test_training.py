@@ -2,6 +2,7 @@
 
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def test_unlinked_batch_gives_ent_emb_an_empty_rowgrad_and_no_held_row():
 
     unlinked = M.build_batch([context([MentionLabel((1, 2), None, None)])], 0, [[]])
     linked = M.build_batch([context([MentionLabel((2, 3), 4, None)])], 0,
-                           [[M.MentionTarget((2, 3), 1)]], np.array([2, 4, 7]))
+                           [[M.MentionTarget((2, 3), 4)]], np.array([2, 4, 7]))
     ref = {k: t.data.copy() for k, t in params.items()}
     ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
     ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -421,6 +422,46 @@ def test_noise_toggle_changes_inputs_never_targets():
     assert (noised.bio_targets == clean.bio_targets).all()  # targets identical
     assert (noised.gold_pos == clean.gold_pos).all()
     assert (noised.ment_start == clean.ment_start).all()
+
+
+def test_each_gold_column_holds_the_gold_entity(monkeypatch):
+    """batch.cand_rows[batch.gold_pos] are the batch's linked label entities
+    in order, over the first-appearance pretraining union, over the sorted
+    union of fine-tuning alias lists and, with cand_rows None, over the full
+    vocabulary."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    captured = []
+    orig = training.build_batch
+
+    def capture(contexts_, *args):
+        batch = orig(contexts_, *args)
+        captured.append((contexts_, batch))
+        return batch
+
+    monkeypatch.setattr(training, "build_batch", capture)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=2)
+    full = replace(tcfg, softmax_mode="all_entities")
+    # every name lists its two entities in descending order
+    table = AliasTable({f"n{i}": [2 * i + 1, 2 * i] for i in range(10)})
+    runs = {
+        "union": lambda: pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase),
+        "alias": lambda: finetune(ModelParams.initialize(mcfg, seed=1), contexts,
+                                  "alias_candidates", vocab, tcfg, table),
+        "full": lambda: pretrain(contexts, vocab, 20, mcfg, full, ccfg, ncfg, pages, phrase),
+    }
+    for kind, run in runs.items():
+        captured.clear()
+        run()
+        assert len(captured) == 2
+        for batch_ctx, batch in captured:
+            want = [l.entity for c in batch_ctx for l in c.labels if l.entity is not None]
+            rows = np.arange(20) if batch.cand_rows is None else batch.cand_rows
+            assert len(want) > 0
+            assert rows[batch.gold_pos].tolist() == want, kind
+            assert (batch.cand_rows is None) == (kind == "full")
+            assert (batch.cand_bias is None) == (kind != "alias")
+        if kind == "union":  # the lookup also serves an unsorted union
+            assert any((np.diff(b.cand_rows) < 0).any() for _, b in captured)
 
 
 def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
