@@ -13,9 +13,9 @@ from .candidates import (
     CandidateConfig,
     CandidateSet,
     PageLinks,
-    PhraseTable,
     assemble_candidates,
     batch_negatives,
+    load_phrase_table,
     page_candidates,
     phrase_candidates,
 )

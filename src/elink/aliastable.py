@@ -10,6 +10,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import EntityVocab, read_tsv
 
 _WS = re.compile(r"\s+")
@@ -69,7 +71,11 @@ class RedirectMap:
 
 
 class AliasTable:
-    """Normalized alias string -> ordered duplicate-free entity indices."""
+    """Normalized alias string -> ordered duplicate-free entity indices.
+
+    The alias table of fine-tuning and the phrase table of pretraining are
+    both this map, and both are built by `from_rows`.
+    """
 
     def __init__(self, table: dict[str, list[int]] | None = None):
         self.table = dict(table or {})
@@ -79,6 +85,29 @@ class AliasTable:
                     f"alias {alias!r}: candidates {list(cands)} repeat an entity "
                     "or hold a negative index"
                 )
+
+    @classmethod
+    def from_rows(cls, surfaces: list[str], ents: np.ndarray, rank: np.ndarray) -> "AliasTable":
+        """The table of (surface, entity, rank) rows; ents are non-negative.
+
+        In bulk: the rows are grouped by normalized surface (keys in order
+        of first appearance), stably sorted by rank, and each (surface,
+        entity) pair keeps its first row in that order. The lists are
+        duplicate-free by construction, so they are not checked again.
+        """
+        keys: dict[str, int] = {}  # normalized surface -> key id, first appearance
+        key_of = {s: keys.setdefault(normalize_alias(s), len(keys)) for s in dict.fromkeys(surfaces)}
+        key = np.array([key_of[s] for s in surfaces], dtype=np.int64)
+        order = np.lexsort((rank, key))
+        key, ents = key[order], ents[order]
+        # the first row of each (key, entity) pair, in that order
+        _, first = np.unique(key * (int(ents.max(initial=-1)) + 1) + ents, return_index=True)
+        first.sort()
+        key, ents = key[first], ents[first].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(ents)]
+        out = cls.__new__(cls)
+        out.table = {k: ents[a:b] for k, a, b in zip(keys, cuts, cuts[1:])}
+        return out
 
     def lookup(self, surface: str) -> list[int]:
         return self.table.get(normalize_alias(surface), [])
@@ -110,27 +139,15 @@ def resolve(
     vocabulary are dropped and counted. Candidate order within an alias
     preserves input order.
     """
-    table: dict[str, list[int]] = {}
-    seen: dict[str, set[int]] = {}
-    keys: dict[str, str] = {}  # raw alias -> normalized, once per alias
-    n_resolved = 0
-    n_dropped = 0
-    for alias, entity_id in entries:
-        target = redirects.resolve_id(entity_id) if redirects is not None else entity_id
-        if target not in vocab:
-            n_dropped += 1
-            continue
-        n_resolved += 1
-        key = keys.get(alias)
-        if key is None:
-            key = keys[alias] = normalize_alias(alias)
-        idx = vocab.get(target)
-        bucket = seen.setdefault(key, set())
-        if idx not in bucket:
-            bucket.add(idx)
-            table.setdefault(key, []).append(idx)
-    report = ConversionReport(n_input=len(entries), n_resolved=n_resolved, n_dropped=n_dropped)
-    return AliasTable(table), report
+    index = vocab.index
+    chase = redirects.resolve_id if redirects is not None else (lambda e: e)
+    ents = np.array([index.get(chase(e), -1) for _, e in entries], dtype=np.int64)
+    known = np.flatnonzero(ents >= 0)
+    aliases = [entries[i][0] for i in known.tolist()]
+    report = ConversionReport(
+        n_input=len(entries), n_resolved=len(known), n_dropped=len(entries) - len(known)
+    )
+    return AliasTable.from_rows(aliases, ents[known], np.arange(len(known))), report
 
 
 def table_stats(

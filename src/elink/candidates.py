@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aliastable import normalize_alias
+from .aliastable import AliasTable
 from .corpus import EntityVocab, MentionLabel, read_tsv
 from .seeding import derive_rng
 
@@ -51,49 +51,28 @@ class CandidateSet:
             raise ValueError("candidate entities contain duplicates")
 
 
-class PhraseTable:
-    """Normalized surface string -> ordered duplicate-free entity indices."""
+def load_phrase_table(path, entity_vocab: EntityVocab) -> AliasTable:
+    """Load `surface<TAB>entity_id<TAB>rank` rows; ranks order each list.
 
-    def __init__(self, table: dict[str, list[int]] | None = None):
-        self.table = dict(table or {})
-
-    def lookup(self, surface: str) -> list[int]:
-        return self.table.get(surface, [])
-
-    @classmethod
-    def from_tsv(cls, path, entity_vocab: EntityVocab) -> "PhraseTable":
-        """Load `surface<TAB>entity_id<TAB>rank` rows; ranks order each list.
-
-        In bulk: the known rows are grouped by normalized surface (keys in
-        order of first appearance), stably sorted by rank, and each
-        (surface, entity) pair keeps its first row in that order.
-        """
-        surfaces, entity_ids, ranks = read_tsv(path, ("surface", "entity", "rank"), ints=("rank",))
-        index = entity_vocab.index
-        ents = np.array([index.get(e, -1) for e in entity_ids], dtype=np.int64)
-        known = np.flatnonzero(ents >= 0)
-        if len(known) < len(ents):
-            log.warning(
-                "phrase table %s: skipped %d rows with unknown entities", path, len(ents) - len(known)
-            )
-            surfaces = [surfaces[i] for i in known]
-            ranks = [ranks[i] for i in known]
-            ents = ents[known]
-        try:
-            rank = np.array(ranks, dtype=np.int64)
-        except OverflowError:  # ranks past int64 still sort, as Python ints
-            rank = np.array(ranks, dtype=object)
-        keys: dict[str, int] = {}  # normalized surface -> key id, first appearance
-        key_of = {s: keys.setdefault(normalize_alias(s), len(keys)) for s in dict.fromkeys(surfaces)}
-        key = np.array([key_of[s] for s in surfaces], dtype=np.int64)
-        order = np.lexsort((rank, key))
-        key, ents = key[order], ents[order]
-        # the first row of each (key, entity) pair, in that order
-        _, first = np.unique(key * len(entity_vocab) + ents, return_index=True)
-        first.sort()
-        key, ents = key[first], ents[first].tolist()
-        cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), len(ents)]
-        return cls({k: ents[a:b] for k, a, b in zip(keys, cuts, cuts[1:])})
+    Rows with unknown entities are skipped with a warning; the rest are
+    grouped by `AliasTable.from_rows`.
+    """
+    surfaces, entity_ids, ranks = read_tsv(path, ("surface", "entity", "rank"), ints=("rank",))
+    index = entity_vocab.index
+    ents = np.array([index.get(e, -1) for e in entity_ids], dtype=np.int64)
+    known = np.flatnonzero(ents >= 0)
+    if len(known) < len(ents):
+        log.warning(
+            "phrase table %s: skipped %d rows with unknown entities", path, len(ents) - len(known)
+        )
+        surfaces = [surfaces[i] for i in known]
+        ranks = [ranks[i] for i in known]
+        ents = ents[known]
+    try:
+        rank = np.array(ranks, dtype=np.int64)
+    except OverflowError:  # ranks past int64 still sort, as Python ints
+        rank = np.array(ranks, dtype=object)
+    return AliasTable.from_rows(surfaces, ents, rank)
 
 
 class PageLinks:
@@ -137,8 +116,8 @@ def page_candidates(
     return [pool[i] for i in picks]
 
 
-def phrase_candidates(surface: str, table: PhraseTable, budget: int) -> list[int]:
-    """First min(budget, available) phrase-table entities for a normalized surface."""
+def phrase_candidates(surface: str, table: AliasTable, budget: int) -> list[int]:
+    """First min(budget, available) phrase-table entities for a surface."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     return table.lookup(surface)[:budget]
@@ -172,7 +151,7 @@ def assemble_candidates(
     doc_id: str,
     cfg: CandidateConfig,
     page_links: PageLinks | None,
-    phrase_table: PhraseTable | None,
+    phrase_table: AliasTable | None,
     n_entities: int,
     rng: np.random.Generator | None = None,
 ) -> CandidateSet:
@@ -217,7 +196,7 @@ def assemble_candidates(
         for lab, budget in zip(labels, budgets):
             if lab.surface is None:
                 continue
-            for e in phrase_candidates(normalize_alias(lab.surface), phrase_table, budget):
+            for e in phrase_candidates(lab.surface, phrase_table, budget):
                 if len(chosen) >= cap:
                     break
                 if e not in seen:

@@ -16,7 +16,7 @@ from . import aliastable as at
 from . import corpus as cp
 from . import evaluation as ev
 from . import training as tr
-from .candidates import PageLinks, PhraseTable
+from .candidates import PageLinks, load_phrase_table
 from .config import ConfigError, RunConfig, load_run_config, parse_override_args, resolved_text
 from .model import ModelConfig, ModelParams, load_checkpoint, predict_end_to_end
 from .seeding import derive_seed
@@ -173,7 +173,7 @@ def cmd_pretrain(args, overrides) -> int:
         PageLinks.from_tsv(cfg.paths.page_links, evocab) if cfg.paths.page_links else None
     )
     phrase_table = (
-        PhraseTable.from_tsv(cfg.paths.phrase_table, evocab) if cfg.paths.phrase_table else None
+        load_phrase_table(cfg.paths.phrase_table, evocab) if cfg.paths.phrase_table else None
     )
     _echo_config(cfg, out_dir)
     try:
@@ -317,8 +317,7 @@ def cmd_link(args, overrides) -> int:
         for (s, e), ent, prob in predict_end_to_end(params, ctx.tokens):
             cs = ctx.char_offsets[s][0]
             ce = ctx.char_offsets[e][1]
-            surface = text[cs:ce].replace("\t", " ").replace("\n", " ")
-            print(f"{cs}\t{ce}\t{surface}\t{evocab.ids[ent]}\t{prob:.6f}")
+            print(f"{cs}\t{ce}\t{cp.tsv_cell(text[cs:ce])}\t{evocab.ids[ent]}\t{prob:.6f}")
     return 0
 
 

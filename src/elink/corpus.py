@@ -594,6 +594,11 @@ def read_tsv(path, fields: tuple[str, ...], ints: tuple[str, ...] = ()) -> list[
     return columns
 
 
+def tsv_cell(text: str) -> str:
+    """text as one TSV cell: each tab and newline becomes a space."""
+    return text.replace("\t", " ").replace("\n", " ")
+
+
 def _is_int(text: str) -> bool:
     try:
         int(text)

@@ -9,7 +9,7 @@ span boundaries and the entity match a gold mention exactly. Unlinked
 from dataclasses import dataclass
 
 from .aliastable import AliasTable
-from .corpus import Context, EntityVocab
+from .corpus import Context, EntityVocab, tsv_cell
 from .model import ModelParams, predict_end_to_end, rank_entities
 
 
@@ -60,7 +60,7 @@ class ErrorRecord:
     top: list[tuple[str, float]]  # (entity id, score), best first
 
     def tsv(self) -> str:
-        cells = [self.surface, self.gold]
+        cells = [tsv_cell(self.surface), self.gold]
         for ent, score in self.top[:2]:
             cells += [ent, f"{score:.6f}"]
         return "\t".join(cells)

@@ -267,36 +267,19 @@ def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def score_and_prob(params: ModelParams, svec: np.ndarray, candidates=None):
-    """Dot-product scores and softmax probabilities for span vector(s).
+def score_and_prob(params: ModelParams, svec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each span vector's best entity over the full table, ties to the
+    lowest index, and that entity's softmax probability 1 / sum exp(s -
+    s_best).
 
-    candidates is a sequence of entity indices, or None for all entities.
-    Probabilities use max-shifted exponentials and stay finite for scores
-    up to +-1e4.
+    The exponentials are taken in place on the score matrix, so no
+    probability array is built; they stay finite for scores up to +-1e4.
     """
-    sv = np.asarray(svec)
-    single = sv.ndim == 1
-    sv = np.atleast_2d(sv)
-    if candidates is None:
-        emb = params["ent_emb"].data
-    else:
-        cand = np.asarray(candidates, dtype=np.int64)
-        if cand.size == 0:
-            raise ValueError("candidate list must be non-empty")
-        emb = params["ent_emb"].data[cand]
-    scores = sv @ emb.T
-    probs = stable_softmax(scores)
-    if single:
-        return scores[0], probs[0]
-    return scores, probs
-
-
-def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    # in place on one new array, so a caller holds scores and probs, no more
-    out = scores - scores.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
+    scores = svec @ params["ent_emb"].data.T
+    best = scores.argmax(axis=-1)
+    scores -= scores[np.arange(len(scores)), best][:, None]
+    np.exp(scores, out=scores)
+    return best, 1.0 / scores.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +615,8 @@ def rank_entities(
         if union.size == 0:
             return [[] for _ in spans]
     svec = _span_vectors(params, encode(params, tokens), spans)
-    scores, _ = score_and_prob(params, svec, union)
+    emb = params["ent_emb"].data
+    scores = svec @ (emb if union is None else emb[union]).T
     out = []
     for i, row in enumerate(scores):
         if own is not None:
@@ -655,9 +639,8 @@ def predict_end_to_end(params: ModelParams, tokens) -> list[tuple[tuple[int, int
     spans = bio_decode(logits.argmax(axis=-1))
     if not spans:
         return []
-    scores, probs = score_and_prob(params, _span_vectors(params, H, spans), None)
-    best = scores.argmax(axis=-1)
-    return [(span, int(b), float(p[b])) for span, b, p in zip(spans, best, probs)]
+    best, prob = score_and_prob(params, _span_vectors(params, H, spans))
+    return [(span, int(b), float(p)) for span, b, p in zip(spans, best, prob)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from . import model as M
 from . import threads
 from .aliastable import AliasTable
 from .autodiff import RowGrad, add_grads, grad_values
-from .candidates import CandidateConfig, PageLinks, PhraseTable, assemble_candidates, batch_negatives
+from .candidates import CandidateConfig, PageLinks, assemble_candidates, batch_negatives
 from .corpus import Context, TokenVocab
 from .model import MentionTarget, ModelConfig, ModelParams, build_batch, save_checkpoint
 from .noising import NoiseConfig, apply_noise
@@ -392,7 +392,7 @@ def pretrain(
     cand_cfg: CandidateConfig,
     noise_cfg: NoiseConfig,
     page_links: PageLinks | None = None,
-    phrase_table: PhraseTable | None = None,
+    phrase_table: AliasTable | None = None,
     params: ModelParams | None = None,
     out_dir: str | None = None,
 ) -> tuple[ModelParams, list[LogRow]]:

@@ -12,8 +12,9 @@ from collections import OrderedDict
 import numpy as np
 
 from elink import autodiff as ad
+from elink.aliastable import AliasTable
 from elink.autodiff import RowGrad, Tensor
-from elink.candidates import PageLinks, PhraseTable
+from elink.candidates import PageLinks
 from elink.corpus import Context, MentionLabel, TokenVocab
 from elink.model import ModelParams, rank_entities
 
@@ -69,7 +70,7 @@ def make_world(n_entities=200, n_contexts=50, seed=0, ctx_len=12, mentions_per_c
             )
         )
 
-    phrase = PhraseTable({f"n{i}": [2 * i, 2 * i + 1] for i in range(n_names)})
+    phrase = AliasTable({f"n{i}": [2 * i, 2 * i + 1] for i in range(n_names)})
     pages = PageLinks({c.doc_id: [l.entity for l in c.labels] for c in contexts})
     return vocab, contexts, phrase, pages
 
@@ -208,7 +209,7 @@ def candidate_invariant_sweep(master: np.random.Generator, n_trials: int) -> Non
         page_pool = [int(e) for e in pool[:max_page]]
         phrase_pool = [int(e) for e in pool[max_page : max_page + max_phrase]]
         links = PageLinks({"d": page_pool})
-        phrase = PhraseTable({"s": phrase_pool})
+        phrase = AliasTable({"s": phrase_pool})
         sourced = page_pool + phrase_pool
 
         n_golds = int(master.integers(0, min(3, len(sourced)) + 1)) if sourced else 0

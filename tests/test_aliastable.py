@@ -1,11 +1,12 @@
 """Alias normalization, redirect resolution, and table statistics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elink.aliastable import (
     AliasTable,
+    ConversionReport,
     RedirectCycleError,
     RedirectMap,
     load_alias_tsv,
@@ -92,6 +93,51 @@ def test_duplicate_targets_kept_once(evocab):
     table, report = resolve([("paris", "Paris"), ("paris", "P2")], redirects, evocab)
     assert table.lookup("paris") == [2]
     assert report.n_resolved == 2  # both entries resolved; list deduplicates
+
+
+def _entry_by_entry_resolve(entries, redirects, vocab):
+    """Reference resolver: one entry at a time, a list and a seen-set per
+    normalized alias, each target chased through the redirects on its own."""
+    table: dict[str, list[int]] = {}
+    seen: dict[str, set[int]] = {}
+    n_resolved = n_dropped = 0
+    for alias, entity_id in entries:
+        target = redirects.resolve_id(entity_id) if redirects is not None else entity_id
+        if target not in vocab:
+            n_dropped += 1
+            continue
+        n_resolved += 1
+        key, idx = normalize_alias(alias), vocab.get(target)
+        bucket = seen.setdefault(key, set())
+        if idx not in bucket:
+            bucket.add(idx)
+            table.setdefault(key, []).append(idx)
+    return table, ConversionReport(len(entries), n_resolved, n_dropped)
+
+
+# a redirect chain R2 -> R1 -> Paris, a redirect to a missing page, and
+# entity ids that are neither in the vocabulary nor redirected
+REDIRECTS = {"R2": "R1", "R1": "Paris", "Gone": "Missing_Page"}
+ALIAS_ENTRY = st.tuples(
+    st.sampled_from(["nyc", "NYC", " nyc ", "New  York", "new york", "café", "Cafe\u0301", "", " "]),
+    st.sampled_from(["New_York_City", "Washington", "Paris", "R1", "R2", "Gone", "Nope", ""]),
+)
+
+
+@given(st.lists(ALIAS_ENTRY, max_size=30), st.booleans())
+@example([], True)
+@example([("NYC", "R2"), ("nyc", "Paris"), ("nyc", "R1"), (" ", "Nope"), ("", "")], True)
+@settings(max_examples=300, deadline=None)
+def test_resolve_matches_the_entry_by_entry_reference(entries, with_redirects):
+    """Redirect chains, unknown targets, aliases that normalize alike,
+    repeated (alias, entity) pairs and empty aliases or targets resolve to
+    the reference's table, in its key order, and to its report."""
+    vocab = EntityVocab(["New_York_City", "Washington", "Paris"])
+    redirects = RedirectMap(REDIRECTS) if with_redirects else None
+    table, report = resolve(entries, redirects, vocab)
+    want_table, want_report = _entry_by_entry_resolve(entries, redirects, vocab)
+    assert list(table.table.items()) == list(want_table.items())
+    assert report == want_report
 
 
 @pytest.mark.parametrize("cands", [[14, 15, 14], [3, -1]], ids=["repeated", "negative"])

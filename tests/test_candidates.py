@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elink.aliastable import normalize_alias
+from elink.aliastable import AliasTable, normalize_alias
 from elink.candidates import (
     CandidateBudgetError,
     CandidateConfig,
     CandidateSet,
     PageLinks,
-    PhraseTable,
     assemble_candidates,
     batch_negatives,
+    load_phrase_table,
     page_candidates,
     phrase_candidates,
     random_candidates,
@@ -61,16 +61,21 @@ def test_page_unknown_doc(rng):
 
 
 def test_phrase_prefix_rule():
-    table = PhraseTable({"washington": [5, 9, 1, 7, 3]})
+    table = AliasTable({"washington": [5, 9, 1, 7, 3]})
     assert phrase_candidates("washington", table, 3) == [5, 9, 1]
 
 
+def test_phrase_lookup_normalizes_the_surface():
+    table = AliasTable({"washington": [5, 9, 1]})
+    assert phrase_candidates("  WASHINGTON ", table, 2) == phrase_candidates("washington", table, 2) == [5, 9]
+
+
 def test_phrase_absent_surface():
-    assert phrase_candidates("nope", PhraseTable({}), 3) == []
+    assert phrase_candidates("nope", AliasTable({}), 3) == []
 
 
 def test_phrase_zero_budget():
-    table = PhraseTable({"washington": [5, 9]})
+    table = AliasTable({"washington": [5, 9]})
     assert phrase_candidates("washington", table, 0) == []
 
 
@@ -80,7 +85,7 @@ def test_phrase_table_tsv_rank_order(tmp_path):
     evocab = EntityVocab(["E0", "E1", "E2"])
     path = tmp_path / "phrase.tsv"
     path.write_text("NYC\tE2\t1\nnyc\tE0\t0\nnyc\tE2\t2\nnyc\tUNKNOWN\t3\n")
-    table = PhraseTable.from_tsv(path, evocab)
+    table = load_phrase_table(path, evocab)
     assert table.lookup("nyc") == [0, 2]  # rank order, deduped, unknown skipped
 
 
@@ -146,7 +151,7 @@ def test_phrase_table_tsv_matches_the_row_by_row_reference(lines, bad_lines):
         with open(path, "w", encoding="utf-8") as f:
             f.write("\n".join(lines))
         want = _load_outcome(_row_by_row_phrase_table, path, evocab)
-        got = _load_outcome(lambda p, v: PhraseTable.from_tsv(p, v).table, path, evocab)
+        got = _load_outcome(lambda p, v: load_phrase_table(p, v).table, path, evocab)
     assert got == want
 
 
@@ -169,7 +174,7 @@ def test_page_links_tsv_keeps_order_and_skips_unknown_entities(tmp_path, caplog)
 def world(n_entities=1000):
     # page links and phrase lists that contain the golds, as real data would
     links = PageLinks({"d": list(range(0, 500))})
-    phrase = PhraseTable({
+    phrase = AliasTable({
         "alpha": list(range(0, 400)),
         "beta": list(range(400, 800)),
     })
@@ -241,7 +246,7 @@ def test_budget_too_small_for_golds():
 
 def test_phrase_budget_split_evenly_with_remainder():
     links = PageLinks({})
-    phrase = PhraseTable({"a": [10, 11, 12, 13], "b": [20, 21, 22, 23], "c": [30, 31, 32, 33]})
+    phrase = AliasTable({"a": [10, 11, 12, 13], "b": [20, 21, 22, 23], "c": [30, 31, 32, 33]})
     cfg = CandidateConfig(k=32, max_page=0, max_phrase=8, min_random=8, rng_seed=0)
     labels = [lab(None, surface="a"), lab(None, surface="b"), lab(None, surface="c")]
     cs = assemble_candidates(labels, "d", cfg, links, phrase, 200)
@@ -253,7 +258,7 @@ def test_phrase_budget_split_evenly_with_remainder():
 
 def test_dedup_priority_gold_over_sources():
     links = PageLinks({"d": [5]})
-    phrase = PhraseTable({"s": [5, 6]})
+    phrase = AliasTable({"s": [5, 6]})
     cfg = CandidateConfig(k=8, max_page=2, max_phrase=2, min_random=2, rng_seed=0)
     labels = [lab(5, surface="s")]
     cs = assemble_candidates(labels, "d", cfg, links, phrase, 100)

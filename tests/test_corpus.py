@@ -11,7 +11,7 @@ from helpers import save_documents
 
 from elink import corpus as cp
 from elink.aliastable import RedirectMap, load_alias_tsv
-from elink.candidates import PageLinks, PhraseTable
+from elink.candidates import PageLinks, load_phrase_table
 from elink.corpus import (
     CharMention,
     Context,
@@ -383,7 +383,7 @@ def test_sep_required_only_when_used():
 TSV_EVOCAB = EntityVocab(["E0", "E1"])
 # reader name -> (load(path), a good row, what that row alone loads to)
 TSV_READERS = {
-    "phrase_table": (lambda p: PhraseTable.from_tsv(p, TSV_EVOCAB).table, "NYC\tE1\t0",
+    "phrase_table": (lambda p: load_phrase_table(p, TSV_EVOCAB).table, "NYC\tE1\t0",
                      {"nyc": [1]}),
     "page_links": (lambda p: PageLinks.from_tsv(p, TSV_EVOCAB).links, "d0\tE1", {"d0": [1]}),
     "alias_table": (load_alias_tsv, "nyc\tE1", [("nyc", "E1")]),

@@ -5,7 +5,12 @@ import pytest
 
 from helpers import oracle_micro_f1
 
-from elink.evaluation import disambiguation_accuracy, strong_matching_micro_f1
+from elink.evaluation import (
+    ErrorRecord,
+    disambiguation_accuracy,
+    strong_matching_micro_f1,
+    write_error_dump,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,3 +135,14 @@ def test_f1_bounds_and_relation():
 def test_f1_doc_count_mismatch():
     with pytest.raises(ValueError):
         strong_matching_micro_f1([set()], [set(), set()])
+
+
+def test_error_dump_keeps_a_surface_with_tabs_and_newlines_in_one_cell(tmp_path):
+    path = tmp_path / "errors.tsv"
+    rec = ErrorRecord(surface="New\tYork\nCity", gold="E1", top=[("E2", 1.5), ("E1", 0.25)])
+    write_error_dump(path, [rec])
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert rows == [
+        ["surface", "gold", "pred1", "score1", "pred2", "score2"],
+        ["New York City", "E1", "E2", "1.500000", "E1", "0.250000"],
+    ]

@@ -45,7 +45,6 @@ from elink.model import (
     save_checkpoint,
     score_and_prob,
     span_repr,
-    stable_softmax,
     total_loss,
     _param_specs,
     _top_k,
@@ -221,35 +220,50 @@ def test_span_repr_out_of_range(params):
 # ---------------------------------------------------------------------------
 
 
+def _softmax64(scores) -> np.ndarray:
+    """Reference softmax of one score row, in float64."""
+    z = np.asarray(scores, dtype=np.float64)
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def test_equal_scores_uniform_probabilities(params):
-    params["ent_emb"].data[:3] = 0.0
-    sv = np.ones(TINY.d_entity)
-    _, probs = score_and_prob(params, sv, [0, 1, 2])
-    assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
+    params["ent_emb"].data[:] = 0.0
+    best, prob = score_and_prob(params, np.ones((2, TINY.d_entity), np.float32))
+    assert best.tolist() == [0, 0]  # a tie goes to the lowest entity index
+    assert np.allclose(prob, 1 / TINY.n_entities)
 
 
-def test_analytic_softmax_ln2():
-    probs = stable_softmax(np.array([math.log(2.0), 0.0, 0.0]))
-    assert np.allclose(probs, [0.5, 0.25, 0.25])
+def test_analytic_softmax_ln2(params64):
+    # a table of zeros plus one row scoring ln 2: p = 2 / (2 + |E| - 1)
+    params64["ent_emb"].data[:] = 0.0
+    params64["ent_emb"].data[5, 0] = math.log(2.0)
+    sv = np.zeros((1, TINY.d_entity))
+    sv[0, 0] = 1.0
+    best, prob = score_and_prob(params64, sv)
+    assert best.tolist() == [5]
+    assert prob[0] == pytest.approx(2.0 / (TINY.n_entities + 1), rel=1e-12)
 
 
-def test_probabilities_sum_to_one(params):
+def test_winner_probability_is_its_full_softmax_entry(params):
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        sv = rng.normal(size=TINY.d_entity) * rng.uniform(0.1, 5)
-        _, probs = score_and_prob(params, sv)
-        assert abs(probs.sum() - 1.0) < 1e-6
+    sv = (rng.normal(size=(20, TINY.d_entity)) * rng.uniform(0.1, 5, size=(20, 1))).astype(np.float32)
+    best, prob = score_and_prob(params, sv)
+    for row, b, p in zip(sv @ params["ent_emb"].data.T, best, prob):
+        assert b == int(np.argmax(row))
+        assert p == pytest.approx(_softmax64(row)[b], rel=1e-5)
 
 
-def test_softmax_stable_at_extreme_scores():
-    probs = stable_softmax(np.array([1e4, -1e4, 0.0]))
-    assert np.isfinite(probs).all()
-    assert abs(probs.sum() - 1.0) < 1e-12
-
-
-def test_empty_candidates_error(params):
-    with pytest.raises(ValueError, match="non-empty"):
-        score_and_prob(params, np.ones(TINY.d_entity), [])
+def test_softmax_stable_at_extreme_scores(params):
+    params["ent_emb"].data[:] = 0.0
+    params["ent_emb"].data[:3, 0] = [1e4, -1e4, 1e4 - 1.0]
+    sv = np.zeros((2, TINY.d_entity), np.float32)
+    sv[:, 0] = [1.0, -1.0]  # scores (1e4, -1e4, 1e4 - 1, 0...) and their negation
+    best, prob = score_and_prob(params, sv)
+    assert best.tolist() == [0, 1]
+    assert np.isfinite(prob).all()
+    assert prob[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-6)
+    assert prob[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +772,9 @@ def test_end_to_end_decodes_spans_and_probabilities(params64):
         assert 0.0 < prob <= 1.0
         # reference: this span scored on its own against every entity
         sv = span_repr(params64, H, [0], [span[0]], [span[1]]).data[0]
-        scores, probs = score_and_prob(params64, sv)
+        scores = params64["ent_emb"].data @ sv
         assert ent == int(np.flatnonzero(scores == scores.max())[0])
-        assert prob == pytest.approx(probs[ent], rel=1e-12)
+        assert prob == pytest.approx(_softmax64(scores)[ent], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
