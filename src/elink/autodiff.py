@@ -21,10 +21,13 @@ gradient as soon as its rule has consumed it, and after the sweep strips
 every interior node of its backward rule and parents, so a step's
 activations die with its backward rather than with the next step's
 forward. Leaves keep their gradients; a second backward() through the
-spent graph raises. Two nodes keep less than that: `table_softmax_nll`
+spent graph raises. Three nodes keep less than that: `table_softmax_nll`
 drops its (N, K) score matrix as soon as its rule has run, not at the end
-of the sweep, and `gelu` keeps only its input and recomputes the rest in
-its backward.
+of the sweep; `gelu` keeps only its input and recomputes the rest in its
+backward; and `attention` keeps its softmax's row maxima and row sums, not
+its probabilities, and rebuilds them in its backward. Each recomputation
+repeats the forward's ops in the forward's order, so it gets the forward's
+bytes.
 
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
@@ -363,9 +366,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
 
     key_bias (B, T) is added to every query's scores for that key (a large
     negative value masks a padding key). Heads are split and merged inside
-    the node; only the attention probabilities are kept for the backward.
-    The score scale is applied to the queries, and in the backward to the
-    query and key gradients, so it touches B*T*d values, not B*H*T*T scores.
+    the node. The score scale is applied to the queries, and in the backward
+    to the query and key gradients, so it touches B*T*d values, not B*H*T*T
+    scores. The node keeps only the softmax's (B, H, T, 1) row maxima and
+    row sums, not the (B, H, T, T) probabilities: the backward rebuilds them
+    with the forward's ops in the forward's order, so with its bytes, and
+    skips the max and the row-sum GEMV (FlashAttention, Dao et al., arXiv
+    2205.14135).
     """
     B, T, d = q.data.shape
     dh = d // n_heads
@@ -378,15 +385,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: in
         return x.transpose(0, 2, 1, 3).reshape(B, T, d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    p = heads(q.data * scale) @ kh.swapaxes(-1, -2)
-    p += key_bias[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
+
+    def biased_scores() -> np.ndarray:
+        s = heads(q.data * scale) @ kh.swapaxes(-1, -2)
+        s += key_bias[:, None, None, :]
+        return s
+
+    p = biased_scores()
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
     np.exp(p, out=p)
-    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    row_sum = (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    p /= row_sum
     ctx = merge(p @ vh)
     out = Tensor(ctx, _parents=(q, k, v))
 
     def bwd(g):
+        p = biased_scores()
+        p -= row_max
+        np.exp(p, out=p)
+        p /= row_sum
         gh = heads(g)
         _accum(v, merge(p.swapaxes(-1, -2) @ gh))
         # softmax backward p * (gp - sum(gp * p)), where each query's

@@ -12,7 +12,7 @@ import logging
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class Document:
     mentions: tuple[CharMention, ...] = ()
 
     def __post_init__(self):
+        if type(self.doc_id) is not str:
+            raise ValueError(f"doc_id {self.doc_id!r} is not a string")
         object.__setattr__(self, "mentions", tuple(self.mentions))
         last_end = 0
         for m in sorted(self.mentions, key=lambda m: m.start_char):
@@ -146,18 +148,20 @@ class DropCounter:
 
 
 class TokenVocab:
-    """Ordered token vocabulary; [PAD]/[UNK]/[MASK] must be present."""
+    """Ordered token vocabulary; [PAD]/[UNK]/[MASK] must be present.
 
-    def __init__(self, tokens):
+    Given the file it was read from (path, and each token's line number in
+    it), an error names `path:line` of a repeated token, or `path` for a
+    missing reserved token.
+    """
+
+    def __init__(self, tokens, *, path=None, linenos=None):
         self.tokens = list(tokens)
-        self.index = {}
-        for i, t in enumerate(self.tokens):
-            if t in self.index:
-                raise CorpusFormatError(f"duplicate token {t!r} in vocabulary")
-            self.index[t] = i
+        self.index = _vocab_index(self.tokens, "token", path, linenos)
         for required in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN):
             if required not in self.index:
-                raise CorpusFormatError(f"vocabulary is missing {required}")
+                where = "" if path is None else f"{path}: "
+                raise CorpusFormatError(f"{where}vocabulary is missing {required}")
 
     def __len__(self):
         return len(self.tokens)
@@ -205,22 +209,20 @@ class TokenVocab:
 
     @classmethod
     def from_file(cls, path) -> "TokenVocab":
-        return cls(_read_lines(path))
+        lines, linenos = _read_lines(path)
+        return cls(lines, path=path, linenos=linenos)
 
     def save(self, path) -> None:
         _write_lines(path, self.tokens)
 
 
 class EntityVocab:
-    """Ordered entity-id vocabulary with dense indices."""
+    """Ordered entity-id vocabulary with dense indices. Given the file it
+    was read from, as TokenVocab is, a repeated id names `path:line`."""
 
-    def __init__(self, ids):
+    def __init__(self, ids, *, path=None, linenos=None):
         self.ids = list(ids)
-        self.index = {}
-        for i, e in enumerate(self.ids):
-            if e in self.index:
-                raise CorpusFormatError(f"duplicate entity id {e!r} in vocabulary")
-            self.index[e] = i
+        self.index = _vocab_index(self.ids, "entity id", path, linenos)
 
     def __len__(self):
         return len(self.ids)
@@ -233,15 +235,32 @@ class EntityVocab:
 
     @classmethod
     def from_file(cls, path) -> "EntityVocab":
-        return cls(_read_lines(path))
+        lines, linenos = _read_lines(path)
+        return cls(lines, path=path, linenos=linenos)
 
     def save(self, path) -> None:
         _write_lines(path, self.ids)
 
 
-def _read_lines(path) -> list[str]:
+def _vocab_index(items: list, what: str, path=None, linenos=None) -> dict:
+    """Each item's position in items. A repeated item raises
+    CorpusFormatError; given the file path and each item's line number in
+    it, the error names `path:line` of the second occurrence."""
+    index = {}
+    for i, x in enumerate(items):
+        if index.setdefault(x, i) != i:
+            where = "" if path is None else f"{path}:{linenos[i]}: "
+            raise CorpusFormatError(f"{where}duplicate {what} {x!r} in vocabulary")
+    return index
+
+
+def _read_lines(path) -> tuple[list[str], list[int]]:
+    """The non-empty lines of a file, without their newlines, and the
+    1-based number of each in the file, blank lines counted."""
     with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f if line.rstrip("\n")]
+        raw = f.read().split("\n")
+    linenos = [i for i, line in enumerate(raw, 1) if line]
+    return [raw[i - 1] for i in linenos], linenos
 
 
 def _write_lines(path, lines) -> None:
@@ -607,6 +626,14 @@ def _is_int(text: str) -> bool:
     return True
 
 
+def _json_object(line: str) -> dict:
+    """line parsed as JSON; a ValueError unless it is a JSON object."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("the line is not a JSON object")
+    return rec
+
+
 def load_documents(path) -> list[Document]:
     """Read documents from JSON-lines; duplicate doc_ids are an error."""
     docs = []
@@ -616,7 +643,7 @@ def load_documents(path) -> list[Document]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = _json_object(line)
                 mentions = tuple(
                     CharMention(m["start_char"], m["end_char"], m["entity"])
                     for m in rec.get("mentions", [])
@@ -656,11 +683,13 @@ def load_contexts(
 ) -> list[Context]:
     """The contexts of a JSONL context cache, one per non-blank line.
 
-    Token ids, span ends and non-null entity indices must be JSON integers
-    (not floats or booleans). Given the vocabulary sizes, every token id
-    must lie in [0, n_tokens) and every label's entity index in
-    [0, n_entities) or be null. A malformed line raises CorpusFormatError
-    naming path:line.
+    Each line is a JSON object. Its doc_id is a string; its tokens,
+    char_offsets and optional labels are lists; token ids, span ends,
+    non-null entity indices and both ends of each char offset pair are JSON
+    integers (not floats or booleans); a label's surface is a string or
+    null. Given the vocabulary sizes, every token id must lie in
+    [0, n_tokens) and every label's entity index in [0, n_entities) or be
+    null. A malformed line raises CorpusFormatError naming path:line.
     """
     contexts = []
     with open(path, encoding="utf-8") as f:
@@ -668,7 +697,10 @@ def load_contexts(
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = _json_object(line)
+                for key in ("tokens", "char_offsets", "labels"):
+                    if not isinstance(rec.get(key, []), list):
+                        raise ValueError(f"{key} is not a list")
                 labels = [
                     MentionLabel(tuple(l["span"]), l["entity"], l.get("surface"))
                     for l in rec.get("labels", [])
@@ -679,25 +711,35 @@ def load_contexts(
                     doc_id=rec["doc_id"],
                     labels=labels,
                 )
-                _check_indices(ctx, n_tokens, n_entities)
+                _check_fields(ctx, n_tokens, n_entities)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             contexts.append(ctx)
     return contexts
 
 
-def _check_indices(ctx: Context, n_tokens: int | None, n_entities: int | None) -> None:
-    """Raise ValueError if a token id, span end or entity index of ctx is
-    not an integer, or if a token id or entity index falls outside its
+def _check_fields(ctx: Context, n_tokens: int | None, n_entities: int | None) -> None:
+    """Raise ValueError if a field of ctx has the wrong JSON type (see
+    load_contexts), or if a token id or entity index falls outside its
     vocabulary (a size of None skips that check)."""
+    if type(ctx.doc_id) is not str:
+        raise ValueError(f"doc_id {json.dumps(ctx.doc_id)} is not a string")
+    if set(map(len, ctx.char_offsets)) - {2}:
+        o = next(o for o in ctx.char_offsets if len(o) != 2)
+        raise ValueError(f"char offset {json.dumps(o)} is not a pair")
+    for l in ctx.labels:
+        if l.surface is not None and type(l.surface) is not str:
+            raise ValueError(f"surface {json.dumps(l.surface)} is not a string")
     for what, values in (
         ("token id", ctx.tokens),
+        ("char offset", list(chain.from_iterable(ctx.char_offsets))),
         ("span end", [e for l in ctx.labels for e in l.span]),
         ("entity index", [l.entity for l in ctx.labels if l.entity is not None]),
     ):
-        for v in values:
-            if type(v) is not int:  # bool is an int subclass, and is rejected too
-                raise ValueError(f"{what} {json.dumps(v)} is not an integer")
+        # exact types, in bulk: bool is an int subclass, and is rejected too
+        if set(map(type, values)) - {int}:
+            v = next(v for v in values if type(v) is not int)
+            raise ValueError(f"{what} {json.dumps(v)} is not an integer")
     if n_tokens is not None and ctx.tokens:
         for t in (min(ctx.tokens), max(ctx.tokens)):
             if not 0 <= t < n_tokens:

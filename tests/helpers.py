@@ -332,16 +332,16 @@ def dense_moments(state) -> tuple[dict, dict]:
     return m, v
 
 
-def attention_prob_refs(monkeypatch) -> list:
-    """Patch autodiff.attention to record a weakref to each call's attention
-    probabilities, which only that node's backward rule holds."""
+def attention_state_refs(monkeypatch) -> list:
+    """Patch autodiff.attention to record a weakref to each call's softmax
+    row maxima, which only that node's backward rule holds."""
     refs = []
     orig = ad.attention
 
     def attention(*args, **kwargs):
         out = orig(*args, **kwargs)
         rule = out._backward
-        cell = rule.__closure__[rule.__code__.co_freevars.index("p")]
+        cell = rule.__closure__[rule.__code__.co_freevars.index("row_max")]
         refs.append(weakref.ref(cell.cell_contents))
         return out
 

@@ -226,6 +226,72 @@ def test_attention_float32_matches_float64_on_a_padded_batch(rng):
         assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
 
+def _attention_keeping_probs(q, k, v, key_bias, n_heads, g):
+    """Attention's output and q/k/v gradients for output gradient g, with
+    the probabilities kept from the forward for the backward."""
+    B, T, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(x):
+        return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, T, d)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    p = heads(q * scale) @ kh.swapaxes(-1, -2)
+    p += key_bias[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    ctx = merge(p @ vh)
+    gh = heads(g)
+    gv = merge(p.swapaxes(-1, -2) @ gh)
+    gs = gh @ vh.swapaxes(-1, -2)
+    gs -= (gh * heads(ctx)).sum(axis=-1, keepdims=True)
+    gs *= p
+    gq = merge(gs @ kh)
+    gq *= scale
+    gk = merge(gs.swapaxes(-1, -2) @ qh)
+    gk *= scale
+    return ctx, gq, gk, gv
+
+
+def _held_arrays(obj, seen=None) -> list:
+    """Every array a backward rule reaches through its closure: its own
+    cells, its nested functions' cells and its tensors' data."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, Tensor):
+        return [obj.data]
+    if callable(obj) and getattr(obj, "__closure__", None):
+        return [a for c in obj.__closure__ for a in _held_arrays(c.cell_contents, seen)]
+    return []
+
+
+def test_attention_keeps_only_row_statistics(rng):
+    B, T, d, H = 3, 16, 32, 4
+    q, k, v, pad, bias = _padded_attention_inputs(rng, B=B, T=T, d=d)
+    pad[2, 9:] = True
+    bias = np.where(pad, -1e9, 0.0).astype(np.float32)
+    ins = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in (q, k, v)]
+    w = rng.normal(size=q.shape).astype(np.float32)
+    out = ad.attention(*ins, bias, H)
+    held = _held_arrays(out._backward)
+    assert held and all(a.size < B * H * T * T for a in held)
+    assert sum(a.shape == (B, H, T, 1) for a in held) == 2   # row maxima and row sums
+    (out * w).sum().backward()
+    want = _attention_keeping_probs(*(t.data for t in ins), bias, H, w)
+    got = (out.data,) + tuple(t.grad for t in ins)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+
 def _nll_rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """Per-row softmax NLL of column gold of each row, in numpy."""
     m = scores.max(axis=-1, keepdims=True)

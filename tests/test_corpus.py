@@ -374,6 +374,24 @@ def test_vocab_rejects_duplicates():
         TokenVocab(RESERVED + ["x", "x"])
 
 
+def test_vocab_files_name_the_bad_line(tmp_path):
+    # blank lines are skipped but counted: the repeat is on line 5 of the file
+    path = tmp_path / "tokens.txt"
+    path.write_text("\n".join(RESERVED[:2] + ["", "foo", "foo", RESERVED[2]]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        TokenVocab.from_file(path)
+    assert str(exc.value) == f"{path}:5: duplicate token 'foo' in vocabulary"
+    path.write_text("[PAD]\n\n[UNK]\nfoo\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        TokenVocab.from_file(path)
+    assert str(exc.value) == f"{path}: vocabulary is missing [MASK]"
+    epath = tmp_path / "entities.txt"
+    epath.write_text("E1\n\n\nE0\nE1\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        EntityVocab.from_file(epath)
+    assert str(exc.value) == f"{epath}:5: duplicate entity id 'E1' in vocabulary"
+
+
 def test_sep_required_only_when_used():
     vocab = TokenVocab(["[PAD]", "[UNK]", "[MASK]", "w"])
     with pytest.raises(CorpusFormatError):
@@ -436,6 +454,18 @@ def test_load_documents_malformed_line_number(tmp_path):
     path.write_text('{"doc_id": "a", "title": "", "text": "x", "mentions": []}\nnot json\n')
     with pytest.raises(CorpusFormatError, match=":2"):
         load_documents(path)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("[1, 2]", "the line is not a JSON object"),
+    ('{"doc_id": 7, "text": "x"}', "doc_id 7 is not a string"),
+])
+def test_load_documents_names_a_line_of_the_wrong_shape(tmp_path, bad_line, message):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"doc_id": "a", "title": "", "text": "x", "mentions": []}\n' + bad_line + "\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_documents(path)
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_document_rejects_overlapping_mentions():
@@ -539,3 +569,139 @@ def test_load_contexts_accepts_ids_at_the_vocabulary_edges(tmp_path):
     path = tmp_path / "cache.jsonl"
     save_contexts(path, [ctx])
     assert load_contexts(path, 10, 3) == [ctx]
+
+
+# A valid context file, one record per line; [-1, -1] marks a prepended token.
+VALID_RECORDS = [
+    {"doc_id": "d0", "tokens": [4, 5, 6], "char_offsets": [[0, 1], [2, 3], [4, 5]],
+     "labels": [{"span": [0, 1], "entity": 2, "surface": "yuri gagarin"},
+                {"span": [2, 2], "entity": None}]},
+    {"doc_id": "d1", "tokens": [0, 9], "char_offsets": [[-1, -1], [0, 2]], "labels": []},
+    {"doc_id": "d2", "tokens": [7], "char_offsets": [[3, 4]]},
+]
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.integers(-2**70, 2**70),
+              st.floats(), st.text(max_size=4)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["doc_id", "tokens", "span", "entity", "surface", "x"]),
+                        kids, max_size=3),
+    ),
+    max_leaves=6,
+)
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                    max_size=30)
+
+
+def _int(v) -> bool:
+    return type(v) is int  # not bool
+
+
+def _denoted_context(text: str, n_tokens, n_entities):
+    """The Context a non-blank context-file line denotes under the format
+    load_contexts documents, or None if the line breaks that format. Each
+    rule is checked on the parsed JSON, apart from the loader's code."""
+    try:
+        rec = json.loads(text)
+    except ValueError:
+        return None
+    if type(rec) is not dict:
+        return None
+    doc_id, tokens, offsets = rec.get("doc_id"), rec.get("tokens"), rec.get("char_offsets")
+    labels = rec.get("labels", [])
+    if not (type(doc_id) is str and type(tokens) is list and type(offsets) is list
+            and type(labels) is list and len(offsets) == len(tokens)):
+        return None
+    if not all(_int(t) and (n_tokens is None or 0 <= t < n_tokens) for t in tokens):
+        return None
+    if not all(type(o) is list and len(o) == 2 and all(map(_int, o)) for o in offsets):
+        return None
+    out = []
+    for lab in labels:
+        if type(lab) is not dict or "span" not in lab or "entity" not in lab:
+            return None
+        span, ent, surface = lab["span"], lab["entity"], lab.get("surface")
+        if not (type(span) is list and len(span) == 2 and all(map(_int, span))
+                and 0 <= span[0] <= span[1] < len(tokens)):
+            return None
+        if not (ent is None or _int(ent) and (n_entities is None or 0 <= ent < n_entities)):
+            return None
+        if not (surface is None or type(surface) is str):
+            return None
+        out.append(MentionLabel(tuple(span), ent, surface))
+    spans = sorted(lab.span for lab in out)
+    if any(b[0] <= a[1] for a, b in zip(spans, spans[1:])):
+        return None
+    return Context(tokens=tokens, char_offsets=[tuple(o) for o in offsets], doc_id=doc_id,
+                   labels=out)
+
+
+def _node_paths(node, at=()):
+    """The path (keys and indices) to node and to every node inside it."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, at + (key,))
+
+
+def _corrupt_line(draw, rec: dict) -> str:
+    """One line of a context file with one random change to rec: a node
+    replaced, deleted or inserted, the line cut short, or other text."""
+    kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate", "text"]))
+    line = json.dumps(rec, ensure_ascii=False)
+    if kind == "truncate":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    if kind == "text":
+        return draw(LINE_TEXT)
+    paths = list(_node_paths(rec))
+    if kind == "insert":
+        at = draw(st.sampled_from([p for p in paths if isinstance(_node_at(rec, p), (dict, list))]))
+        node = _node_at(rec, at)
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(["doc_id", "tokens", "labels", "surface", "x"]))] = draw(JSON_VALUES)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(JSON_VALUES))
+        return json.dumps(rec, ensure_ascii=False)
+    at = draw(st.sampled_from(paths if kind == "replace" else paths[1:]))
+    if not at:
+        return json.dumps(draw(JSON_VALUES), ensure_ascii=False)
+    parent = _node_at(rec, at[:-1])
+    if kind == "replace":
+        parent[at[-1]] = draw(JSON_VALUES)
+    else:
+        del parent[at[-1]]
+    return json.dumps(rec, ensure_ascii=False)
+
+
+def _node_at(rec, path):
+    for key in path:
+        rec = rec[key]
+    return rec
+
+
+@given(st.data(), st.sampled_from([(10, 3), (None, None)]))
+@settings(max_examples=300, deadline=None)
+def test_load_contexts_under_a_random_corruption(tmp_path_factory, data, sizes):
+    """One random change to one line of a valid context file: the file
+    either loads to the contexts it denotes (the change kept the format) or
+    raises CorpusFormatError naming that line. It never raises anything
+    else, and never loads a line that breaks the format."""
+    lines = [json.dumps(rec) for rec in VALID_RECORDS]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = _corrupt_line(data.draw, json.loads(lines[i]))
+    path = tmp_path_factory.mktemp("corrupt") / "cache.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want, bad = [], None
+    for lineno, text in enumerate(lines, 1):
+        if text.strip():
+            ctx = _denoted_context(text, *sizes)
+            if ctx is None:
+                bad = lineno
+                break
+            want.append(ctx)
+    try:
+        got = load_contexts(path, *sizes)
+    except CorpusFormatError as exc:
+        assert bad is not None and str(exc).startswith(f"{path}:{bad}: "), str(exc)
+    else:
+        assert bad is None and got == want

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     as_float64,
-    attention_prob_refs,
+    attention_state_refs,
     fd_group_errors,
     oracle_bio_loss,
     oracle_linking_loss,
@@ -503,12 +503,12 @@ def test_backward_frees_the_tape_and_keeps_leaf_gradients(params, monkeypatch):
     fresh = backward(total_loss(params, batch)[0], params)
     want = {name: _grad_bytes(g) for name, g in fresh.items()}
 
-    probs = attention_prob_refs(monkeypatch)
+    stats = attention_state_refs(monkeypatch)
     loss, _ = total_loss(params, batch)
     interior = _interior_nodes(loss)
-    assert len(probs) == TINY.n_layers and all(r() is not None for r in probs)
+    assert len(stats) == TINY.n_layers and all(r() is not None for r in stats)
     grads = backward(loss, params)
-    assert sum(r() is not None for r in probs) == 0
+    assert sum(r() is not None for r in stats) == 0
     assert sum(n.grad is not None for n in interior) == 0
     assert {name: _grad_bytes(g) for name, g in grads.items()} == want
 

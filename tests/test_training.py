@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_entity_accuracy, as_float64, attention_prob_refs, dense_moments, make_world
+from helpers import all_entity_accuracy, as_float64, attention_state_refs, dense_moments, make_world
 
 from elink import model as M
 from elink import threads, training
@@ -465,28 +465,28 @@ def test_each_gold_column_holds_the_gold_entity(monkeypatch):
 
 
 def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
-    """When any shard's forward of step t+1 starts, no attention
-    probabilities of step t, of either shard, are alive: each shard's tape
+    """When any shard's forward of step t+1 starts, no attention row
+    statistics of step t, of either shard, are alive: each shard's tape
     has freed itself. The second shard of a step may already be recording,
-    so each forward counts only the probabilities of finished steps. No
+    so each forward counts only the statistics of finished steps. No
     gradient array handed to step t's adam_step is alive either: a step's
     gradients die with it. Shards on two threads and on one."""
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
-    probs = attention_prob_refs(monkeypatch)
+    stats = attention_state_refs(monkeypatch)
     handed = []      # weakrefs to the arrays of every gradient handed to adam_step
-    finished = [0]   # len(probs) when the last finished step reached Adam
-    alive = []       # per forward: (probabilities of finished steps, how many
+    finished = [0]   # len(stats) when the last finished step reached Adam
+    alive = []       # per forward: (statistics of finished steps, how many
                      # alive, how many handed gradient arrays alive)
     orig_loss, orig_adam = M.total_loss, training.adam_step
 
     def total_loss(*args, **kwargs):
-        done = probs[: finished[0]]
+        done = stats[: finished[0]]
         alive.append((len(done), sum(r() is not None for r in done),
                       sum(r() is not None for r in handed)))
         return orig_loss(*args, **kwargs)
 
     def adam_step(params, grads, *args, **kwargs):
-        finished[0] = len(probs)
+        finished[0] = len(stats)
         for g in grads.values():
             arrays = (g.rows, g.values) if isinstance(g, RowGrad) else (g,)
             handed.extend(weakref.ref(a) for a in arrays)
@@ -498,12 +498,12 @@ def test_pretrain_frees_each_step_tape_before_the_next_forward(monkeypatch):
     per_step = 2 * mcfg.n_layers   # shards x layers
     for cpus in (2, 1):
         monkeypatch.setattr(M, "_usable_cpus", lambda n=cpus: n)
-        probs.clear()
+        stats.clear()
         handed.clear()
         alive.clear()
         finished[0] = 0
         pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
-        assert len(probs) == 3 * per_step
+        assert len(stats) == 3 * per_step
         assert handed
         assert alive == [(0, 0, 0)] * 2 + [(per_step, 0, 0)] * 2 + [(2 * per_step, 0, 0)] * 2
 
