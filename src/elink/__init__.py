@@ -29,8 +29,10 @@ from .corpus import (
     align_spans,
     chunk_document,
     make_eval_context,
+    sentence_contexts,
     tokenize,
     window_context,
+    window_contexts,
 )
 from .evaluation import disambiguation_accuracy, strong_matching_micro_f1
 from .model import (

@@ -124,25 +124,16 @@ def cmd_build_corpus(args, overrides) -> int:
             ctxs, d = cp.chunk_document(
                 doc, tvocab, evocab, cfg.corpus.chunk_chars, cfg.model.max_len
             )
-            contexts.extend(ctxs)
-            drops.merge(d)
         elif mode == "sentence":
-            for sent in cp.newline_sentences(doc.text):
-                ctx, d = cp.make_eval_context(
-                    doc, sent, cfg.corpus.context_mode, tvocab, evocab, cfg.model.max_len
-                )
-                contexts.append(ctx)
-                drops.merge(d)
+            ctxs, d = cp.sentence_contexts(
+                doc, cfg.corpus.context_mode, tvocab, evocab, cfg.model.max_len
+            )
         else:
-            # built once for all of the document's windows
-            byte_at = cp.utf8_offsets(doc.text) if doc.mentions else None
-            for mention in doc.mentions:
-                ctx, d = cp.window_context(
-                    doc, mention, tvocab, evocab, cfg.corpus.window_bytes, cfg.model.max_len,
-                    byte_at,
-                )
-                contexts.append(ctx)
-                drops.merge(d)
+            ctxs, d = cp.window_contexts(
+                doc, tvocab, evocab, cfg.corpus.window_bytes, cfg.model.max_len
+            )
+        contexts.extend(ctxs)
+        drops.merge(d)
 
     cp.save_contexts(out_path, contexts)
     n_labels = sum(len(c.labels) for c in contexts)
@@ -310,14 +301,25 @@ def cmd_link(args, overrides) -> int:
         text = sys.stdin.read()
 
     doc = cp.Document(doc_id="<input>", title="", text=text, mentions=())
-    contexts, _ = cp.chunk_document(
-        doc, tvocab, evocab, cfg.corpus.chunk_chars, params.config.max_len
+    # Chunks hold at most 3/4 of max_len tokens. Each is decoded with the
+    # tokens after it, up to max_len, and keeps the spans that start in it
+    # and not inside the span kept before them: every token is decoded
+    # once, and a mention that crosses a cut is linked whole.
+    max_len = params.config.max_len
+    chunks, _ = cp.chunk_document(
+        doc, tvocab, evocab, cfg.corpus.chunk_chars, max(1, max_len * 3 // 4)
     )
-    for ctx in contexts:
-        for (s, e), ent, prob in predict_end_to_end(params, ctx.tokens):
-            cs = ctx.char_offsets[s][0]
-            ce = ctx.char_offsets[e][1]
+    tokens = [t for c in chunks for t in c.tokens]
+    offsets = [o for c in chunks for o in c.char_offsets]
+    lo = kept_end = 0  # kept_end: the token after the last span printed
+    for chunk in chunks:
+        hi = lo + len(chunk.tokens)
+        starts = range(max(kept_end - lo, 0), hi - lo)
+        for (s, e), ent, prob in predict_end_to_end(params, tokens[lo : lo + max_len], starts):
+            cs, ce = offsets[lo + s][0], offsets[lo + e][1]
             print(f"{cs}\t{ce}\t{cp.tsv_cell(text[cs:ce])}\t{evocab.ids[ent]}\t{prob:.6f}")
+            kept_end = lo + e + 1
+        lo = hi
     return 0
 
 

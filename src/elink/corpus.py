@@ -1,10 +1,12 @@
 """Corpus construction: documents, tokenization, chunking, and context files.
 
-Raw documents carry character-offset mentions. They are chunked into
-fixed-size character windows, tokenized with a deterministic simplified
-tokenizer (NFKC + lowercase, whitespace/punctuation split), and the
-mentions are re-aligned to token spans. Contexts round-trip through a
-JSON-lines cache; `read_tsv` reads the tab-separated table files.
+Raw documents carry character-offset mentions. Each document is tokenized
+once with a deterministic simplified tokenizer (NFKC + lowercase,
+whitespace/punctuation split); every context (a chunk, a sentence or a
+window around a mention) is a run of whole tokens cut from that one
+tokenization, and the mentions are re-aligned to token spans. Contexts
+round-trip through a JSON-lines cache; `read_tsv` reads the tab-separated
+table files.
 """
 
 import json
@@ -12,6 +14,7 @@ import logging
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -34,6 +37,11 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus, vocabulary and TSV table files."""
 
 
+def _shown(value) -> str:
+    """value as an error message shows it: JSON where it has a JSON form."""
+    return json.dumps(value, default=repr)
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -48,10 +56,16 @@ class CharMention:
     entity: str | None
 
     def __post_init__(self):
+        for name in ("start_char", "end_char"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, and is rejected too
+                raise ValueError(f"{name} {_shown(value)} is not an integer")
         if not (0 <= self.start_char < self.end_char):
             raise ValueError(
                 f"invalid mention range ({self.start_char}, {self.end_char})"
             )
+        if self.entity is not None and type(self.entity) is not str:
+            raise ValueError(f"entity {_shown(self.entity)} is not a string or null")
 
 
 @dataclass(frozen=True)
@@ -62,8 +76,10 @@ class Document:
     mentions: tuple[CharMention, ...] = ()
 
     def __post_init__(self):
-        if type(self.doc_id) is not str:
-            raise ValueError(f"doc_id {self.doc_id!r} is not a string")
+        for name in ("doc_id", "title", "text"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValueError(f"{name} {_shown(value)} is not a string")
         object.__setattr__(self, "mentions", tuple(self.mentions))
         last_end = 0
         for m in sorted(self.mentions, key=lambda m: m.start_char):
@@ -116,30 +132,25 @@ class Context:
 
 @dataclass
 class DropCounter:
-    """Why input mentions did not survive into aligned labels."""
+    """Why input mentions did not survive into aligned labels: cut by a
+    context boundary, past max_len, covering no token, an entity missing
+    from the vocabulary, a token span shared with another mention, or (in
+    sentence mode) starting in no sentence."""
 
     straddled: int = 0
     truncated: int = 0
     whitespace: int = 0
     unknown_entity: int = 0
     collided: int = 0
+    no_sentence: int = 0
 
     @property
     def total(self) -> int:
-        return (
-            self.straddled
-            + self.truncated
-            + self.whitespace
-            + self.unknown_entity
-            + self.collided
-        )
+        return sum(vars(self).values())
 
     def merge(self, other: "DropCounter") -> None:
-        self.straddled += other.straddled
-        self.truncated += other.truncated
-        self.whitespace += other.whitespace
-        self.unknown_entity += other.unknown_entity
-        self.collided += other.collided
+        for name, n in vars(other).items():
+            setattr(self, name, getattr(self, name) + n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +361,25 @@ def align_spans(
     Returns (list of (mention, token_span) pairs, number dropped). A mention
     that overlaps no token (whitespace only) is dropped. The chosen span is
     expanded outward so the implied character range contains the mention
-    whenever the mention starts/ends on tokenized characters.
+    whenever the mention starts/ends on tokenized characters. char_offsets
+    are increasing and non-overlapping, as `tokenize` gives them.
     """
     starts = [s for s, _ in char_offsets]
+    ends = [e for _, e in char_offsets]
     aligned = []
     dropped = 0
     for m in mentions:
-        overlap = [
-            i
-            for i, (ts, te) in enumerate(char_offsets)
-            if ts < m.end_char and te > m.start_char
-        ]
-        if not overlap:
+        # the tokens overlapping the mention are first..last
+        first = bisect_right(ends, m.start_char)
+        last = bisect_left(starts, m.end_char) - 1
+        if first > last:
             dropped += 1
             log.debug("mention (%d,%d) covers no token; dropped", m.start_char, m.end_char)
             continue
         i = bisect_right(starts, m.start_char) - 1
         if i < 0:
-            i = overlap[0]
-        j = overlap[-1]
+            i = first
+        j = last
         while j < len(char_offsets) - 1 and char_offsets[j][1] < m.end_char:
             j += 1
         aligned.append((m, (i, j)))
@@ -397,10 +408,34 @@ def drop_colliding_spans(aligned, drops: DropCounter):
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_range(text: str, start: int, end: int, vocab: TokenVocab):
-    """Tokens of text[start:end], with character offsets into the whole text."""
-    ids, offs = tokenize(text[start:end], vocab)
-    return ids, [(s + start, e + start) for s, e in offs]
+class TokenizedDoc:
+    """A document tokenized once. Every context builder cuts its runs of
+    whole tokens from these ids and offsets by bisecting the token starts
+    and ends; none tokenizes a character range of its own."""
+
+    def __init__(self, doc: Document, vocab: TokenVocab):
+        self.doc = doc
+        self.vocab = vocab
+        self.ids, self.offsets = tokenize(doc.text, vocab)
+        self.starts = [s for s, _ in self.offsets]
+        self.ends = [e for _, e in self.offsets]
+
+    def covering(self, start: int, end: int) -> tuple[int, int]:
+        """[lo, hi): the tokens that overlap text[start:end]; a token the
+        range cuts is taken whole."""
+        return bisect_right(self.ends, start), bisect_left(self.starts, end)
+
+    @cached_property
+    def title_ids(self) -> list[int]:
+        return tokenize(self.doc.title, self.vocab)[0]
+
+    @cached_property
+    def sentences(self) -> list[tuple[int, int]]:
+        return newline_sentences(self.doc.text)
+
+    @cached_property
+    def byte_at(self) -> list[int]:
+        return utf8_offsets(self.doc.text)
 
 
 def _mentions_in(doc: Document, start: int, end: int, drops: DropCounter) -> list[CharMention]:
@@ -417,9 +452,17 @@ def _mentions_in(doc: Document, start: int, end: int, drops: DropCounter) -> lis
     return inside
 
 
+def _align(mentions, offsets: list[tuple[int, int]], drops: DropCounter):
+    """align_spans of the mentions to offsets, each one that covers no
+    token counted."""
+    aligned, n_ws = align_spans(mentions, offsets)
+    drops.whitespace += n_ws
+    return aligned
+
+
 def _labeled_context(
     doc: Document,
-    mentions,
+    aligned,
     tokens: list[int],
     offsets: list[tuple[int, int]],
     shift: int,
@@ -427,15 +470,12 @@ def _labeled_context(
     max_len: int,
     drops: DropCounter,
 ) -> Context:
-    """The Context of tokens cut to max_len, labelled with the mentions.
-
-    The mentions are aligned to offsets[shift:], the document's own tokens
-    (any before them are prepended ones), and each drop is counted: no
-    token covered, a colliding span, a span past max_len, or an entity
-    absent from entity_vocab.
+    """The Context of tokens cut to max_len, labelled with the aligned
+    mentions, whose (mention, span) pairs index offsets[shift:], the
+    document's own tokens (any before them are prepended ones). Each drop
+    is counted: a colliding span, a span past max_len, or an entity absent
+    from entity_vocab.
     """
-    aligned, n_ws = align_spans(mentions, offsets[shift:])
-    drops.whitespace += n_ws
     labels = []
     for m, (i, j) in drop_colliding_spans(aligned, drops):
         if j + shift >= max_len:
@@ -451,11 +491,25 @@ def _labeled_context(
     )
 
 
-def chunk_ranges(n_chars: int, chunk_chars: int) -> list[tuple[int, int]]:
-    """Character ranges that partition [0, n_chars) into chunk_chars pieces."""
-    if chunk_chars <= 0:
-        raise ValueError("chunk_chars must be positive")
-    return [(s, min(s + chunk_chars, n_chars)) for s in range(0, n_chars, chunk_chars)]
+def _chunk_cuts(toks: TokenizedDoc, joined: list[bool], chunk_chars: int, max_len: int):
+    """Token indices where consecutive chunks start, then the token count.
+
+    Each chunk is the longest run of tokens from its start that spans at
+    most chunk_chars characters and holds at most max_len tokens (a single
+    longer token is a chunk alone), shortened to the last cut k with
+    joined[k] False; with no such cut, the run is cut where it ends.
+    """
+    n = len(toks.ids)
+    cuts = [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        fits = min(lo + max_len, bisect_right(toks.ends, toks.starts[lo] + chunk_chars))
+        fits = max(fits, lo + 1)
+        k = fits
+        while k > lo and joined[k]:
+            k -= 1
+        cuts.append(k if k > lo else fits)
+    return cuts
 
 
 def chunk_document(
@@ -465,18 +519,42 @@ def chunk_document(
     chunk_chars: int = 1000,
     max_len: int = 256,
 ) -> tuple[list[Context], DropCounter]:
-    """Split a document into fixed-character chunks of tokenized contexts.
+    """Cut a document into consecutive chunks of whole tokens.
 
-    Mentions are assigned to the chunk containing their start character;
-    mentions that straddle a chunk boundary or whose tokens fall beyond the
-    max_len truncation are dropped and counted.
+    The document is tokenized once and its mentions aligned to the tokens
+    once. Each chunk is the longest run of tokens that spans at most
+    chunk_chars characters and holds at most max_len tokens; a single
+    longer token is a chunk alone. A cut never falls inside a mention's
+    token span unless that mention alone is over the budget; such a
+    mention is dropped and counted as straddled. So the chunks partition
+    the document's tokens and nothing is truncated.
     """
+    if chunk_chars <= 0 or max_len <= 0:
+        raise ValueError("chunk_chars and max_len must be positive")
+    toks = TokenizedDoc(doc, vocab)
     drops = DropCounter()
+    spans = drop_colliding_spans(_align(doc.mentions, toks.offsets, drops), drops)
+    # joined[k]: tokens k-1 and k lie in one mention's span, so no cut at k
+    joined = [False] * (len(toks.ids) + 1)
+    for _, (i, j) in spans:
+        joined[i + 1 : j + 1] = [True] * (j - i)
     contexts = []
-    for cs, ce in chunk_ranges(len(doc.text), chunk_chars):
-        ids, offs = _tokenize_range(doc.text, cs, ce, vocab)
-        mentions = _mentions_in(doc, cs, ce, drops)
-        contexts.append(_labeled_context(doc, mentions, ids, offs, 0, entity_vocab, max_len, drops))
+    cuts = _chunk_cuts(toks, joined, chunk_chars, max_len)
+    k = 0  # spans are sorted, so each chunk's spans follow the last chunk's
+    for lo, hi in zip(cuts, cuts[1:]):
+        aligned = []
+        while k < len(spans) and spans[k][1][0] < hi:
+            m, (i, j) = spans[k]
+            if j < hi:
+                aligned.append((m, (i - lo, j - lo)))
+            else:
+                drops.straddled += 1
+            k += 1
+        contexts.append(
+            _labeled_context(
+                doc, aligned, toks.ids[lo:hi], toks.offsets[lo:hi], 0, entity_vocab, max_len, drops
+            )
+        )
     return contexts, drops
 
 
@@ -499,44 +577,61 @@ def make_eval_context(
     vocab: TokenVocab,
     entity_vocab: EntityVocab,
     max_len: int = 256,
+    doc_tokens: TokenizedDoc | None = None,
 ) -> tuple[Context, DropCounter]:
     """Build one evaluation context for a newline-sentence of the document.
 
     mode "none" uses the sentence alone; "title" prepends the document
     title; "title_lead2" prepends the title and the document's first two
     newline-sentences. Prepended parts are joined with a single [SEP] token
-    each and contribute no mention labels.
+    each and contribute no mention labels. doc_tokens is the document's
+    TokenizedDoc; a caller building many contexts of one document passes
+    it in, so the document is tokenized once.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {mode!r}")
     ss, se = sentence
     if not (0 <= ss <= se <= len(doc.text)):
         raise ValueError(f"sentence range ({ss},{se}) outside document")
-
-    parts: list[str] = []
-    if mode in ("title", "title_lead2"):
-        parts.append(doc.title)
-    if mode == "title_lead2":
-        parts.extend(doc.text[a:b] for a, b in newline_sentences(doc.text)[:2])
+    toks = TokenizedDoc(doc, vocab) if doc_tokens is None else doc_tokens
 
     tokens: list[int] = []
-    offsets: list[tuple[int, int]] = []
-    for part in parts:
-        part_ids, _ = tokenize(part, vocab)
-        tokens.extend(part_ids)
-        offsets.extend([NO_OFFSET] * len(part_ids))
-        tokens.append(vocab.sep_index)
-        offsets.append(NO_OFFSET)
+    if mode in ("title", "title_lead2"):
+        tokens += toks.title_ids + [vocab.sep_index]
+    if mode == "title_lead2":
+        for a, b in toks.sentences[:2]:
+            tokens += toks.ids[slice(*toks.covering(a, b))] + [vocab.sep_index]
     shift = len(tokens)
+    offsets = [NO_OFFSET] * shift
 
-    sent_ids, sent_offs = _tokenize_range(doc.text, ss, se, vocab)
-    tokens.extend(sent_ids)
-    offsets.extend(sent_offs)
+    lo, hi = toks.covering(ss, se)
+    tokens.extend(toks.ids[lo:hi])
+    offsets.extend(toks.offsets[lo:hi])
 
     drops = DropCounter()
-    mentions = _mentions_in(doc, ss, se, drops)
-    ctx = _labeled_context(doc, mentions, tokens, offsets, shift, entity_vocab, max_len, drops)
+    aligned = _align(_mentions_in(doc, ss, se, drops), offsets[shift:], drops)
+    ctx = _labeled_context(doc, aligned, tokens, offsets, shift, entity_vocab, max_len, drops)
     return ctx, drops
+
+
+def sentence_contexts(
+    doc: Document, mode: str, vocab: TokenVocab, entity_vocab: EntityVocab, max_len: int = 256
+) -> tuple[list[Context], DropCounter]:
+    """make_eval_context of every newline-sentence of the document, from
+    one tokenization. A mention that starts in no sentence (on a newline,
+    or in a whitespace-only line) is counted as no_sentence."""
+    toks = TokenizedDoc(doc, vocab)
+    contexts, drops = [], DropCounter()
+    for sent in toks.sentences:
+        ctx, d = make_eval_context(doc, sent, mode, vocab, entity_vocab, max_len, toks)
+        contexts.append(ctx)
+        drops.merge(d)
+    sent_starts = [s for s, _ in toks.sentences]
+    for m in doc.mentions:
+        k = bisect_right(sent_starts, m.start_char) - 1
+        if k < 0 or m.start_char >= toks.sentences[k][1]:
+            drops.no_sentence += 1
+    return contexts, drops
 
 
 def utf8_offsets(text: str) -> list[int]:
@@ -551,28 +646,51 @@ def window_context(
     entity_vocab: EntityVocab,
     window_bytes: int = 256,
     max_len: int = 256,
-    byte_at: list[int] | None = None,
+    doc_tokens: TokenizedDoc | None = None,
 ) -> tuple[Context, DropCounter]:
     """Context of window_bytes UTF-8 bytes either side of a mention.
 
-    Byte boundaries are snapped outward to whole characters, so the window
-    never cuts a multi-byte character. byte_at is the document's
-    `utf8_offsets`; a caller windowing many mentions of one document
-    passes it in, so the table is built once rather than per mention.
+    The byte range snaps outward to whole characters, so the window never
+    cuts a multi-byte character, and then to whole tokens. doc_tokens is
+    the document's TokenizedDoc; a caller windowing many mentions of one
+    document passes it in, so the document is tokenized, and its byte
+    offsets built, once rather than per mention.
     """
     if window_bytes <= 0:
         raise ValueError("window_bytes must be positive")
-    if byte_at is None:
-        byte_at = utf8_offsets(doc.text)
+    toks = TokenizedDoc(doc, vocab) if doc_tokens is None else doc_tokens
+    byte_at = toks.byte_at
     lo = max(0, byte_at[mention.start_char] - window_bytes)
     hi = min(byte_at[-1], byte_at[mention.end_char] + window_bytes)
-    cs = bisect_right(byte_at, lo) - 1
-    ce = bisect_left(byte_at, hi)
+    # the byte range, outward to whole characters, then to whole tokens
+    lo, hi = toks.covering(bisect_right(byte_at, lo) - 1, bisect_left(byte_at, hi))
 
-    ids, offs = _tokenize_range(doc.text, cs, ce, vocab)
+    ids, offs = toks.ids[lo:hi], toks.offsets[lo:hi]
     drops = DropCounter()
-    ctx = _labeled_context(doc, [mention], ids, offs, 0, entity_vocab, max_len, drops)
+    ctx = _labeled_context(
+        doc, _align([mention], offs, drops), ids, offs, 0, entity_vocab, max_len, drops
+    )
     return ctx, drops
+
+
+def window_contexts(
+    doc: Document,
+    vocab: TokenVocab,
+    entity_vocab: EntityVocab,
+    window_bytes: int = 256,
+    max_len: int = 256,
+) -> tuple[list[Context], DropCounter]:
+    """window_context of every mention of the document, from one
+    tokenization (none for a document without mentions)."""
+    contexts, drops = [], DropCounter()
+    if not doc.mentions:
+        return contexts, drops
+    toks = TokenizedDoc(doc, vocab)
+    for mention in doc.mentions:
+        ctx, d = window_context(doc, mention, vocab, entity_vocab, window_bytes, max_len, toks)
+        contexts.append(ctx)
+        drops.merge(d)
+    return contexts, drops
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +753,14 @@ def _json_object(line: str) -> dict:
 
 
 def load_documents(path) -> list[Document]:
-    """Read documents from JSON-lines; duplicate doc_ids are an error."""
+    """The documents of a JSON-lines file, one per non-blank line.
+
+    Each line is a JSON object. Its doc_id and text are strings, unique
+    doc_ids; its optional title is a string and its optional mentions a
+    list of objects, whose start_char and end_char are JSON integers (not
+    floats or booleans) and whose entity is a string or null. A malformed
+    line raises CorpusFormatError naming path:line.
+    """
     docs = []
     seen = set()
     with open(path, encoding="utf-8") as f:
@@ -644,9 +769,11 @@ def load_documents(path) -> list[Document]:
                 continue
             try:
                 rec = _json_object(line)
+                mentions = rec.get("mentions", [])
+                if type(mentions) is not list or set(map(type, mentions)) - {dict}:
+                    raise ValueError("mentions is not a list of JSON objects")
                 mentions = tuple(
-                    CharMention(m["start_char"], m["end_char"], m["entity"])
-                    for m in rec.get("mentions", [])
+                    CharMention(m["start_char"], m["end_char"], m["entity"]) for m in mentions
                 )
                 doc = Document(
                     doc_id=rec["doc_id"],
@@ -654,7 +781,9 @@ def load_documents(path) -> list[Document]:
                     text=rec["text"],
                     mentions=mentions,
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except KeyError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             if doc.doc_id in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")

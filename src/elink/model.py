@@ -627,16 +627,21 @@ def rank_entities(
     return out
 
 
-def predict_end_to_end(params: ModelParams, tokens) -> list[tuple[tuple[int, int], int, float]]:
+def predict_end_to_end(
+    params: ModelParams, tokens, starts: range | None = None
+) -> list[tuple[tuple[int, int], int, float]]:
     """Detect mention spans with the BIO head, then disambiguate every span
     over all entities in one scoring call. Returns (span, entity,
-    probability) triples; ties go to the lowest entity index."""
+    probability) triples; ties go to the lowest entity index. Given starts,
+    only the spans that start in it are scored and returned."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size == 0:
         return []
     H = encode(params, tokens)
     logits = ad.linear(H, params["bio_w"], params["bio_b"]).data[0]
     spans = bio_decode(logits.argmax(axis=-1))
+    if starts is not None:
+        spans = [span for span in spans if span[0] in starts]
     if not spans:
         return []
     best, prob = score_and_prob(params, _span_vectors(params, H, spans))

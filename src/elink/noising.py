@@ -1,8 +1,9 @@
 """BERT-style input corruption for pretraining.
 
-A fraction of token positions is selected; selected tokens become [MASK],
-a random non-reserved token, or stay unchanged. Only the inputs change:
-mention labels and entity targets are never touched.
+A fraction of token positions is selected; selected tokens become [MASK]
+(mask_frac), a random non-reserved token (random_frac), or stay unchanged
+(the rest). Only the inputs change: mention labels and entity targets are
+never touched.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ class NoiseConfig:
     select_rate: float = 0.15
     mask_frac: float = 0.8
     random_frac: float = 0.1
-    keep_frac: float = 0.1
     rng_seed: int = 0
     enabled: bool = True
 
@@ -25,12 +25,12 @@ class NoiseConfig:
         if not 0.0 <= self.select_rate <= 1.0:
             raise ValueError("select_rate must be in [0, 1]")
         # negated comparisons, so a NaN fails them too
-        for key in ("mask_frac", "random_frac", "keep_frac"):
+        for key in ("mask_frac", "random_frac"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"{key} must be in [0, 1]")
-        total = self.mask_frac + self.random_frac + self.keep_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mask/random/keep fractions must sum to 1, got {total}")
+        total = self.mask_frac + self.random_frac
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"mask_frac + random_frac must be at most 1, got {total}")
 
 
 def apply_noise(

@@ -551,23 +551,136 @@ def test_link_emits_planted_entity(world, trained, tmp_path, capsys):
         assert docs[0]["text"][s:e] == cells[2]
 
 
-def test_link_truncates_to_checkpoint_max_len(world, trained, tmp_path, capsys):
-    # the checkpoint has max_len=32; with no config the default 256 would
-    # reach the encoder and fail on this 60-token input
-    root, paths, docs = world
-    text = " ".join(d["text"] for d in docs[:10])
-    assert len(text.split()) > 32
-    text_file = tmp_path / "long.txt"
+ORACLE_WORDS = ["f", "yuri", "gagarin"]
+
+
+def oracle_checkpoint(root, max_len):
+    """A checkpoint whose BIO head reads the token alone: no layers, one-hot
+    token embeddings, no position embeddings, and "yuri" tagged B,
+    "gagarin" I and every other token O. Returns (paths, params)."""
+    import numpy as np
+
+    from elink.model import ModelConfig, ModelParams, save_checkpoint
+
+    words = ["[PAD]", "[UNK]", "[MASK]", "[SEP]"] + ORACLE_WORDS
+    n = len(words)
+    cfg = ModelConfig(vocab_size=n, n_entities=3, d_model=n, n_layers=0, n_heads=1,
+                      d_ff=4, d_entity=4, max_len=max_len)
+    params = ModelParams.initialize(cfg, seed=1)
+    params["tok_emb"].data[...] = np.eye(n)
+    params["pos_emb"].data[...] = 0.0
+    bio = np.zeros((n, 3))
+    bio[:, 0] = 1.0
+    bio[words.index("yuri")] = [0.0, 1.0, 0.0]
+    bio[words.index("gagarin")] = [0.0, 0.0, 1.0]
+    params["bio_w"].data[...] = bio
+    paths = {"token_vocab": str(root / "tokens.txt"), "entity_vocab": str(root / "entities.txt"),
+             "checkpoint": str(root / "oracle.elck")}
+    (root / "tokens.txt").write_text("\n".join(words) + "\n")
+    (root / "entities.txt").write_text("E0\nE1\nE2\n")
+    save_checkpoint(paths["checkpoint"], params)
+    return paths
+
+
+def planted_text(n_words, pair_starts, cross_char=None):
+    """Words "f" with "yuri gagarin" at each token index in pair_starts,
+    and, given cross_char, at the first "f f" whose span would cross it.
+    Returns (text, sorted planted character spans)."""
+    words = ["f"] * n_words
+    for t in pair_starts:
+        words[t : t + 2] = ["yuri", "gagarin"]
+    if cross_char is not None:
+        pos = 0
+        for t, w in enumerate(words):
+            if pos + len("yuri gagarin") > cross_char and words[t : t + 2] == ["f", "f"]:
+                words[t : t + 2] = ["yuri", "gagarin"]
+                assert pos < cross_char
+                break
+            pos += len(w) + 1
+    text = " ".join(words) + "\n"
+    spans, pos = [], 0
+    for w in words:
+        if w == "yuri":
+            spans.append((pos, pos + len("yuri gagarin")))
+        pos += len(w) + 1
+    return text, spans
+
+
+def run_link(paths, text, tmp_path, capsys):
+    """link's rows as (start, end, surface, entity, prob) tuples, checked to
+    be strictly increasing and not to overlap."""
+    text_file = tmp_path / "input.txt"
     text_file.write_text(text)
-    rc = main([
-        "link",
-        "--checkpoint", trained,
-        "--token-vocab", paths["token_vocab"],
-        "--entity-vocab", paths["entity_vocab"],
-        "--input", str(text_file),
-    ])
+    capsys.readouterr()
+    rc = main(["link", "--checkpoint", paths["checkpoint"], "--token-vocab", paths["token_vocab"],
+               "--entity-vocab", paths["entity_vocab"], "--input", str(text_file)])
     assert rc == 0
-    lines = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
-    assert lines, "no mentions detected"
-    seen = len(" ".join(text.split()[:32]))
-    assert all(int(cells[1]) <= seen for cells in lines)
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    spans = [(int(r[0]), int(r[1])) for r in rows]
+    assert all(s1 < s2 and e1 <= s2 for (s1, e1), (s2, _) in zip(spans, spans[1:])), spans
+    for (s, e), r in zip(spans, rows):
+        assert text[s:e] == r[2] and r[3] in ("E0", "E1", "E2") and 0.0 < float(r[4]) <= 1.0
+    return spans
+
+
+def test_link_reads_a_long_document_to_its_end(tmp_path, capsys, monkeypatch):
+    """At max_len 32 a ~1200-character document is linked to its last
+    mention, each planted mention gives exactly one row, and the
+    checkpoint's max_len bounds every encode."""
+    import elink.model
+
+    paths = oracle_checkpoint(tmp_path, max_len=32)
+    lengths = []
+    real_encode = elink.model.encode
+
+    def spy(params, tokens, pad_mask=None):
+        lengths.append(len(tokens))
+        return real_encode(params, tokens, pad_mask)
+
+    monkeypatch.setattr(elink.model, "encode", spy)
+    text, planted = planted_text(560, [0, 5, 23, 47, 100, 301, 558])
+    assert run_link(paths, text, tmp_path, capsys) == planted
+    assert max(lengths) == 32 and len(lengths) > 20
+
+
+@pytest.mark.parametrize("max_len, cut", [(32, 24), (256, 192)])
+def test_link_links_a_mention_across_a_cut(tmp_path, capsys, max_len, cut):
+    """Chunks hold 3/4 of max_len tokens: a two-token mention across a chunk
+    cut, or across the 1000-character boundary where link once cut its
+    input, gives one row."""
+    paths = oracle_checkpoint(tmp_path, max_len=max_len)
+    text, planted = planted_text(700, [cut - 1], cross_char=1000)
+    assert len(planted) == 2
+    assert run_link(paths, text, tmp_path, capsys) == planted
+
+
+@pytest.mark.parametrize("mode", ["chunk", "sentence", "window"])
+def test_tokenize_runs_once_per_document(world, tmp_path, capsys, monkeypatch, mode):
+    """build-corpus, in every mode, and link tokenize each document's text
+    once; build-corpus accounts for every mention."""
+    from elink import corpus
+
+    root, paths, docs = world
+    calls = []
+    real_tokenize = corpus.tokenize
+
+    def count(text, vocab):
+        calls.append(text)
+        return real_tokenize(text, vocab)
+
+    monkeypatch.setattr(corpus, "tokenize", count)
+    rc = main(["build-corpus", "--docs", paths["docs"], "--token-vocab", paths["token_vocab"],
+               "--entity-vocab", paths["entity_vocab"], "--out", str(tmp_path / "out.jsonl"),
+               f"--corpus.mode={mode}"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["mentions"] + summary["dropped_mentions"] == sum(len(d["mentions"]) for d in docs)
+    assert [t for t in calls if t in {d["text"] for d in docs}] == [d["text"] for d in docs]
+    # sentence mode's default context mode prepends the title, tokenized once too
+    assert len(calls) == len(docs) * (2 if mode == "sentence" else 1)
+
+    calls.clear()
+    oracle = oracle_checkpoint(tmp_path, max_len=32)
+    text, _ = planted_text(700, [10])  # over 1000 characters
+    run_link(oracle, text, tmp_path, capsys)
+    assert calls == [text]

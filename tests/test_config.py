@@ -49,6 +49,16 @@ def test_unknown_key_rejected():
         build_run_config({"wat.base_lr": "1"})
 
 
+def test_noise_fractions_are_mask_and_random_only():
+    # the kept share is 1 - mask_frac - random_frac; there is no key for it
+    with pytest.raises(ConfigError, match="unknown config key"):
+        build_run_config({"noise.keep_frac": "0.1"})
+    with pytest.raises(ConfigError, match="mask_frac \\+ random_frac must be at most 1"):
+        build_run_config({"noise.mask_frac": "0.9", "noise.random_frac": "0.2"})
+    cfg = build_run_config({"noise.mask_frac": "0.5", "noise.random_frac": "0.25"})
+    assert (cfg.noise.mask_frac, cfg.noise.random_frac) == (0.5, 0.25)
+
+
 def test_bad_boolean_rejected():
     with pytest.raises(ConfigError, match="boolean"):
         build_run_config({"noise.enabled": "maybe"})
@@ -110,7 +120,6 @@ def test_resolved_text_round_trips():
     ("train.bio_weight", "nan"),
     ("noise.mask_frac", "nan"),
     ("noise.random_frac", "nan"),
-    ("noise.keep_frac", "nan"),
     ("train.base_lr", "inf"),
     ("train.clip_norm", "inf"),
 ])

@@ -22,12 +22,12 @@ from elink.corpus import (
     TokenVocab,
     align_spans,
     chunk_document,
-    chunk_ranges,
     load_contexts,
     load_documents,
     make_eval_context,
     newline_sentences,
     save_contexts,
+    sentence_contexts,
     tokenize,
     window_context,
 )
@@ -116,6 +116,36 @@ def test_align_whitespace_only_dropped(vocab):
     assert dropped == 1
 
 
+def _brute_force_align(mentions, char_offsets):
+    """align_spans by its rule, one overlap test per token."""
+    starts = [s for s, _ in char_offsets]
+    aligned, dropped = [], 0
+    for m in mentions:
+        overlap = [k for k, (ts, te) in enumerate(char_offsets)
+                   if ts < m.end_char and te > m.start_char]
+        if not overlap:
+            dropped += 1
+            continue
+        i = max((k for k, ts in enumerate(starts) if ts <= m.start_char), default=overlap[0])
+        j = overlap[-1]
+        while j < len(char_offsets) - 1 and char_offsets[j][1] < m.end_char:
+            j += 1
+        aligned.append((m, (i, j)))
+    return aligned, dropped
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=12),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_align_spans_matches_the_brute_force_rule(gaps_widths, mentions):
+    offsets, pos = [], 0
+    for gap, width in gaps_widths:
+        offsets.append((pos + gap, pos + gap + width))
+        pos += gap + width
+    ms = [CharMention(s, s + w, None) for s, w in mentions]
+    assert align_spans(ms, offsets) == _brute_force_align(ms, offsets)
+
+
 # ---------------------------------------------------------------------------
 # chunk_document
 # ---------------------------------------------------------------------------
@@ -128,9 +158,15 @@ def make_doc(n_chars, mentions=(), doc_id="d0"):
 
 def test_chunk_counts(vocab, evocab):
     doc = make_doc(2500)
-    contexts, _ = chunk_document(doc, vocab, evocab, chunk_chars=1000)
+    contexts, _ = chunk_document(doc, vocab, evocab, chunk_chars=1000, max_len=512)
     assert len(contexts) == 3
-    assert chunk_ranges(2500, 1000) == [(0, 1000), (1000, 2000), (2000, 2500)]
+    # whole tokens: each chunk ends on the last "ab" that fits in 1000 chars
+    assert [(c.char_offsets[0][0], c.char_offsets[-1][1]) for c in contexts] == [
+        (0, 998), (999, 1997), (1998, 2500)
+    ]
+    # at the default max_len, 256 tokens (768 chars) fill a chunk first
+    contexts, _ = chunk_document(doc, vocab, evocab, chunk_chars=1000)
+    assert [len(c.tokens) for c in contexts] == [256, 256, 256, 66]
 
 
 def test_short_doc_single_chunk(vocab, evocab):
@@ -138,18 +174,30 @@ def test_short_doc_single_chunk(vocab, evocab):
     assert len(contexts) == 1
 
 
+def test_chunk_cut_never_splits_a_mention(vocab, evocab):
+    # "ab ab ab" at 996-1004 crosses char 1000, where the 1000-char budget
+    # would cut; the chunk ends before it instead
+    doc = make_doc(1200, mentions=(CharMention(996, 1004, "E1"),))
+    contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=1000, max_len=512)
+    assert drops.total == 0
+    assert contexts[0].char_offsets[-1] == (993, 995)
+    assert contexts[1].labels == [MentionLabel((0, 2), 1, "ab ab ab")]
+
+
 def test_straddling_mention_dropped(vocab, evocab):
-    doc = make_doc(1200, mentions=(CharMention(995, 1005, "E1"),))
-    contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=1000)
+    # a cut falls inside a mention only when the mention alone is over the
+    # budget: here three tokens against max_len 2
+    doc = make_doc(1200, mentions=(CharMention(996, 1004, "E1"),))
+    contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=1000, max_len=2)
     assert drops.straddled == 1
     assert all(not c.labels for c in contexts)
 
 
 def test_truncated_mention_dropped(vocab, evocab):
-    # chunk has more tokens than max_len; a late mention's tokens are cut off
+    # chunks never truncate, but a sentence longer than max_len is cut off
     text = " ".join(["x"] * 30)
     doc = Document("d", "T", text, mentions=(CharMention(len(text) - 1, len(text), "E1"),))
-    contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=1000, max_len=8)
+    contexts, drops = sentence_contexts(doc, "none", vocab, evocab, max_len=8)
     assert drops.truncated == 1
     assert len(contexts[0].tokens) == 8
 
@@ -168,15 +216,10 @@ def test_null_labeled_mention_survives(vocab, evocab):
     assert contexts[0].labels == [MentionLabel((0, 0), None, "x")]
 
 
-@given(st.integers(1, 5000), st.integers(1, 997))
-@settings(max_examples=200, deadline=None)
-def test_chunk_ranges_partition(n_chars, chunk_chars):
-    ranges = chunk_ranges(n_chars, chunk_chars)
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == n_chars
-    for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
-        assert e1 == s2
-        assert e1 - s1 == chunk_chars
+def test_a_document_without_tokens_gives_no_chunk(vocab, evocab):
+    doc = Document("d", "T", " \n ", mentions=(CharMention(1, 2, "E1"),))
+    contexts, drops = chunk_document(doc, vocab, evocab)
+    assert contexts == [] and drops.whitespace == 1
 
 
 @st.composite
@@ -220,39 +263,54 @@ def long_document(n_words=4000):
     return Document("long", "T", text, mentions=tuple(mentions))
 
 
+@given(doc_with_mentions(), st.integers(1, 60), st.integers(1, 16))
+@settings(max_examples=300, deadline=None)
+def test_chunks_partition_the_document_tokens(doc, chunk_chars, max_len):
+    """The chunks concatenate to tokenize(doc.text), each within both
+    budgets unless it is one longer token; without mentions to keep whole,
+    each chunk but the last is as long as the budgets allow."""
+    vocab = TokenVocab(RESERVED + ["yuri", "gagarin", "nyc", "a", "bb", "ccc"])
+    evocab = EntityVocab(["E0", "E1"])
+    ids, offsets = tokenize(doc.text, vocab)
+    bare = Document(doc.doc_id, doc.title, doc.text)
+    for d in (doc, bare):
+        contexts, _ = chunk_document(d, vocab, evocab, chunk_chars, max_len)
+        assert [t for c in contexts for t in c.tokens] == ids
+        assert [o for c in contexts for o in c.char_offsets] == offsets
+        for c in contexts:
+            width = c.char_offsets[-1][1] - c.char_offsets[0][0]
+            assert 1 <= len(c.tokens) <= max_len
+            assert width <= chunk_chars or len(c.tokens) == 1
+    for c, after in zip(contexts, contexts[1:]):
+        longer = len(c.tokens) + 1
+        assert longer > max_len or after.char_offsets[0][1] - c.char_offsets[0][0] > chunk_chars
+
+
 @given(doc_with_mentions(), st.integers(5, 60), st.integers(3, 16),
        st.sampled_from(("chunk", "window", *cp.CONTEXT_MODES)))
 @example(long_document(), 60, 16, "window")
 @settings(max_examples=300, deadline=None)
 def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
-    """chunk: every mention gives one label or one drop; window: so does
-    each mention's own window; sentence (a context mode): so does every
-    mention that starts inside some sentence."""
+    """Every mention gives one label or one drop: in chunk and sentence (a
+    context mode) over the document's contexts, in window over its own."""
     vocab = TokenVocab(RESERVED + ["yuri", "gagarin", "nyc", "a", "bb", "ccc"])
     evocab = EntityVocab(["E0", "E1"])
     if builder == "chunk":
         contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=width, max_len=max_len)
-        n_labels = sum(len(c.labels) for c in contexts)
-        assert n_labels + drops.total == len(doc.mentions)
     elif builder == "window":
         contexts = []
-        byte_at = cp.utf8_offsets(doc.text)
+        toks = cp.TokenizedDoc(doc, vocab)
         for m in doc.mentions:
             ctx, drops = window_context(
-                doc, m, vocab, evocab, window_bytes=width, max_len=max_len, byte_at=byte_at
+                doc, m, vocab, evocab, window_bytes=width, max_len=max_len, doc_tokens=toks
             )
             assert len(ctx.labels) + drops.total == 1
             contexts.append(ctx)
     else:
-        sentences = newline_sentences(doc.text)
-        contexts, drops = [], cp.DropCounter()
-        for sent in sentences:
-            ctx, d = make_eval_context(doc, sent, builder, vocab, evocab, max_len=max_len)
-            contexts.append(ctx)
-            drops.merge(d)
+        contexts, drops = sentence_contexts(doc, builder, vocab, evocab, max_len=max_len)
+    if builder != "window":
         n_labels = sum(len(c.labels) for c in contexts)
-        n_starting = sum(any(s <= m.start_char < e for s, e in sentences) for m in doc.mentions)
-        assert n_labels + drops.total == n_starting
+        assert n_labels + drops.total == len(doc.mentions)
     # every label's implied character range contains a source mention's range
     for ctx in contexts:
         for lab in ctx.labels:
@@ -261,6 +319,50 @@ def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
             assert any(
                 lo <= m.start_char and m.end_char <= hi for m in doc.mentions
             ), (lab, ctx.char_offsets)
+
+
+def test_a_mention_starting_in_no_sentence_is_counted(vocab, evocab):
+    # one mention starts on the newline, one in the whitespace-only line
+    doc = Document("d", "T", "x y\n  \nnew york",
+                   mentions=(CharMention(3, 4, "E1"), CharMention(5, 6, None),
+                             CharMention(7, 15, "E2")))
+    contexts, drops = sentence_contexts(doc, "none", vocab, evocab)
+    assert [c.labels for c in contexts] == [[], [MentionLabel((0, 1), 2, "new york")]]
+    assert drops.no_sentence == 2 and drops.total == 2
+
+
+def _reference_eval_tokens(doc, sentence, mode, vocab):
+    """make_eval_context's tokens and offsets as they were built before a
+    document was tokenized once: the title, each lead sentence and the
+    sentence each tokenized as a text of their own."""
+    parts = []
+    if mode in ("title", "title_lead2"):
+        parts.append(doc.title)
+    if mode == "title_lead2":
+        parts.extend(doc.text[a:b] for a, b in newline_sentences(doc.text)[:2])
+    tokens, offsets = [], []
+    for part in parts:
+        part_ids, _ = tokenize(part, vocab)
+        tokens += part_ids + [vocab.sep_index]
+        offsets += [cp.NO_OFFSET] * (len(part_ids) + 1)
+    ss, se = sentence
+    ids, offs = tokenize(doc.text[ss:se], vocab)
+    return tokens + ids, offsets + [(s + ss, e + ss) for s, e in offs]
+
+
+SENTENCE_TEXT = st.text(st.sampled_from("ab yz.,-'\n\t\u00e9\u3000!"), max_size=60)
+
+
+@given(SENTENCE_TEXT, SENTENCE_TEXT, st.sampled_from(cp.CONTEXT_MODES))
+@settings(max_examples=300, deadline=None)
+def test_sentence_contexts_equal_per_range_tokenization(title, text, mode):
+    vocab = TokenVocab(RESERVED + ["a", "b", "yz", ".", ",", "-", "!", "a-b", "\u00e9"])
+    doc = Document("d", title, text)
+    contexts, _ = sentence_contexts(doc, mode, vocab, EntityVocab([]), max_len=10_000)
+    sentences = newline_sentences(text)
+    assert len(contexts) == len(sentences)
+    for ctx, sent in zip(contexts, sentences):
+        assert (ctx.tokens, ctx.char_offsets) == _reference_eval_tokens(doc, sent, mode, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +686,8 @@ JSON_VALUES = st.recursive(
               st.floats(), st.text(max_size=4)),
     lambda kids: st.one_of(
         st.lists(kids, max_size=3),
-        st.dictionaries(st.sampled_from(["doc_id", "tokens", "span", "entity", "surface", "x"]),
+        st.dictionaries(st.sampled_from(["doc_id", "tokens", "span", "entity", "surface", "x",
+                                         "text", "start_char", "end_char"]),
                         kids, max_size=3),
     ),
     max_leaves=6,
@@ -644,9 +747,10 @@ def _node_paths(node, at=()):
         yield from _node_paths(child, at + (key,))
 
 
-def _corrupt_line(draw, rec: dict) -> str:
-    """One line of a context file with one random change to rec: a node
-    replaced, deleted or inserted, the line cut short, or other text."""
+def _corrupt_line(draw, rec: dict, keys=("doc_id", "tokens", "labels", "surface", "x")) -> str:
+    """One line of a JSON-lines file with one random change to rec: a node
+    replaced, deleted or inserted (under one of keys, in an object), the
+    line cut short, or other text."""
     kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate", "text"]))
     line = json.dumps(rec, ensure_ascii=False)
     if kind == "truncate":
@@ -658,7 +762,7 @@ def _corrupt_line(draw, rec: dict) -> str:
         at = draw(st.sampled_from([p for p in paths if isinstance(_node_at(rec, p), (dict, list))]))
         node = _node_at(rec, at)
         if isinstance(node, dict):
-            node[draw(st.sampled_from(["doc_id", "tokens", "labels", "surface", "x"]))] = draw(JSON_VALUES)
+            node[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
         else:
             node.insert(draw(st.integers(0, len(node))), draw(JSON_VALUES))
         return json.dumps(rec, ensure_ascii=False)
@@ -705,3 +809,101 @@ def test_load_contexts_under_a_random_corruption(tmp_path_factory, data, sizes):
         assert bad is not None and str(exc).startswith(f"{path}:{bad}: "), str(exc)
     else:
         assert bad is None and got == want
+
+
+VALID_DOCUMENTS = [
+    {"doc_id": "a", "title": "Yuri", "text": "yuri gagarin flew", "mentions": [
+        {"start_char": 0, "end_char": 12, "entity": "E1"},
+        {"start_char": 13, "end_char": 17, "entity": None}]},
+    {"doc_id": "b", "text": "x", "mentions": []},
+    {"doc_id": "c", "title": "", "text": "new york"},
+]
+DOCUMENT_KEYS = ("doc_id", "title", "text", "mentions", "start_char", "end_char", "entity", "x")
+
+
+def _denoted_document(text: str):
+    """The Document a non-blank documents-file line denotes under the format
+    load_documents documents, or None if the line breaks that format. Each
+    rule is checked on the parsed JSON, apart from the loader's code."""
+    try:
+        rec = json.loads(text)
+    except ValueError:
+        return None
+    if type(rec) is not dict:
+        return None
+    doc_id, title, body = rec.get("doc_id"), rec.get("title", ""), rec.get("text")
+    mentions = rec.get("mentions", [])
+    if not (type(doc_id) is str and type(title) is str and type(body) is str
+            and type(mentions) is list):
+        return None
+    out = []
+    for m in mentions:
+        if type(m) is not dict or not {"start_char", "end_char", "entity"} <= m.keys():
+            return None
+        s, e, ent = m["start_char"], m["end_char"], m["entity"]
+        if not (_int(s) and _int(e) and 0 <= s < e <= len(body)):
+            return None
+        if not (ent is None or type(ent) is str):
+            return None
+        out.append(CharMention(s, e, ent))
+    ranges = sorted((m.start_char, m.end_char) for m in out)
+    if any(b[0] < a[1] for a, b in zip(ranges, ranges[1:])):
+        return None
+    return Document(doc_id, title, body, tuple(out))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_documents_under_a_random_corruption(tmp_path_factory, data):
+    """One random change to one line of a valid documents file: the file
+    either loads to the documents it denotes or raises CorpusFormatError
+    naming the first bad line, a repeated doc_id included. It never raises
+    anything else, and never loads a line that breaks the format."""
+    lines = [json.dumps(rec) for rec in VALID_DOCUMENTS]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = _corrupt_line(data.draw, json.loads(lines[i]), DOCUMENT_KEYS)
+    path = tmp_path_factory.mktemp("corrupt") / "docs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want, bad, seen = [], None, set()
+    for lineno, text in enumerate(lines, 1):
+        if text.strip():
+            doc = _denoted_document(text)
+            if doc is None or doc.doc_id in seen:
+                bad = lineno
+                break
+            seen.add(doc.doc_id)
+            want.append(doc)
+    try:
+        got = load_documents(path)
+    except CorpusFormatError as exc:
+        assert bad is not None and str(exc).startswith(f"{path}:{bad}: "), str(exc)
+    else:
+        assert bad is None and got == want
+
+
+@pytest.mark.parametrize("mention, message", [
+    ({"start_char": 0.5, "end_char": 1, "entity": "E1"}, "start_char 0.5 is not an integer"),
+    ({"start_char": False, "end_char": True, "entity": "E1"}, "start_char false is not an integer"),
+    ({"start_char": 0, "end_char": 1, "entity": 3}, "entity 3 is not a string or null"),
+    ({"start_char": 0, "end_char": 1}, "missing key 'entity'"),
+])
+def test_load_documents_checks_mention_types(tmp_path, mention, message):
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"doc_id": "a", "text": "xy", "mentions": [mention]}) + "\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_documents(path)
+    assert str(exc.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("text", ["x"], 'text ["x"] is not a string'),
+    ("title", 7, "title 7 is not a string"),
+    ("mentions", {}, "mentions is not a list of JSON objects"),
+    ("mentions", [[0, 1, "E1"]], "mentions is not a list of JSON objects"),
+])
+def test_load_documents_checks_document_types(tmp_path, field, value, message):
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"doc_id": "a", "text": "xy", field: value}) + "\n")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_documents(path)
+    assert str(exc.value) == f"{path}:1: {message}"

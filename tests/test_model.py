@@ -775,6 +775,9 @@ def test_end_to_end_decodes_spans_and_probabilities(params64):
         scores = params64["ent_emb"].data @ sv
         assert ent == int(np.flatnonzero(scores == scores.max())[0])
         assert prob == pytest.approx(_softmax64(scores)[ent], rel=1e-12)
+    # given starts, only the spans starting in it are scored, with the same results
+    assert predict_end_to_end(params64, ctx.tokens, range(1, 3)) == out[1:3]
+    assert predict_end_to_end(params64, ctx.tokens, range(4, 4)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def test_zero_rate_is_identity(vocab):
 
 
 def test_degenerate_all_mask(vocab):
-    cfg = NoiseConfig(select_rate=1.0, mask_frac=1.0, random_frac=0.0, keep_frac=0.0, rng_seed=1)
+    cfg = NoiseConfig(select_rate=1.0, mask_frac=1.0, random_frac=0.0, rng_seed=1)
     tokens = toks(vocab, 200)
     out, mask = apply_noise(tokens, cfg, vocab)
     assert (out == vocab.mask_index).all()
@@ -66,7 +66,7 @@ def test_different_seeds_differ(vocab):
 
 
 def test_random_replacements_exclude_reserved(vocab):
-    cfg = NoiseConfig(select_rate=1.0, mask_frac=0.0, random_frac=1.0, keep_frac=0.0, rng_seed=3)
+    cfg = NoiseConfig(select_rate=1.0, mask_frac=0.0, random_frac=1.0, rng_seed=3)
     out, _ = apply_noise(toks(vocab, 5000), cfg, vocab)
     assert not np.isin(out, list(vocab.reserved_indices)).any()
 
@@ -78,10 +78,13 @@ def test_unselected_positions_unchanged(vocab):
 
 
 def test_fraction_validation():
-    with pytest.raises(ValueError):
-        NoiseConfig(mask_frac=0.5, random_frac=0.5, keep_frac=0.5)
+    with pytest.raises(ValueError, match="mask_frac \\+ random_frac must be at most 1"):
+        NoiseConfig(mask_frac=0.6, random_frac=0.5)
     with pytest.raises(ValueError):
         NoiseConfig(select_rate=1.5)
+    # the kept share is whatever the other two leave
+    NoiseConfig(mask_frac=0.5, random_frac=0.2)
+    NoiseConfig(mask_frac=0.0, random_frac=0.0)
 
 
 def test_empty_sequence(vocab):
