@@ -7,6 +7,7 @@ beside them.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -78,17 +79,7 @@ def _load_dataset(args, cfg: RunConfig, tvocab, evocab) -> list[cp.Context]:
 
 
 def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
-    s = cfg.model
-    return ModelConfig(
-        vocab_size=len(tvocab),
-        n_entities=len(evocab),
-        d_model=s.d_model,
-        n_layers=s.n_layers,
-        n_heads=s.n_heads,
-        d_ff=s.d_ff,
-        d_entity=s.d_entity,
-        max_len=s.max_len,
-    )
+    return ModelConfig(len(tvocab), len(evocab), **dataclasses.asdict(cfg.model))
 
 
 def _load_alias_table(args, cfg: RunConfig, evocab):
@@ -294,11 +285,8 @@ def cmd_alias_stats(args, overrides) -> int:
 def cmd_link(args, overrides) -> int:
     cfg = load_run_config(args.config, overrides)
     tvocab, evocab, params = _load_model(args, cfg)
-    if args.input and args.input != "-":
-        with open(args.input, encoding="utf-8") as f:
-            text = f.read()
-    else:
-        text = sys.stdin.read()
+    # read as written, line ends included, so the offsets index the input
+    text = cp.read_text(args.input or "-")
 
     doc = cp.Document(doc_id="<input>", title="", text=text, mentions=())
     # Chunks hold at most 3/4 of max_len tokens. Each is decoded with the

@@ -10,7 +10,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .candidates import CandidateConfig
-from .corpus import CONTEXT_MODES
+from .corpus import CONTEXT_MODES, read_text, split_lines
 from .noising import NoiseConfig
 from .seeding import derive_seed
 from .training import TrainConfig
@@ -90,9 +90,10 @@ def _coerce(raw: str, typ, key: str):
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse `key = value` lines into a flat dict; later keys win."""
     items: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines, linenos = split_lines(text)
+    for lineno, line in zip(linenos, lines):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {line!r}")
@@ -102,8 +103,7 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as f:
-        return parse_kv_text(f.read(), source=str(path))
+    return parse_kv_text(read_text(path), source=str(path))
 
 
 def parse_override_args(args: list[str]) -> tuple[dict[str, str], list[str]]:

@@ -6,11 +6,13 @@ whitespace/punctuation split); every context (a chunk, a sentence or a
 window around a mention) is a run of whole tokens cut from that one
 tokenization, and the mentions are re-aligned to token spans. Contexts
 round-trip through a JSON-lines cache; `read_tsv` reads the tab-separated
-table files.
+table files. Every input file is read through `read_text` (UTF-8, line
+ends as written) and split into lines by `split_lines`.
 """
 
 import json
 import logging
+import sys
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -34,7 +36,8 @@ NO_OFFSET = (-1, -1)
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus, vocabulary and TSV table files."""
+    """Raised for malformed corpus, vocabulary and TSV table files, and for
+    any input file that is not UTF-8."""
 
 
 def _shown(value) -> str:
@@ -220,7 +223,7 @@ class TokenVocab:
 
     @classmethod
     def from_file(cls, path) -> "TokenVocab":
-        lines, linenos = _read_lines(path)
+        lines, linenos = split_lines(read_text(path))
         return cls(lines, path=path, linenos=linenos)
 
     def save(self, path) -> None:
@@ -246,7 +249,7 @@ class EntityVocab:
 
     @classmethod
     def from_file(cls, path) -> "EntityVocab":
-        lines, linenos = _read_lines(path)
+        lines, linenos = split_lines(read_text(path))
         return cls(lines, path=path, linenos=linenos)
 
     def save(self, path) -> None:
@@ -263,15 +266,6 @@ def _vocab_index(items: list, what: str, path=None, linenos=None) -> dict:
             where = "" if path is None else f"{path}:{linenos[i]}: "
             raise CorpusFormatError(f"{where}duplicate {what} {x!r} in vocabulary")
     return index
-
-
-def _read_lines(path) -> tuple[list[str], list[int]]:
-    """The non-empty lines of a file, without their newlines, and the
-    1-based number of each in the file, blank lines counted."""
-    with open(path, encoding="utf-8") as f:
-        raw = f.read().split("\n")
-    linenos = [i for i, line in enumerate(raw, 1) if line]
-    return [raw[i - 1] for i in linenos], linenos
 
 
 def _write_lines(path, lines) -> None:
@@ -698,6 +692,41 @@ def window_contexts(
 # ---------------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, its line ends as written; a path of "-"
+    reads the bytes of stdin. Every input file is read through here.
+
+    Bytes that are not UTF-8 raise CorpusFormatError naming `path:line`
+    (`<stdin>:line` for stdin), lines counted as split_lines counts them.
+    """
+    if path == "-":
+        name, data = "<stdin>", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            name, data = path, f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise CorpusFormatError(
+            f"{name}:{lineno}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def split_lines(text: str) -> tuple[list[str], list[int]]:
+    """The non-blank lines of text, without their line ends, and the 1-based
+    number of each. A line ends at "\\n", "\\r\\n" or "\\r"; a blank line is
+    empty or whitespace only."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    linenos = [i for i, line in enumerate(lines, 1) if line and not line.isspace()]
+    if len(linenos) < len(lines):
+        lines = [lines[i - 1] for i in linenos]
+    return lines, linenos
+
+
 def read_tsv(path, fields: tuple[str, ...], ints: tuple[str, ...] = ()) -> list[list]:
     """The columns of a TSV file, one list per name in fields, each holding
     that cell of every non-blank line in file order. The columns named in
@@ -708,11 +737,7 @@ def read_tsv(path, fields: tuple[str, ...], ints: tuple[str, ...] = ()) -> list[
     gives `path:line: expected a<TAB>b...`, and a cell int() rejects gives
     `path:line: <field> '<cell>' is not an integer`.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    linenos = [i for i, line in enumerate(lines, 1) if line.strip()]
-    if len(linenos) < len(lines):
-        lines = [lines[i - 1] for i in linenos]
+    lines, linenos = split_lines(read_text(path))
     n = len(fields)
     good = next((k for k, line in enumerate(lines) if line.count("\t") != n - 1), len(lines))
     error = None if good == len(lines) else (good, f"expected {'<TAB>'.join(fields)}")
@@ -732,8 +757,9 @@ def read_tsv(path, fields: tuple[str, ...], ints: tuple[str, ...] = ()) -> list[
 
 
 def tsv_cell(text: str) -> str:
-    """text as one TSV cell: each tab and newline becomes a space."""
-    return text.replace("\t", " ").replace("\n", " ")
+    """text as one TSV cell: each tab, line feed and carriage return
+    becomes a space."""
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
 def _is_int(text: str) -> bool:
@@ -744,12 +770,24 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def _json_object(line: str) -> dict:
-    """line parsed as JSON; a ValueError unless it is a JSON object."""
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError("the line is not a JSON object")
-    return rec
+def _json_lines(path, parse) -> list:
+    """parse(record) for the JSON object on each non-blank line of a file,
+    in file order. A line that is not a JSON object, or whose parse raises
+    KeyError, TypeError or ValueError, raises CorpusFormatError naming
+    path:line."""
+    out = []
+    lines, linenos = split_lines(read_text(path))
+    for lineno, line in zip(linenos, lines):
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("the line is not a JSON object")
+            out.append(parse(rec))
+        except KeyError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
 
 
 def load_documents(path) -> list[Document]:
@@ -761,35 +799,26 @@ def load_documents(path) -> list[Document]:
     floats or booleans) and whose entity is a string or null. A malformed
     line raises CorpusFormatError naming path:line.
     """
-    docs = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = _json_object(line)
-                mentions = rec.get("mentions", [])
-                if type(mentions) is not list or set(map(type, mentions)) - {dict}:
-                    raise ValueError("mentions is not a list of JSON objects")
-                mentions = tuple(
-                    CharMention(m["start_char"], m["end_char"], m["entity"]) for m in mentions
-                )
-                doc = Document(
-                    doc_id=rec["doc_id"],
-                    title=rec.get("title", ""),
-                    text=rec["text"],
-                    mentions=mentions,
-                )
-            except KeyError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            if doc.doc_id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            docs.append(doc)
-    return docs
+
+    def parse(rec: dict) -> Document:
+        mentions = rec.get("mentions", [])
+        if type(mentions) is not list or set(map(type, mentions)) - {dict}:
+            raise ValueError("mentions is not a list of JSON objects")
+        doc = Document(
+            doc_id=rec["doc_id"],
+            title=rec.get("title", ""),
+            text=rec["text"],
+            mentions=tuple(
+                CharMention(m["start_char"], m["end_char"], m["entity"]) for m in mentions
+            ),
+        )
+        if doc.doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        return doc
+
+    return _json_lines(path, parse)
 
 
 def save_contexts(path, contexts) -> None:
@@ -820,31 +849,24 @@ def load_contexts(
     [0, n_tokens) and every label's entity index in [0, n_entities) or be
     null. A malformed line raises CorpusFormatError naming path:line.
     """
-    contexts = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = _json_object(line)
-                for key in ("tokens", "char_offsets", "labels"):
-                    if not isinstance(rec.get(key, []), list):
-                        raise ValueError(f"{key} is not a list")
-                labels = [
-                    MentionLabel(tuple(l["span"]), l["entity"], l.get("surface"))
-                    for l in rec.get("labels", [])
-                ]
-                ctx = Context(
-                    tokens=list(rec["tokens"]),
-                    char_offsets=[tuple(o) for o in rec["char_offsets"]],
-                    doc_id=rec["doc_id"],
-                    labels=labels,
-                )
-                _check_fields(ctx, n_tokens, n_entities)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            contexts.append(ctx)
-    return contexts
+
+    def parse(rec: dict) -> Context:
+        for key in ("tokens", "char_offsets", "labels"):
+            if not isinstance(rec.get(key, []), list):
+                raise ValueError(f"{key} is not a list")
+        ctx = Context(
+            tokens=list(rec["tokens"]),
+            char_offsets=[tuple(o) for o in rec["char_offsets"]],
+            doc_id=rec["doc_id"],
+            labels=[
+                MentionLabel(tuple(l["span"]), l["entity"], l.get("surface"))
+                for l in rec.get("labels", [])
+            ],
+        )
+        _check_fields(ctx, n_tokens, n_entities)
+        return ctx
+
+    return _json_lines(path, parse)
 
 
 def _check_fields(ctx: Context, n_tokens: int | None, n_entities: int | None) -> None:

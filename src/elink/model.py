@@ -653,59 +653,32 @@ def predict_end_to_end(
 # ---------------------------------------------------------------------------
 
 
-def manifest_path(path: str) -> str:
-    return str(path) + ".manifest.json"
-
-
 def save_checkpoint(path, params: ModelParams) -> None:
     """Binary checkpoint: magic, version, config JSON, then each tensor in
-    declaration order as little-endian float32, row-major. A sidecar JSON
-    manifest records tensor names, shapes, and byte offsets.
+    declaration order as little-endian float32, row-major.
 
-    Both files are written to temporary files beside their targets and then
-    renamed over them, so a write that fails part-way leaves the previous
-    checkpoint as it was and no temporary file behind.
+    It is written to a temporary file beside its target and then renamed
+    over it, so a write that fails part-way leaves the previous checkpoint
+    as it was and no temporary file behind.
     """
     path = os.fspath(path)
-    tmp_ckpt, tmp_manifest = path + ".tmp", manifest_path(path) + ".tmp"
-    try:
-        _write_checkpoint(tmp_ckpt, tmp_manifest, params)
-        os.replace(tmp_ckpt, path)
-        os.replace(tmp_manifest, manifest_path(path))
-    except BaseException:
-        for tmp in (tmp_ckpt, tmp_manifest):
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        raise
-
-
-def _write_checkpoint(path: str, manifest_file: str, params: ModelParams) -> None:
+    tmp = path + ".tmp"
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
-    entries = []
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)))
-        f.write(cfg_json)
-        offset = len(CHECKPOINT_MAGIC) + 8 + len(cfg_json)
-        for name, t in params.items():
-            nbytes = t.data.size * 4
-            entries.append(
-                {"name": name, "shape": list(t.data.shape), "offset": offset, "nbytes": nbytes}
-            )
-            # block by block: a float64 table is cast without a whole copy, and
-            # 1 MB writes of the 100 MB e100k table ran 2-3x faster than one
-            for rows in _row_blocks(t.data.shape):
-                f.write(np.ascontiguousarray(t.data[rows], dtype="<f4").data)
-            offset += nbytes
-    manifest = {
-        "format": CHECKPOINT_MAGIC.decode("ascii"),
-        "version": CHECKPOINT_VERSION,
-        "dtype": "<f4",
-        "tensors": entries,
-    }
-    with open(manifest_file, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_json)))
+            f.write(cfg_json)
+            for _, t in params.items():
+                # block by block: a float64 table is cast without a whole copy, and
+                # 1 MB writes of the 100 MB e100k table ran 2-3x faster than one
+                for rows in _row_blocks(t.data.shape):
+                    f.write(np.ascontiguousarray(t.data[rows], dtype="<f4").data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, requires_grad: bool = True) -> ModelParams:

@@ -1,6 +1,9 @@
 """End-to-end CLI flows over real files in a temp directory."""
 
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +11,10 @@ from helpers import make_raw_world
 
 from elink import cli
 from elink.cli import main
-from elink.config import build_run_config, parse_kv_text
-from elink.corpus import load_contexts
+from elink.aliastable import RedirectMap, load_alias_tsv
+from elink.candidates import PageLinks, load_phrase_table
+from elink.config import build_run_config, parse_kv_file, parse_kv_text
+from elink.corpus import EntityVocab, TokenVocab, load_contexts, load_documents, tsv_cell
 from elink.model import encode, load_checkpoint
 
 
@@ -168,8 +173,7 @@ def test_pretrain_outputs(trained, capsys):
     import os
 
     out_dir = os.path.dirname(trained)
-    for name in ("checkpoint.elck", "checkpoint.elck.manifest.json",
-                 "train_log.tsv", "resolved_config.cfg"):
+    for name in ("checkpoint.elck", "train_log.tsv", "resolved_config.cfg"):
         assert os.path.exists(os.path.join(out_dir, name)), name
 
 
@@ -619,7 +623,7 @@ def run_link(paths, text, tmp_path, capsys):
     spans = [(int(r[0]), int(r[1])) for r in rows]
     assert all(s1 < s2 and e1 <= s2 for (s1, e1), (s2, _) in zip(spans, spans[1:])), spans
     for (s, e), r in zip(spans, rows):
-        assert text[s:e] == r[2] and r[3] in ("E0", "E1", "E2") and 0.0 < float(r[4]) <= 1.0
+        assert tsv_cell(text[s:e]) == r[2] and r[3] in ("E0", "E1", "E2") and 0.0 < float(r[4]) <= 1.0
     return spans
 
 
@@ -684,3 +688,111 @@ def test_tokenize_runs_once_per_document(world, tmp_path, capsys, monkeypatch, m
     text, _ = planted_text(700, [10])  # over 1000 characters
     run_link(oracle, text, tmp_path, capsys)
     assert calls == [text]
+
+
+# ---------------------------------------------------------------------------
+# text input: bad bytes and line ends
+# ---------------------------------------------------------------------------
+
+# Valid lines for the inputs that the world fixture does not write.
+REDIRECT_LINES = ["r0\tE0", "r1\tE1", "r2\tE2"]
+CONFIG_LINES = ["seed = 1", "# a comment", "train.total_steps = 2", "model.max_len = 32"]
+LINK_LINES = ["f yuri gagarin", "f", "yuri gagarin f", "f"]
+
+
+def bad_byte_file(lines: list[str]) -> bytes:
+    """lines as a file whose bytes break UTF-8 in line 4 alone: line 1
+    ends in CRLF, line 2 is blank, line 3 ends in CR, and the first byte of
+    line 4 is followed by 0xff."""
+    a, b, c, *rest = lines
+    bad = c.encode("utf-8")
+    rest = "".join(f"{line}\n" for line in rest)
+    return f"{a}\r\n\n{b}\r".encode() + bad[:1] + b"\xff" + bad[1:] + f"\n{rest}".encode()
+
+
+@pytest.mark.parametrize("kind", [
+    "token_vocab", "entity_vocab", "phrase_table", "page_links", "alias_table", "redirects",
+    "docs", "corpus", "config", "link", "stdin",
+])
+def test_a_bad_byte_names_its_path_and_line(world, built_corpus, tmp_path, capsys, monkeypatch,
+                                            kind):
+    """Every input the CLI reads, each in the command that reads it, fails
+    on a byte that is not UTF-8 with `path:line`, lines counted over
+    CRLF, CR and blank lines."""
+    root, paths, _ = world
+    files = {**paths, "corpus": built_corpus, "redirects": str(tmp_path / "redirects.tsv")}
+    Path(files["redirects"]).write_text("".join(f"{line}\n" for line in REDIRECT_LINES))
+    oracle = oracle_checkpoint(tmp_path, max_len=32)
+    good = {"redirects": REDIRECT_LINES, "config": CONFIG_LINES, "link": LINK_LINES,
+            "stdin": LINK_LINES}
+    lines = good.get(kind) or Path(files[kind]).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / f"bad_{kind}"
+    bad.write_bytes(bad_byte_file(lines))
+    files[kind] = str(bad)
+    vocabs = ["--token-vocab", files["token_vocab"], "--entity-vocab", files["entity_vocab"]]
+    build = ["build-corpus", "--docs", files["docs"], *vocabs, "--out", str(tmp_path / "c.jsonl")]
+    pretrain = ["pretrain", "--corpus", files["corpus"], *vocabs,
+                f"--paths.page_links={files['page_links']}",
+                f"--paths.phrase_table={files['phrase_table']}", "--out-dir", str(tmp_path / "run")]
+    alias_stats = ["alias-stats", "--alias-table", files["alias_table"],
+                   "--redirects", files["redirects"], "--dataset", built_corpus, *vocabs]
+    link = ["link", "--checkpoint", oracle["checkpoint"], "--token-vocab", oracle["token_vocab"],
+            "--entity-vocab", oracle["entity_vocab"]]
+    argv = {
+        "token_vocab": build, "entity_vocab": build, "docs": build,
+        "config": [*build, "--config", str(bad)],
+        "corpus": pretrain, "page_links": pretrain, "phrase_table": pretrain,
+        "alias_table": alias_stats, "redirects": alias_stats,
+        "link": [*link, "--input", str(bad)],
+        "stdin": link,
+    }[kind]
+    if kind == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    capsys.readouterr()
+    assert main(argv) == 1
+    name = "<stdin>" if kind == "stdin" else str(bad)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}:4: "), err
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_crlf_and_cr_input_reads_as_written(world, built_corpus, tmp_path, capsys, eol):
+    """link on a copy of its input with CRLF or CR line ends prints the LF
+    run's rows, every offset shifted by the line-end characters added
+    before it, so the offsets index the file; a surface across a line end
+    stays in its cell. Every loader reads such a copy of its file to what
+    it reads from the LF file."""
+    oracle = oracle_checkpoint(tmp_path, max_len=32)
+    text = "f yuri gagarin f\n\nf yuri\ngagarin f\n" + planted_text(60, [30])[0]
+    lf = run_link(oracle, text, tmp_path, capsys)
+    assert len(lf) == 3
+    extra = len(eol) - 1
+
+    def shifted(i):
+        return i + extra * text.count("\n", 0, i)
+
+    assert run_link(oracle, text.replace("\n", eol), tmp_path, capsys) == [
+        (shifted(s), shifted(e)) for s, e in lf
+    ]
+
+    root, paths, _ = world
+    evocab = EntityVocab.from_file(paths["entity_vocab"])
+    redirects, config = tmp_path / "redirects.tsv", tmp_path / "run.cfg"
+    redirects.write_text("".join(f"{line}\n" for line in REDIRECT_LINES))
+    config.write_text("".join(f"{line}\n" for line in CONFIG_LINES))
+    loaders = [
+        (paths["token_vocab"], lambda p: TokenVocab.from_file(p).tokens),
+        (paths["entity_vocab"], lambda p: EntityVocab.from_file(p).ids),
+        (paths["phrase_table"], lambda p: load_phrase_table(p, evocab).table),
+        (paths["page_links"], lambda p: PageLinks.from_tsv(p, evocab).links),
+        (paths["alias_table"], load_alias_tsv),
+        (redirects, lambda p: RedirectMap.from_tsv(p).redirects),
+        (paths["docs"], load_documents),
+        (built_corpus, load_contexts),
+        (config, parse_kv_file),
+    ]
+    for path, load in loaders:
+        copy = tmp_path / f"copy_{Path(path).name}"
+        copy.write_bytes(Path(path).read_bytes().replace(b"\n", eol.encode()))
+        want = load(path)
+        assert want and load(copy) == want, path

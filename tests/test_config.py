@@ -1,15 +1,19 @@
 """Flat config parsing, overrides, and seed fan-out."""
 
+import dataclasses
+
 import pytest
 
 from elink.config import (
     ConfigError,
+    ModelSettings,
     build_run_config,
     load_run_config,
     parse_kv_text,
     parse_override_args,
     resolved_text,
 )
+from elink.model import ModelConfig
 from elink.seeding import derive_seed
 
 
@@ -21,6 +25,26 @@ def test_parse_kv_text_basics():
 def test_parse_kv_rejects_bare_lines():
     with pytest.raises(ConfigError, match="key = value"):
         parse_kv_text("not a pair\n")
+
+
+def test_parse_kv_text_splits_only_at_line_ends():
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 end no line: they stay in a value
+    items = parse_kv_text("a.b = x\x85y\u2028z\r\n\r\nc.d = 1\re.f = 2")
+    assert items == {"a.b": "x\x85y\u2028z", "c.d": "1", "e.f": "2"}
+    with pytest.raises(ConfigError, match="<config>:3: "):
+        parse_kv_text("a.b = 1\r\n \t \rnot a pair\n")
+
+
+def test_model_settings_are_model_config_less_the_sizes():
+    """The config's model section is ModelConfig less the two vocabulary
+    sizes, field for field and default for default, so the CLI can build
+    one from the other."""
+    def spec(fields):
+        return [(f.name, f.type, f.default) for f in fields]
+
+    fields = dataclasses.fields(ModelConfig)
+    assert [f.name for f in fields[:2]] == ["vocab_size", "n_entities"]
+    assert spec(dataclasses.fields(ModelSettings)) == spec(fields[2:])
 
 
 def test_typed_sections():

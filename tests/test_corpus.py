@@ -881,6 +881,117 @@ def test_load_documents_under_a_random_corruption(tmp_path_factory, data):
         assert bad is None and got == want
 
 
+# The line-based files: name -> (fields, int fields, valid rows). The four
+# tables are read_tsv's shapes; a vocabulary (no fields) has one cell a row.
+LINE_FILES = {
+    "phrase_table": (("surface", "entity", "rank"), ("rank",),
+                     ["NYC\tE1\t0", "new york\tE1\t1", "nyc\tE0\t-2"]),
+    "page_links": (("doc_id", "entity_id"), (), ["d0\tE1", "d0\tE0", "d1\tE1"]),
+    "alias_table": (("alias", "entity_id"), (), ["nyc\tE1", "big apple\tE1", "nyc\tE0"]),
+    "redirects": (("from", "to"), (), ["E9\tE1", "E8\tE0", "E7\tE9"]),
+    "token_vocab": (None, (), RESERVED + ["yuri", "gagarin"]),
+    "entity_vocab": (None, (), ["E0", "E1", "E2"]),
+}
+CELL_TEXT = st.one_of(
+    st.sampled_from(["", " ", "E1", "nyc", "[PAD]", "0", "-3", " 7", "1.5", "x\ty"]), LINE_TEXT
+)
+# whitespace only: no line end, but spaces, tabs and other Unicode whitespace
+BLANK_TEXT = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=3)
+
+
+def _corrupt_rows(draw, rows: list[str]) -> list[str]:
+    """The lines of a file of tab-separated rows after one random change: a
+    cell replaced, deleted or inserted, a line cut short, a line repeated,
+    or blank or whitespace-only lines added."""
+    cells = [row.split("\t") for row in rows]
+    kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate", "repeat", "blank"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    row = cells[i]
+    if kind == "replace":
+        row[draw(st.integers(0, len(row) - 1))] = draw(CELL_TEXT)
+    elif kind == "delete":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "insert":
+        row.insert(draw(st.integers(0, len(row))), draw(CELL_TEXT))
+    lines = ["\t".join(row) for row in cells]
+    if kind == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "blank":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_TEXT))
+    return lines
+
+
+def _denoted_table(lines: list[str], fields, ints):
+    """(columns, None) for the table that lines denote under read_tsv's
+    format, or (None, ":<line>: ") naming its first bad line."""
+    columns = [[] for _ in fields]
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(fields):
+            return None, f":{lineno}: "
+        for name, cell, column in zip(fields, cells, columns):
+            if name in ints:
+                try:
+                    cell = int(cell)
+                except ValueError:
+                    return None, f":{lineno}: "
+            column.append(cell)
+    return columns, None
+
+
+def _denoted_vocab(lines: list[str], required=()):
+    """(entries, None) for the vocabulary that lines denote, one entry per
+    non-blank line as written, or (None, where): ":<line>: " of the first
+    repeated entry, else ": " if an entry in required is missing."""
+    entries, seen = [], set()
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        if line in seen:
+            return None, f":{lineno}: "
+        seen.add(line)
+        entries.append(line)
+    if set(required) - seen:
+        return None, ": "
+    return entries, None
+
+
+@pytest.mark.parametrize("name", list(LINE_FILES))
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_line_files_under_a_random_corruption(tmp_path_factory, name, data):
+    """One random change to a valid table or vocabulary file, written with
+    LF, CRLF or CR line ends: the file either loads to what an independent
+    reading of its format gives, or raises CorpusFormatError naming the
+    first bad line (a vocabulary missing a reserved token names only the
+    path). It never raises anything else."""
+    fields, ints, rows = LINE_FILES[name]
+    lines = _corrupt_rows(data.draw, rows)
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    path = tmp_path_factory.mktemp("corrupt") / name
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    if fields is not None:
+        want, where = _denoted_table(lines, fields, ints)
+    else:
+        want, where = _denoted_vocab(lines, RESERVED[:3] if name == "token_vocab" else ())
+    try:
+        if fields is not None:
+            got = cp.read_tsv(path, fields, ints)
+        elif name == "token_vocab":
+            got = TokenVocab.from_file(path).tokens
+        else:
+            got = EntityVocab.from_file(path).ids
+    except CorpusFormatError as exc:
+        assert where is not None and str(exc).startswith(f"{path}{where}"), str(exc)
+    else:
+        assert where is None and got == want
+
+
 @pytest.mark.parametrize("mention, message", [
     ({"start_char": 0.5, "end_char": 1, "entity": "E1"}, "start_char 0.5 is not an integer"),
     ({"start_char": False, "end_char": True, "entity": "E1"}, "start_char false is not an integer"),

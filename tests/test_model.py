@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -39,7 +40,6 @@ from elink.model import (
     encode,
     linking_loss,
     load_checkpoint,
-    manifest_path,
     predict_end_to_end,
     rank_entities,
     save_checkpoint,
@@ -797,22 +797,6 @@ def test_checkpoint_roundtrip_predictions(tmp_path, params):
         top1(load_checkpoint(path), ctx.tokens, spans)
 
 
-def test_checkpoint_header_and_manifest(tmp_path, params):
-    path = tmp_path / "model.elck"
-    save_checkpoint(path, params)
-    blob = path.read_bytes()
-    assert blob[:4] == b"ELCK"
-    manifest = json.loads((tmp_path / "model.elck.manifest.json").read_text())
-    assert manifest["dtype"] == "<f4"
-    names = [t["name"] for t in manifest["tensors"]]
-    assert names[0] == "tok_emb" and names[-1] == "ent_emb"
-    last = manifest["tensors"][-1]
-    assert last["offset"] + last["nbytes"] == len(blob)
-    for entry in manifest["tensors"]:
-        expect = int(np.prod(entry["shape"])) * 4
-        assert entry["nbytes"] == expect
-
-
 def test_checkpoint_bytes_follow_documented_layout(tmp_path, params):
     # magic, version, config JSON length, config JSON, then every tensor in
     # declaration order as little-endian float32, row-major
@@ -853,7 +837,7 @@ def test_checkpoint_truncated(tmp_path, params):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fail_in", ["checkpoint", "manifest"])
+@pytest.mark.parametrize("fail_in", ["checkpoint", "rename"])
 def test_failed_checkpoint_write_keeps_previous(tmp_path, params, monkeypatch, fail_in):
     path = tmp_path / "model.elck"
     save_checkpoint(path, params)
@@ -866,13 +850,11 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, params, monkeypatch, f
             raise OSError("disk full")
         monkeypatch.setattr(newer, "items", items)
     else:
-        def dump(*args, **kwargs):
+        # the whole file is written, but cannot replace the previous one
+        def replace(*args, **kwargs):
             raise OSError("disk full")
-        monkeypatch.setattr(json, "dump", dump)
+        monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, newer)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-
-def test_manifest_path_helper():
-    assert manifest_path("a/b.elck") == "a/b.elck.manifest.json"
