@@ -2,8 +2,11 @@
 
 Every command accepts `--config <file>` plus dotted-key overrides such as
 `--train.base_lr=1e-5` or `--noise.enabled=false`; overrides win over the
-file. Commands that produce outputs also write the fully-resolved config
-beside them.
+file. A path flag such as `--out-dir` spells its `paths.*` key and wins
+over both; finetune's `--mode` spells `train.softmax_mode`. `main` folds
+them all into the one RunConfig that a command reads. Commands that
+produce outputs write it beside them as `resolved_config.cfg`, which
+reruns the run when given back as `--config`.
 """
 
 import argparse
@@ -18,11 +21,16 @@ from . import corpus as cp
 from . import evaluation as ev
 from . import training as tr
 from .candidates import PageLinks, load_phrase_table
-from .config import ConfigError, RunConfig, load_run_config, parse_override_args, resolved_text
+from .config import ConfigError, Paths, RunConfig, load_run_config, parse_override_args
+from .config import resolved_text
 from .model import ModelConfig, ModelParams, load_checkpoint, predict_end_to_end
 from .seeding import derive_seed
 
 log = logging.getLogger("elink")
+
+_PATH_KEYS = frozenset(f.name for f in dataclasses.fields(Paths))
+# finetune --mode values, as train.softmax_mode spells them
+_FINETUNE_MODES = {"alias_candidates": "candidates", "all_entities": "all_entities"}
 
 
 def _fail(message: str) -> int:
@@ -30,11 +38,23 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _pick(flag, cfg_value, name: str):
-    value = flag if flag is not None else cfg_value
-    if value is None:
+def _path(cfg: RunConfig, name: str) -> str:
+    value = getattr(cfg.paths, name)
+    if not value:
         raise ConfigError(f"missing required path: {name}")
     return value
+
+
+def _print_run(cfg: RunConfig, out_dir: str, rows, **extra) -> int:
+    """Print a training run's summary as JSON."""
+    summary = {
+        "checkpoint": os.path.join(out_dir, "checkpoint.elck"),
+        "steps": cfg.train.total_steps,
+        "final_loss": rows[-1].loss if rows else None,
+        **extra,
+    }
+    print(json.dumps(summary, indent=2))
+    return 0
 
 
 def _echo_config(cfg: RunConfig, directory: str) -> None:
@@ -43,10 +63,8 @@ def _echo_config(cfg: RunConfig, directory: str) -> None:
         f.write(resolved_text(cfg))
 
 
-def _load_vocabs(args, cfg: RunConfig):
-    """(tvocab, evocab) from the flags, falling back to the config."""
-    token_path = _pick(args.token_vocab, cfg.paths.token_vocab, "token_vocab")
-    entity_path = _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab")
+def _load_vocabs(cfg: RunConfig):
+    token_path, entity_path = _path(cfg, "token_vocab"), _path(cfg, "entity_vocab")
     return cp.TokenVocab.from_file(token_path), cp.EntityVocab.from_file(entity_path)
 
 
@@ -58,41 +76,36 @@ def _check_vocab_sizes(model_cfg: ModelConfig, tvocab, evocab) -> None:
         )
 
 
-def _load_model(args, cfg: RunConfig, training: bool = False):
+def _load_model(cfg: RunConfig, training: bool = False):
     """(tvocab, evocab, params), the checkpoint's sizes checked against the
     vocabularies. For training, the checkpoint is optional (params is None
     when none is named) and params record gradients; otherwise they load
     off the autodiff tape."""
-    tvocab, evocab = _load_vocabs(args, cfg)
-    ckpt = args.checkpoint if args.checkpoint is not None else cfg.paths.checkpoint
-    if training and not ckpt:
+    tvocab, evocab = _load_vocabs(cfg)
+    if training and not cfg.paths.checkpoint:
         return tvocab, evocab, None
-    params = load_checkpoint(_pick(ckpt, None, "checkpoint"), requires_grad=training)
+    params = load_checkpoint(_path(cfg, "checkpoint"), requires_grad=training)
     _check_vocab_sizes(params.config, tvocab, evocab)
     return tvocab, evocab, params
 
 
-def _load_dataset(args, cfg: RunConfig, tvocab, evocab) -> list[cp.Context]:
-    """The --dataset context cache, its ids checked against the vocabularies."""
-    path = _pick(args.dataset, cfg.paths.dataset, "dataset")
-    return cp.load_contexts(path, len(tvocab), len(evocab))
+def _load_dataset(cfg: RunConfig, tvocab, evocab) -> list[cp.Context]:
+    """The paths.dataset context cache, its ids checked against the vocabularies."""
+    return cp.load_contexts(_path(cfg, "dataset"), len(tvocab), len(evocab))
 
 
 def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
     return ModelConfig(len(tvocab), len(evocab), **dataclasses.asdict(cfg.model))
 
 
-def _load_alias_table(args, cfg: RunConfig, evocab):
+def _load_alias_table(cfg: RunConfig, evocab):
     """(table, report): the alias table resolved through the redirects, if any."""
-    entries = at.load_alias_tsv(_pick(args.alias_table, cfg.paths.alias_table, "alias_table"))
-    redirects_path = args.redirects or cfg.paths.redirects
-    redirects = None
-    if redirects_path:
-        if os.path.exists(redirects_path):
-            redirects = at.RedirectMap.from_tsv(redirects_path)
-        else:
-            log.warning("redirect file %s missing; using the table unresolved", redirects_path)
-    return at.resolve(entries, redirects, evocab)
+    entries = at.load_alias_tsv(_path(cfg, "alias_table"))
+    path = cfg.paths.redirects
+    if path and not os.path.exists(path):
+        log.warning("redirect file %s missing; using the table unresolved", path)
+        path = None
+    return at.resolve(entries, at.RedirectMap.from_tsv(path) if path else None, evocab)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +113,9 @@ def _load_alias_table(args, cfg: RunConfig, evocab):
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_corpus(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    docs_path = _pick(args.docs, cfg.paths.docs, "docs")
-    out_path = _pick(args.out, cfg.paths.corpus, "out")
-    tvocab, evocab = _load_vocabs(args, cfg)
+def cmd_build_corpus(args, cfg: RunConfig) -> int:
+    docs_path, out_path = _path(cfg, "docs"), _path(cfg, "corpus")
+    tvocab, evocab = _load_vocabs(cfg)
     docs = cp.load_documents(docs_path)
 
     contexts: list[cp.Context] = []
@@ -144,13 +155,11 @@ def cmd_build_corpus(args, overrides) -> int:
     return 0
 
 
-def cmd_pretrain(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
-    tvocab, evocab = _load_vocabs(args, cfg)
-    contexts = cp.load_contexts(
-        _pick(args.corpus, cfg.paths.corpus, "corpus"), len(tvocab), len(evocab)
-    )
+def cmd_pretrain(args, cfg: RunConfig) -> int:
+    out_dir = _path(cfg, "out_dir")
+    tvocab, evocab = _load_vocabs(cfg)
+    model_cfg = _model_config(cfg, tvocab, evocab)
+    contexts = cp.load_contexts(_path(cfg, "corpus"), len(tvocab), len(evocab))
     page_links = (
         PageLinks.from_tsv(cfg.paths.page_links, evocab) if cfg.paths.page_links else None
     )
@@ -158,66 +167,38 @@ def cmd_pretrain(args, overrides) -> int:
         load_phrase_table(cfg.paths.phrase_table, evocab) if cfg.paths.phrase_table else None
     )
     _echo_config(cfg, out_dir)
-    try:
-        _, rows = tr.pretrain(
-            contexts,
-            tvocab,
-            len(evocab),
-            _model_config(cfg, tvocab, evocab),
-            cfg.train,
-            cfg.candidates,
-            cfg.noise,
-            page_links=page_links,
-            phrase_table=phrase_table,
-            out_dir=out_dir,
-        )
-    except tr.TrainingDiverged as exc:
-        return _fail(str(exc))
-    print(
-        json.dumps(
-            {
-                "checkpoint": os.path.join(out_dir, "checkpoint.elck"),
-                "steps": cfg.train.total_steps,
-                "final_loss": rows[-1].loss if rows else None,
-            },
-            indent=2,
-        )
+    _, rows = tr.pretrain(
+        contexts,
+        tvocab,
+        len(evocab),
+        model_cfg,
+        cfg.train,
+        cfg.candidates,
+        cfg.noise,
+        page_links=page_links,
+        phrase_table=phrase_table,
+        out_dir=out_dir,
     )
-    return 0
+    return _print_run(cfg, out_dir, rows)
 
 
-def cmd_finetune(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    out_dir = _pick(args.out_dir, cfg.paths.out_dir, "out_dir")
-    tvocab, evocab, params = _load_model(args, cfg, training=True)
-    contexts = _load_dataset(args, cfg, tvocab, evocab)
+def cmd_finetune(args, cfg: RunConfig) -> int:
+    out_dir = _path(cfg, "out_dir")
+    tvocab, evocab, params = _load_model(cfg, training=True)
+    contexts = _load_dataset(cfg, tvocab, evocab)
     if params is None:
         params = ModelParams.initialize(
             _model_config(cfg, tvocab, evocab),
             derive_seed(cfg.train.rng_seed, "init"),
         )
     alias_table = None
-    if args.mode == "alias_candidates":
-        alias_table, _ = _load_alias_table(args, cfg, evocab)
+    if cfg.train.softmax_mode == "candidates":
+        alias_table, _ = _load_alias_table(cfg, evocab)
     _echo_config(cfg, out_dir)
-    try:
-        _, rows, report = tr.finetune(
-            params, contexts, args.mode, tvocab, cfg.train, alias_table, out_dir=out_dir
-        )
-    except tr.TrainingDiverged as exc:
-        return _fail(str(exc))
-    print(
-        json.dumps(
-            {
-                "checkpoint": os.path.join(out_dir, "checkpoint.elck"),
-                "steps": cfg.train.total_steps,
-                "final_loss": rows[-1].loss if rows else None,
-                "skipped_mentions": report.skipped_mentions,
-            },
-            indent=2,
-        )
+    _, rows, report = tr.finetune(
+        params, contexts, tvocab, cfg.train, alias_table, out_dir=out_dir
     )
-    return 0
+    return _print_run(cfg, out_dir, rows, skipped_mentions=report.skipped_mentions)
 
 
 def _write_or_print(report: dict, out_path) -> None:
@@ -228,13 +209,12 @@ def _write_or_print(report: dict, out_path) -> None:
     print(text)
 
 
-def cmd_eval_disambig(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    tvocab, evocab, params = _load_model(args, cfg)
-    contexts = _load_dataset(args, cfg, tvocab, evocab)
+def cmd_eval_disambig(args, cfg: RunConfig) -> int:
+    tvocab, evocab, params = _load_model(cfg)
+    contexts = _load_dataset(cfg, tvocab, evocab)
     alias_table = None
     if args.candidates == "alias":
-        alias_table, _ = _load_alias_table(args, cfg, evocab)
+        alias_table, _ = _load_alias_table(cfg, evocab)
     result = ev.run_disambiguation(params, contexts, evocab, alias_table)
     _write_or_print(result.report(), args.out)
     if args.errors_out:
@@ -242,24 +222,18 @@ def cmd_eval_disambig(args, overrides) -> int:
     return 0
 
 
-def cmd_eval_e2e(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    tvocab, evocab, params = _load_model(args, cfg)
-    contexts = _load_dataset(args, cfg, tvocab, evocab)
+def cmd_eval_e2e(args, cfg: RunConfig) -> int:
+    tvocab, evocab, params = _load_model(cfg)
+    contexts = _load_dataset(cfg, tvocab, evocab)
     result = ev.run_end_to_end(params, contexts)
     _write_or_print(result.report(), args.out)
     return 0
 
 
-def cmd_alias_stats(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    evocab = cp.EntityVocab.from_file(
-        _pick(args.entity_vocab, cfg.paths.entity_vocab, "entity_vocab")
-    )
-    table, report = _load_alias_table(args, cfg, evocab)
-    contexts = cp.load_contexts(
-        _pick(args.dataset, cfg.paths.dataset, "dataset"), n_entities=len(evocab)
-    )
+def cmd_alias_stats(args, cfg: RunConfig) -> int:
+    evocab = cp.EntityVocab.from_file(_path(cfg, "entity_vocab"))
+    table, report = _load_alias_table(cfg, evocab)
+    contexts = cp.load_contexts(_path(cfg, "dataset"), n_entities=len(evocab))
     mentions = [
         (l.surface, l.entity)
         for c in contexts
@@ -282,9 +256,8 @@ def cmd_alias_stats(args, overrides) -> int:
     return 0
 
 
-def cmd_link(args, overrides) -> int:
-    cfg = load_run_config(args.config, overrides)
-    tvocab, evocab, params = _load_model(args, cfg)
+def cmd_link(args, cfg: RunConfig) -> int:
+    tvocab, evocab, params = _load_model(cfg)
     # read as written, line ends included, so the offsets index the input
     text = cp.read_text(args.input or "-")
 
@@ -331,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-corpus", help="tokenize raw documents into a context cache")
     common(p)
     p.add_argument("--docs", help="input documents (JSON-lines)")
-    p.add_argument("--out", help="output context cache (JSON-lines)")
+    p.add_argument("--out", dest="corpus", help="output context cache (JSON-lines)")
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("pretrain", help="train from scratch on a context cache")
@@ -344,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", help="starting checkpoint (omit to train from scratch)")
     p.add_argument("--dataset", help="processed context cache to fine-tune on")
-    p.add_argument("--mode", choices=tr.FINETUNE_MODES, default="all_entities")
+    p.add_argument("--mode", choices=_FINETUNE_MODES, help="sets train.softmax_mode")
     p.add_argument("--alias-table", dest="alias_table")
     p.add_argument("--redirects")
     p.add_argument("--out-dir", dest="out_dir")
@@ -392,14 +365,15 @@ def main(argv=None) -> int:
     try:
         overrides, rest = parse_override_args(list(argv))
         args = build_parser().parse_args(rest)
-        return args.func(args, overrides)
-    except (
-        ConfigError,
-        cp.CorpusFormatError,
-        at.RedirectCycleError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+        # a path flag spells its paths.* key, and wins over the file and --paths.*
+        for name, value in vars(args).items():
+            if name in _PATH_KEYS and value is not None:
+                overrides[f"paths.{name}"] = value
+        if getattr(args, "mode", None) is not None:
+            overrides["train.softmax_mode"] = _FINETUNE_MODES[args.mode]
+        return args.func(args, load_run_config(args.config, overrides))
+    except (ValueError, FileNotFoundError, tr.TrainingDiverged) as exc:
+        # ValueError covers ConfigError, CorpusFormatError and RedirectCycleError
         return _fail(str(exc))
 
 

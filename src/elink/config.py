@@ -84,6 +84,8 @@ def _coerce(raw: str, typ, key: str):
             return float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    if "\n" in raw or "\r" in raw:
+        raise ConfigError(f"{key}: {raw!r} holds a line break, so it cannot be echoed")
     return raw
 
 

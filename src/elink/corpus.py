@@ -27,6 +27,7 @@ PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
 MASK_TOKEN = "[MASK]"
 SEP_TOKEN = "[SEP]"
+RESERVED_TOKENS = frozenset((PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SEP_TOKEN))
 
 CONTEXT_MODES = ("none", "title", "title_lead2")
 
@@ -162,16 +163,25 @@ class DropCounter:
 
 
 class TokenVocab:
-    """Ordered token vocabulary; [PAD]/[UNK]/[MASK] must be present.
+    """Ordered token vocabulary; [PAD]/[UNK]/[MASK] must be present, and no
+    token but them and [SEP] may be one that tokenize never gives.
 
     Given the file it was read from (path, and each token's line number in
-    it), an error names `path:line` of a repeated token, or `path` for a
-    missing reserved token.
+    it), an error names `path:line` of the first repeated or untokenizable
+    token, or `path` for a missing reserved token.
     """
 
     def __init__(self, tokens, *, path=None, linenos=None):
         self.tokens = list(tokens)
-        self.index = _vocab_index(self.tokens, "token", path, linenos)
+        bad = _first_untokenizable(self.tokens)
+        # a repeat before the first untokenizable token is named instead
+        self.index = _vocab_index(self.tokens[:bad], "token", path, linenos)
+        if bad is not None:
+            where = "" if path is None else f"{path}:{linenos[bad]}: "
+            raise CorpusFormatError(
+                f"{where}token {self.tokens[bad]!r} holds whitespace or is not normalized,"
+                " so tokenize never gives it"
+            )
         for required in (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN):
             if required not in self.index:
                 where = "" if path is None else f"{path}: "
@@ -202,10 +212,7 @@ class TokenVocab:
 
     @property
     def reserved_indices(self) -> frozenset:
-        res = {self.pad_index, self.unk_index, self.mask_index}
-        if SEP_TOKEN in self.index:
-            res.add(self.index[SEP_TOKEN])
-        return frozenset(res)
+        return frozenset(self.index[t] for t in RESERVED_TOKENS if t in self.index)
 
     def lookup(self, token: str) -> int:
         return self.index.get(token, self.unk_index)
@@ -266,6 +273,21 @@ def _vocab_index(items: list, what: str, path=None, linenos=None) -> dict:
             where = "" if path is None else f"{path}:{linenos[i]}: "
             raise CorpusFormatError(f"{where}duplicate {what} {x!r} in vocabulary")
     return index
+
+
+def _first_untokenizable(tokens: list[str]) -> int | None:
+    """Index of the first non-reserved token that holds whitespace or is not
+    its own normalize_token, or None. All are normalized at once, joined by
+    line feeds, which NFKC and lowercasing never reach across; each token is
+    checked only if that finds one."""
+    plain = [t for t in tokens if t not in RESERVED_TOKENS]
+    joined = "\n".join(plain)
+    if joined.split() == plain and normalize_token(joined) == joined:
+        return None
+    for i, t in enumerate(tokens):
+        if t not in RESERVED_TOKENS and (t.split() != [t] or normalize_token(t) != t):
+            return i
+    return None
 
 
 def _write_lines(path, lines) -> None:

@@ -39,7 +39,6 @@ from .seeding import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
 
-FINETUNE_MODES = ("alias_candidates", "all_entities")
 SOFTMAX_MODES = ("candidates", "all_entities")
 _ADAM_CHUNK = 1 << 15  # elements per Adam update chunk
 
@@ -94,6 +93,8 @@ class TrainConfig:
                 raise ValueError(f"{key} must be in [0, 1)")
         if self.log_interval < 1:
             raise ValueError("log_interval must be >= 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0")
         if self.softmax_mode not in SOFTMAX_MODES:
             raise ValueError(f"softmax_mode must be one of {SOFTMAX_MODES}")
 
@@ -453,7 +454,6 @@ class FinetuneReport:
 def finetune(
     params: ModelParams,
     contexts: list[Context],
-    mode: str,
     vocab: TokenVocab,
     train_cfg: TrainConfig,
     alias_table: AliasTable | None = None,
@@ -461,15 +461,14 @@ def finetune(
 ) -> tuple[ModelParams, list[LogRow], FinetuneReport]:
     """Continue training on a labeled dataset.
 
-    mode "alias_candidates": each mention's softmax runs over the alias
+    softmax_mode "candidates": each mention's softmax runs over the alias
     table lookup of its surface; mentions whose gold is absent from the
-    lookup are skipped and counted. mode "all_entities": the softmax spans
-    the whole entity vocabulary and no table is needed.
+    lookup are skipped and counted. "all_entities": the softmax spans the
+    whole entity vocabulary and no table is needed.
     """
-    if mode not in FINETUNE_MODES:
-        raise ValueError(f"mode must be one of {FINETUNE_MODES}")
-    if mode == "alias_candidates" and alias_table is None:
-        raise ValueError("alias_candidates mode requires an alias table")
+    all_entities = train_cfg.softmax_mode == "all_entities"
+    if not all_entities and alias_table is None:
+        raise ValueError("softmax_mode candidates requires an alias table")
     if not contexts:
         raise ValueError("fine-tuning dataset is empty")
 
@@ -480,7 +479,7 @@ def finetune(
         for l in c.labels:
             if l.entity is None:
                 continue
-            if mode == "all_entities":
+            if all_entities:
                 targets.append(MentionTarget(span=l.span, gold=l.entity))
                 continue
             cands = alias_table.lookup(l.surface or "")

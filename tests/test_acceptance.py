@@ -229,14 +229,14 @@ def test_criterion_4_pretraining_beats_scratch():
                                   log_interval=800, rng_seed=derive_seed(seed, "pre"))
             ft_cfg = TrainConfig(base_lr=1e-3, total_steps=150, batch_size=16,
                                  log_interval=150, bio_weight=0.0,
-                                 rng_seed=derive_seed(seed, "ft"))
+                                 softmax_mode="all_entities", rng_seed=derive_seed(seed, "ft"))
 
             params, _ = pretrain(pre, vocab, 200, mcfg, pre_cfg, ccfg, ncfg, pages, phrase)
-            params, _, _ = finetune(params, ft_train, "all_entities", vocab, ft_cfg)
+            params, _, _ = finetune(params, ft_train, vocab, ft_cfg)
             acc_pretrained = all_entity_accuracy(params, held)
 
             scratch = ModelParams.initialize(mcfg, derive_seed(seed, "scratch"))
-            scratch, _, _ = finetune(scratch, ft_train, "all_entities", vocab, ft_cfg)
+            scratch, _, _ = finetune(scratch, ft_train, vocab, ft_cfg)
             acc_scratch = all_entity_accuracy(scratch, held)
             gaps.append(acc_pretrained - acc_scratch)
         mean_gap = float(np.mean(gaps))

@@ -212,9 +212,12 @@ def test_resolved_config_echo_reflects_ablation_flags(world, built_corpus, tmp_p
 
 @pytest.mark.parametrize("key, value", [
     ("log_interval", "0"), ("eps", "0"), ("beta1", "1.0"), ("beta2", "-0.5"),
+    ("checkpoint_interval", "-1"), ("model.n_heads", "3"),
 ])
 def test_bad_train_setting_fails_at_config_load(world, built_corpus, tmp_path, capsys,
                                                 key, value):
+    """A bad setting fails pretrain before it writes anything. A bare key
+    is a train key; n_heads=3 does not divide d_model=8."""
     root, paths, _ = world
     rc = main([
         "pretrain",
@@ -228,11 +231,55 @@ def test_bad_train_setting_fails_at_config_load(world, built_corpus, tmp_path, c
         "--model.d_ff=16", "--model.d_entity=8", "--model.max_len=32",
         "--candidates.k=8", "--candidates.max_page=2", "--candidates.max_phrase=2",
         "--candidates.min_random=2",
-        f"--train.{key}={value}",
+        f"--{key if '.' in key else 'train.' + key}={value}",
     ])
     assert rc == 1
-    assert key in capsys.readouterr().err
+    assert key.rpartition(".")[2] in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_resolved_config_reruns_the_run(world, built_corpus, trained, tmp_path, capsys):
+    """A pretrain run driven by flags alone, and an alias fine-tune, each
+    rerun from their resolved_config.cfg and a new --out-dir alone, write
+    the same checkpoint and log bytes, and echo the same config but for
+    paths.out_dir: the echo holds every path and setting of the run."""
+    root, paths, _ = world
+    vocabs = ["--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"]]
+    steps = ["--train.total_steps=3", "--train.batch_size=4", "--train.log_interval=1"]
+    runs = {
+        "pretrain": ["--corpus", built_corpus, *vocabs, *steps,
+                     "--model.d_model=8", "--model.n_layers=1", "--model.n_heads=2",
+                     "--model.d_ff=16", "--model.d_entity=8", "--model.max_len=32",
+                     "--candidates.k=8", "--candidates.max_page=2",
+                     "--candidates.max_phrase=2", "--candidates.min_random=2"],
+        "finetune": ["--checkpoint", trained, "--dataset", built_corpus, *vocabs, *steps,
+                     "--mode", "alias_candidates", "--alias-table", paths["alias_table"]],
+    }
+    for command, argv in runs.items():
+        first, again = tmp_path / f"{command}_first", tmp_path / f"{command}_again"
+        assert main([command, *argv, "--out-dir", str(first)]) == 0
+        echo = first / "resolved_config.cfg"
+        assert main([command, "--config", str(echo), "--out-dir", str(again)]) == 0
+        for name in ("checkpoint.elck", "train_log.tsv"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), (command, name)
+        echoed = parse_kv_file(echo)
+        assert parse_kv_file(again / "resolved_config.cfg") == {
+            **echoed, "paths.out_dir": str(again)}
+    assert echoed["train.softmax_mode"] == "candidates"
+    assert echoed["paths.alias_table"] == paths["alias_table"]
+
+
+def test_a_path_flag_wins_over_the_config_and_the_paths_override(world, tmp_path, capsys):
+    root, paths, _ = world
+    config = tmp_path / "run.cfg"
+    config.write_text(f"paths.corpus = {tmp_path / 'from_file.jsonl'}\n")
+    rc = main(["build-corpus", "--config", str(config), "--docs", paths["docs"],
+               "--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"],
+               f"--paths.corpus={tmp_path / 'from_override.jsonl'}",
+               "--out", f"  {tmp_path / 'from_flag.jsonl'}\t"])
+    assert rc == 0
+    # the flag's value is stripped like a config value
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from_flag.jsonl", "run.cfg"]
 
 
 def test_finetune_alias_mode(world, built_corpus, trained, tmp_path, capsys):
@@ -296,8 +343,9 @@ def test_only_finetune_loads_parameters_onto_the_tape(world, built_corpus, train
         ("eval-disambig", ["--dataset", built_corpus]),
         ("eval-e2e", ["--dataset", built_corpus]),
         ("link", ["--input", str(text)]),
-        ("finetune", ["--dataset", built_corpus, "--out-dir", str(tmp_path / "ft"),
-                      "--train.total_steps=1", "--train.batch_size=2"]),
+        ("finetune", ["--dataset", built_corpus, "--mode", "all_entities",
+                      "--out-dir", str(tmp_path / "ft"), "--train.total_steps=1",
+                      "--train.batch_size=2"]),
     ]:
         assert main([command, *vocabs, *rest]) == 0
     capsys.readouterr()

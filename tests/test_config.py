@@ -1,18 +1,23 @@
 """Flat config parsing, overrides, and seed fan-out."""
 
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elink.config import (
     ConfigError,
     ModelSettings,
+    Paths,
     build_run_config,
     load_run_config,
     parse_kv_text,
     parse_override_args,
     resolved_text,
 )
+from elink.corpus import CONTEXT_MODES
 from elink.model import ModelConfig
 from elink.seeding import derive_seed
 
@@ -151,3 +156,75 @@ def test_non_finite_values_rejected_at_load(key, value):
     section, _, name = key.partition(".")
     with pytest.raises(ConfigError, match=rf"section '{section}': {name} must"):
         build_run_config({key: value})
+
+
+@pytest.mark.parametrize("key", ["paths.docs", "corpus.context_mode", "train.softmax_mode"])
+@pytest.mark.parametrize("line_end", ["\n", "\r"])
+def test_a_value_with_a_line_break_fails_at_load(key, line_end):
+    """The echo writes one line per setting, so a value that holds a line
+    break, from a file or an override, cannot be echoed and fails."""
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: .* holds a line break"):
+        build_run_config({key: f"a{line_end}b"})
+
+
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+UNIT = st.floats(0.0, 1.0)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SEEDS = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def run_settings(draw):
+    """Flat items that build a valid RunConfig, each key of every section
+    present or not: paths any one-line text, numbers in their valid ranges."""
+    items = {}
+
+    def maybe(key, strategy):
+        if draw(st.booleans()):
+            items[key] = str(draw(strategy))
+
+    maybe("seed", SEEDS)
+    for f in dataclasses.fields(Paths):
+        maybe(f"paths.{f.name}", ONE_LINE)
+    for f in dataclasses.fields(ModelSettings):
+        maybe(f"model.{f.name}", st.integers(1, 1024))
+    maybe("corpus.chunk_chars", st.integers(1, 10**6))
+    maybe("corpus.mode", st.sampled_from(["chunk", "sentence", "window"]))
+    maybe("corpus.context_mode", st.sampled_from(CONTEXT_MODES))
+    maybe("corpus.window_bytes", st.integers(1, 10**6))
+    if draw(st.booleans()):   # all four budgets, as they bound each other
+        budgets = draw(st.lists(st.integers(0, 1000), min_size=3, max_size=3))
+        names = ("max_page", "max_phrase", "min_random", "k")
+        values = [*budgets, sum(budgets) + draw(st.integers(0, 1000))]
+        items.update({f"candidates.{n}": str(v) for n, v in zip(names, values)})
+    mask = draw(UNIT)
+    if draw(st.booleans()):
+        items.update({"noise.mask_frac": str(mask),
+                      "noise.random_frac": str(draw(st.floats(0.0, 1.0 - mask)))})
+    maybe("noise.select_rate", UNIT)
+    maybe("noise.enabled", st.sampled_from(["true", "false", "1", "0", "yes", "no", "True"]))
+    for key in ("base_lr", "clip_norm", "eps"):
+        maybe(f"train.{key}", POSITIVE)
+    maybe("train.warmup_frac", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    for key in ("beta1", "beta2"):
+        maybe(f"train.{key}", st.floats(0.0, 1.0, exclude_max=True))
+    for key in ("link_weight", "bio_weight"):
+        maybe(f"train.{key}", FINITE)
+    for key in ("total_steps", "batch_size", "log_interval"):
+        maybe(f"train.{key}", st.integers(1, 10**6))
+    maybe("train.checkpoint_interval", st.integers(0, 10**6))
+    maybe("train.softmax_mode", st.sampled_from(["candidates", "all_entities"]))
+    maybe("train.freeze_entity_embeddings", st.booleans())
+    for section in ("candidates", "noise", "train"):
+        maybe(f"{section}.rng_seed", SEEDS)
+    return items
+
+
+@given(run_settings())
+@settings(max_examples=200, deadline=None)
+def test_resolved_text_rebuilds_the_config(items):
+    """The echo of any valid config, every path included, parses and
+    builds back to the same config, so it reruns the run."""
+    cfg = build_run_config(items)
+    assert build_run_config(parse_kv_text(resolved_text(cfg))) == cfg

@@ -2,6 +2,7 @@
 
 import json
 import re
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -494,6 +495,27 @@ def test_vocab_files_name_the_bad_line(tmp_path):
     assert str(exc.value) == f"{epath}:5: duplicate entity id 'E1' in vocabulary"
 
 
+@pytest.mark.parametrize("lines, lineno, shown", [
+    (["Yuri", "gagarin"], 5, "'Yuri'"),             # lowercasing changes it
+    (["yuri ", "gagarin"], 5, "'yuri '"),           # holds whitespace
+    (["yuri", "ga garin"], 6, "'ga garin'"),
+    (["yuri", "ｙｕｒｉ"], 6, "'ｙｕｒｉ'"),            # NFKC changes it
+    (["yuri", "yuri", "Yuri"], 6, "duplicate token 'yuri'"),   # the repeat comes first
+    (["Yuri", "yuri", "yuri"], 5, "'Yuri'"),        # the bad entry comes first
+])
+def test_token_vocab_rejects_an_entry_tokenize_cannot_give(tmp_path, lines, lineno, shown):
+    """An entry other than [PAD]/[UNK]/[MASK]/[SEP] that holds whitespace
+    or that NFKC and lowercasing change can never be looked up; the first
+    such entry or repeat fails the file with its path:line."""
+    path = tmp_path / "tokens.txt"
+    path.write_text("\n".join(RESERVED + lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        TokenVocab.from_file(path)
+    assert str(exc.value).startswith(f"{path}:{lineno}: ") and shown in str(exc.value)
+    with pytest.raises(CorpusFormatError):
+        TokenVocab(RESERVED + lines)
+
+
 def test_sep_required_only_when_used():
     vocab = TokenVocab(["[PAD]", "[UNK]", "[MASK]", "w"])
     with pytest.raises(CorpusFormatError):
@@ -944,15 +966,21 @@ def _denoted_table(lines: list[str], fields, ints):
     return columns, None
 
 
-def _denoted_vocab(lines: list[str], required=()):
+def _denoted_vocab(lines: list[str], required=(), tokens=False):
     """(entries, None) for the vocabulary that lines denote, one entry per
     non-blank line as written, or (None, where): ":<line>: " of the first
-    repeated entry, else ": " if an entry in required is missing."""
+    repeated entry or, for tokens, of the first entry that tokenize cannot
+    give (one other than RESERVED that holds whitespace or that NFKC and
+    lowercasing change), else ": " if an entry in required is missing."""
     entries, seen = [], set()
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        if line in seen:
+        untokenizable = tokens and line not in RESERVED and (
+            any(c.isspace() for c in line)
+            or unicodedata.normalize("NFKC", line).lower() != line
+        )
+        if line in seen or untokenizable:
             return None, f":{lineno}: "
         seen.add(line)
         entries.append(line)
@@ -978,7 +1006,8 @@ def test_line_files_under_a_random_corruption(tmp_path_factory, name, data):
     if fields is not None:
         want, where = _denoted_table(lines, fields, ints)
     else:
-        want, where = _denoted_vocab(lines, RESERVED[:3] if name == "token_vocab" else ())
+        tokens = name == "token_vocab"
+        want, where = _denoted_vocab(lines, RESERVED[:3] if tokens else (), tokens)
     try:
         if fields is not None:
             got = cp.read_tsv(path, fields, ints)

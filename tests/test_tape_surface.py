@@ -10,6 +10,7 @@ import inspect
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 from helpers import make_world
@@ -64,8 +65,8 @@ def test_package_reaches_every_autodiff_op():
     try:
         params, _ = pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, NoiseConfig(rng_seed=11),
                              pages, phrase)
-        for mode in ("alias_candidates", "all_entities"):
-            finetune(params, contexts, mode, vocab, tcfg, table)
+        for mode in ("candidates", "all_entities"):
+            finetune(params, contexts, vocab, replace(tcfg, softmax_mode=mode), table)
         ctx = contexts[0]
         spans = [l.span for l in ctx.labels]
         rank_entities(params, ctx.tokens, spans, [[0, 1]] * len(spans))

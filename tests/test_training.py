@@ -445,8 +445,8 @@ def test_each_gold_column_holds_the_gold_entity(monkeypatch):
     table = AliasTable({f"n{i}": [2 * i + 1, 2 * i] for i in range(10)})
     runs = {
         "union": lambda: pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase),
-        "alias": lambda: finetune(ModelParams.initialize(mcfg, seed=1), contexts,
-                                  "alias_candidates", vocab, tcfg, table),
+        "alias": lambda: finetune(ModelParams.initialize(mcfg, seed=1), contexts, vocab, tcfg,
+                                  table),
         "full": lambda: pretrain(contexts, vocab, 20, mcfg, full, ccfg, ncfg, pages, phrase),
     }
     for kind, run in runs.items():
@@ -588,8 +588,9 @@ def test_loaded_checkpoint_is_writable_aligned_float32_and_finetunes(tmp_path):
         flags = t.data.flags
         assert t.data.dtype == np.float32 and flags.writeable and flags.aligned, name
     before = {name: t.data.copy() for name, t in params.items()}
-    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=6)
-    _, rows, _ = finetune(params, contexts, "all_entities", vocab, tcfg)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1,
+                       softmax_mode="all_entities", rng_seed=6)
+    _, rows, _ = finetune(params, contexts, vocab, tcfg)
     assert len(rows) == 2 and np.isfinite([r.loss for r in rows]).all()
     assert all(not np.array_equal(t.data, before[name]) for name, t in params.items())
 
@@ -661,7 +662,7 @@ def _first_sharded_step(monkeypatch, case):
         # two or three candidates per name, so each mention's list is a part of the union
         table = AliasTable({f"n{i}": [2 * i, 2 * i + 1] + [(2 * i + 2) % 20] * (i % 2)
                             for i in range(10)})
-        _, rows, _ = finetune(params, contexts, "alias_candidates", vocab, tcfg, table)
+        _, rows, _ = finetune(params, contexts, vocab, tcfg, table)
     else:
         _, rows = pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase,
                            params=params)
@@ -721,8 +722,8 @@ def test_training_bytes_do_not_depend_on_the_shard_threads(tmp_path, monkeypatch
             pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase, out_dir=out)
         else:
             table = AliasTable({f"n{i}": [2 * i, 2 * i + 1] for i in range(10)})
-            finetune(ModelParams.initialize(mcfg, seed=1), contexts, "alias_candidates", vocab,
-                     tcfg, table, out_dir=out)
+            finetune(ModelParams.initialize(mcfg, seed=1), contexts, vocab, tcfg, table,
+                     out_dir=out)
     found = threads._openblas_controls() is not None
     assert len(idents[1]) == 1 and len(idents[2]) == (2 if found else 1)
     for name in ("checkpoint.elck", "train_log.tsv"):
@@ -768,8 +769,9 @@ def test_pretrain_pins_blas_to_one_thread_and_restores_its_count(tmp_path, monke
 def test_finetune_all_entities_runs_without_table():
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
     params = ModelParams.initialize(mcfg, seed=1)
-    tcfg = TrainConfig(base_lr=1e-3, total_steps=4, batch_size=4, log_interval=2, rng_seed=6)
-    _, rows, report = finetune(params, contexts, "all_entities", vocab, tcfg)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=4, batch_size=4, log_interval=2,
+                       softmax_mode="all_entities", rng_seed=6)
+    _, rows, report = finetune(params, contexts, vocab, tcfg)
     assert report.skipped_mentions == 0
     assert len(rows) == 2
 
@@ -780,7 +782,7 @@ def test_finetune_skips_mentions_missing_from_alias(tmp_path):
     # table resolves only name "n0" (entities 0 and 1); everything else skips
     table = AliasTable({"n0": [0, 1]})
     tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=7)
-    _, _, report = finetune(params, contexts, "alias_candidates", vocab, tcfg, table)
+    _, _, report = finetune(params, contexts, vocab, tcfg, table)
     total_mentions = sum(1 for c in contexts for l in c.labels if l.entity is not None)
     found = sum(
         1 for c in contexts for l in c.labels
@@ -794,8 +796,8 @@ def test_finetune_freeze_entity_embeddings():
     params = ModelParams.initialize(mcfg, seed=1)
     frozen_before = params["ent_emb"].data.tobytes()
     tcfg = TrainConfig(base_lr=1e-2, total_steps=5, batch_size=4, log_interval=5,
-                       freeze_entity_embeddings=True, rng_seed=8)
-    finetune(params, contexts, "all_entities", vocab, tcfg)
+                       freeze_entity_embeddings=True, softmax_mode="all_entities", rng_seed=8)
+    finetune(params, contexts, vocab, tcfg)
     assert params["ent_emb"].data.tobytes() == frozen_before
 
 
@@ -803,7 +805,7 @@ def test_finetune_requires_table_in_alias_mode():
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
     params = ModelParams.initialize(mcfg, seed=1)
     with pytest.raises(ValueError, match="alias table"):
-        finetune(params, contexts, "alias_candidates", vocab, TrainConfig())
+        finetune(params, contexts, vocab, TrainConfig())
 
 
 def test_finetune_improves_training_accuracy():
@@ -811,7 +813,7 @@ def test_finetune_improves_training_accuracy():
     params = ModelParams.initialize(mcfg, seed=2)
     before = all_entity_accuracy(params, contexts)
     tcfg = TrainConfig(base_lr=3e-3, total_steps=150, batch_size=10, log_interval=150,
-                       bio_weight=0.0, rng_seed=9)
-    params, _, _ = finetune(params, contexts, "all_entities", vocab, tcfg)
+                       bio_weight=0.0, softmax_mode="all_entities", rng_seed=9)
+    params, _, _ = finetune(params, contexts, vocab, tcfg)
     after = all_entity_accuracy(params, contexts)
     assert after > before
