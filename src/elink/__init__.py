@@ -28,10 +28,8 @@ from .corpus import (
     TokenVocab,
     align_spans,
     chunk_document,
-    make_eval_context,
     sentence_contexts,
     tokenize,
-    window_context,
     window_contexts,
 )
 from .evaluation import disambiguation_accuracy, strong_matching_micro_f1

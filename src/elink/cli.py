@@ -21,8 +21,8 @@ from . import corpus as cp
 from . import evaluation as ev
 from . import training as tr
 from .candidates import PageLinks, load_phrase_table
-from .config import ConfigError, Paths, RunConfig, load_run_config, parse_override_args
-from .config import resolved_text
+from .config import ConfigError, ModelSettings, Paths, RunConfig, load_run_config
+from .config import parse_override_args, resolved_text
 from .model import ModelConfig, ModelParams, load_checkpoint, predict_end_to_end
 from .seeding import derive_seed
 
@@ -191,6 +191,9 @@ def cmd_finetune(args, cfg: RunConfig) -> int:
             _model_config(cfg, tvocab, evocab),
             derive_seed(cfg.train.rng_seed, "init"),
         )
+    else:  # the run trains the checkpoint's shape, so the echo gives that shape
+        shape = {f.name: getattr(params.config, f.name) for f in dataclasses.fields(ModelSettings)}
+        cfg = dataclasses.replace(cfg, model=ModelSettings(**shape))
     alias_table = None
     if cfg.train.softmax_mode == "candidates":
         alias_table, _ = _load_alias_table(cfg, evocab)

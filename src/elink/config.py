@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .candidates import CandidateConfig
 from .corpus import CONTEXT_MODES, read_text, split_lines
+from .model import ModelConfig
 from .noising import NoiseConfig
 from .seeding import derive_seed
 from .training import TrainConfig
@@ -46,13 +47,31 @@ class ModelSettings:
     d_entity: int = 256
     max_len: int = 256
 
+    def __post_init__(self):
+        # ModelConfig's own checks, with stand-in vocabulary sizes
+        ModelConfig(1, 1, **dataclasses.asdict(self))
+
+
+CORPUS_MODES = ("chunk", "sentence", "window")
+
 
 @dataclass
 class CorpusSettings:
     chunk_chars: int = 1000
-    mode: str = "chunk"            # chunk | sentence | window
+    mode: str = "chunk"
     context_mode: str = "title_lead2"
     window_bytes: int = 256
+
+    def __post_init__(self):
+        if self.mode not in CORPUS_MODES:
+            raise ValueError(f"mode must be one of {CORPUS_MODES}, got {self.mode!r}")
+        if self.context_mode not in CONTEXT_MODES:
+            raise ValueError(
+                f"context_mode must be one of {CONTEXT_MODES}, got {self.context_mode!r}"
+            )
+        for name in ("chunk_chars", "window_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -165,11 +184,6 @@ def build_run_config(items: dict[str, str]) -> RunConfig:
                 setattr(cfg, name, dataclasses.replace(section, **updates[name]))
             except ValueError as exc:
                 raise ConfigError(f"section {name!r}: {exc}") from exc
-
-    if cfg.corpus.mode not in ("chunk", "sentence", "window"):
-        raise ConfigError(f"corpus.mode must be chunk|sentence|window, got {cfg.corpus.mode!r}")
-    if cfg.corpus.context_mode not in CONTEXT_MODES:
-        raise ConfigError(f"corpus.context_mode must be one of {CONTEXT_MODES}")
     return cfg
 
 

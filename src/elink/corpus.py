@@ -2,12 +2,13 @@
 
 Raw documents carry character-offset mentions. Each document is tokenized
 once with a deterministic simplified tokenizer (NFKC + lowercase,
-whitespace/punctuation split); every context (a chunk, a sentence or a
-window around a mention) is a run of whole tokens cut from that one
-tokenization, and the mentions are re-aligned to token spans. Contexts
-round-trip through a JSON-lines cache; `read_tsv` reads the tab-separated
-table files. Every input file is read through `read_text` (UTF-8, line
-ends as written) and split into lines by `split_lines`.
+whitespace/punctuation split), and its mentions are aligned to those tokens
+once: a mention's tokens are the run of tokens it overlaps. Every context (a
+chunk, a sentence or a window around a mention) is a run of whole tokens cut
+from that one tokenization, and takes its labels from that one alignment.
+Contexts round-trip through a JSON-lines cache; `read_tsv` reads the
+tab-separated table files. Every input file is read through `read_text`
+(UTF-8, line ends as written) and split into lines by `split_lines`.
 """
 
 import json
@@ -16,7 +17,6 @@ import sys
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -136,17 +136,17 @@ class Context:
 
 @dataclass
 class DropCounter:
-    """Why input mentions did not survive into aligned labels: cut by a
-    context boundary, past max_len, covering no token, an entity missing
-    from the vocabulary, a token span shared with another mention, or (in
-    sentence mode) starting in no sentence."""
+    """Why input mentions did not survive into labels. A mention overlaps
+    no token (whitespace), or shares a token with an earlier mention
+    (collided); or its context ends inside its tokens (straddled), cuts
+    them off at max_len (truncated), or its entity is missing from the
+    vocabulary (unknown_entity). Every mention is labelled or counted once."""
 
     straddled: int = 0
     truncated: int = 0
     whitespace: int = 0
     unknown_entity: int = 0
     collided: int = 0
-    no_sentence: int = 0
 
     @property
     def total(self) -> int:
@@ -372,41 +372,34 @@ def tokenize(text: str, vocab: TokenVocab) -> tuple[list[int], list[tuple[int, i
 def align_spans(
     mentions, char_offsets: list[tuple[int, int]]
 ) -> tuple[list[tuple["CharMention", tuple[int, int]]], int]:
-    """Map character mentions to minimal covering token spans.
+    """Map character mentions to the tokens they overlap.
 
-    Returns (list of (mention, token_span) pairs, number dropped). A mention
-    that overlaps no token (whitespace only) is dropped. The chosen span is
-    expanded outward so the implied character range contains the mention
-    whenever the mention starts/ends on tokenized characters. char_offsets
-    are increasing and non-overlapping, as `tokenize` gives them.
+    Returns (list of (mention, token_span) pairs, number dropped). A
+    mention's span is the inclusive run of tokens whose characters overlap
+    the mention's; one that overlaps no token (whitespace only) is dropped.
+    char_offsets are increasing and non-overlapping, as `tokenize` gives
+    them.
     """
     starts = [s for s, _ in char_offsets]
     ends = [e for _, e in char_offsets]
     aligned = []
     dropped = 0
     for m in mentions:
-        # the tokens overlapping the mention are first..last
         first = bisect_right(ends, m.start_char)
         last = bisect_left(starts, m.end_char) - 1
         if first > last:
             dropped += 1
             log.debug("mention (%d,%d) covers no token; dropped", m.start_char, m.end_char)
             continue
-        i = bisect_right(starts, m.start_char) - 1
-        if i < 0:
-            i = first
-        j = last
-        while j < len(char_offsets) - 1 and char_offsets[j][1] < m.end_char:
-            j += 1
-        aligned.append((m, (i, j)))
+        aligned.append((m, (first, last)))
     return aligned, dropped
 
 
 def drop_colliding_spans(aligned, drops: DropCounter):
-    """Greedily keep mentions whose token spans do not overlap.
+    """Greedily keep mentions whose token spans do not overlap, in span order.
 
-    Distinct character mentions can expand onto a shared token (sub-token
-    adjacency, whitespace expansion); the later one is dropped and counted.
+    Distinct character mentions can overlap one token (two mentions inside
+    one word); the later one is dropped and counted as collided.
     """
     kept = []
     last_end = -1
@@ -425,86 +418,62 @@ def drop_colliding_spans(aligned, drops: DropCounter):
 
 
 class TokenizedDoc:
-    """A document tokenized once. Every context builder cuts its runs of
-    whole tokens from these ids and offsets by bisecting the token starts
-    and ends; none tokenizes a character range of its own."""
+    """A document tokenized once, and its mentions aligned to the tokens
+    once. Every context builder cuts its runs of whole tokens from these ids
+    and offsets, and takes its labels from `spans`; none tokenizes or aligns
+    a character range of its own.
+
+    `spans` holds the (mention, (i, j)) pairs of align_spans that survive
+    drop_colliding_spans, sorted by span; `drops` counts the document's
+    dropped mentions, those two steps' and each context's alike.
+    """
 
     def __init__(self, doc: Document, vocab: TokenVocab):
         self.doc = doc
-        self.vocab = vocab
         self.ids, self.offsets = tokenize(doc.text, vocab)
         self.starts = [s for s, _ in self.offsets]
         self.ends = [e for _, e in self.offsets]
+        self.drops = DropCounter()
+        aligned, self.drops.whitespace = align_spans(doc.mentions, self.offsets)
+        self.spans = drop_colliding_spans(aligned, self.drops)
+        self._span_starts = [i for _, (i, _) in self.spans]
 
     def covering(self, start: int, end: int) -> tuple[int, int]:
         """[lo, hi): the tokens that overlap text[start:end]; a token the
         range cuts is taken whole."""
         return bisect_right(self.ends, start), bisect_left(self.starts, end)
 
-    @cached_property
-    def title_ids(self) -> list[int]:
-        return tokenize(self.doc.title, self.vocab)[0]
+    def spans_from(self, lo: int, hi: int) -> list:
+        """The spans that start in tokens [lo, hi)."""
+        return self.spans[bisect_left(self._span_starts, lo) : bisect_left(self._span_starts, hi)]
 
-    @cached_property
-    def sentences(self) -> list[tuple[int, int]]:
-        return newline_sentences(self.doc.text)
-
-    @cached_property
-    def byte_at(self) -> list[int]:
-        return utf8_offsets(self.doc.text)
-
-
-def _mentions_in(doc: Document, start: int, end: int, drops: DropCounter) -> list[CharMention]:
-    """Mentions that start in [start, end); those ending past it are
-    counted as straddled and left out."""
-    inside = []
-    for m in doc.mentions:
-        if not (start <= m.start_char < end):
-            continue
-        if m.end_char > end:
-            drops.straddled += 1
-        else:
-            inside.append(m)
-    return inside
-
-
-def _align(mentions, offsets: list[tuple[int, int]], drops: DropCounter):
-    """align_spans of the mentions to offsets, each one that covers no
-    token counted."""
-    aligned, n_ws = align_spans(mentions, offsets)
-    drops.whitespace += n_ws
-    return aligned
-
-
-def _labeled_context(
-    doc: Document,
-    aligned,
-    tokens: list[int],
-    offsets: list[tuple[int, int]],
-    shift: int,
-    entity_vocab: EntityVocab,
-    max_len: int,
-    drops: DropCounter,
-) -> Context:
-    """The Context of tokens cut to max_len, labelled with the aligned
-    mentions, whose (mention, span) pairs index offsets[shift:], the
-    document's own tokens (any before them are prepended ones). Each drop
-    is counted: a colliding span, a span past max_len, or an entity absent
-    from entity_vocab.
-    """
-    labels = []
-    for m, (i, j) in drop_colliding_spans(aligned, drops):
-        if j + shift >= max_len:
-            drops.truncated += 1
-        elif m.entity is not None and m.entity not in entity_vocab:
-            drops.unknown_entity += 1
-        else:
-            entity = None if m.entity is None else entity_vocab.get(m.entity)
-            surface = doc.text[m.start_char : m.end_char]
-            labels.append(MentionLabel((i + shift, j + shift), entity, surface))
-    return Context(
-        tokens=tokens[:max_len], char_offsets=offsets[:max_len], doc_id=doc.doc_id, labels=labels
-    )
+    def context(
+        self, lo: int, hi: int, spans, entity_vocab: EntityVocab, max_len: int, prefix=()
+    ) -> Context:
+        """The Context of the prefix ids (unlabelled, with no offsets) and
+        then tokens [lo, hi), cut to max_len, labelled with the given spans,
+        each starting in [lo, hi). A span is counted, not labelled, if it
+        ends past hi (straddled) or past max_len (truncated), or if its
+        entity is absent from entity_vocab (unknown_entity)."""
+        shift = len(prefix) - lo
+        labels = []
+        for m, (i, j) in spans:
+            if j >= hi:
+                self.drops.straddled += 1
+            elif j + shift >= max_len:
+                self.drops.truncated += 1
+            elif m.entity is not None and m.entity not in entity_vocab:
+                self.drops.unknown_entity += 1
+            else:
+                entity = None if m.entity is None else entity_vocab.get(m.entity)
+                surface = self.doc.text[m.start_char : m.end_char]
+                labels.append(MentionLabel((i + shift, j + shift), entity, surface))
+        return Context(
+            tokens=(list(prefix) + self.ids[lo:hi])[:max_len],
+            char_offsets=([NO_OFFSET] * len(prefix) + self.offsets[lo:hi])[:max_len],
+            doc_id=self.doc.doc_id,
+            labels=labels,
+        )
 
 
 def _chunk_cuts(toks: TokenizedDoc, joined: list[bool], chunk_chars: int, max_len: int):
@@ -537,41 +506,26 @@ def chunk_document(
 ) -> tuple[list[Context], DropCounter]:
     """Cut a document into consecutive chunks of whole tokens.
 
-    The document is tokenized once and its mentions aligned to the tokens
-    once. Each chunk is the longest run of tokens that spans at most
-    chunk_chars characters and holds at most max_len tokens; a single
-    longer token is a chunk alone. A cut never falls inside a mention's
-    token span unless that mention alone is over the budget; such a
-    mention is dropped and counted as straddled. So the chunks partition
-    the document's tokens and nothing is truncated.
+    Each chunk is the longest run of tokens that spans at most chunk_chars
+    characters and holds at most max_len tokens; a single longer token is a
+    chunk alone. A cut never falls inside a mention's token span unless
+    that mention alone is over the budget; such a mention is dropped and
+    counted as straddled. So the chunks partition the document's tokens and
+    nothing is truncated.
     """
     if chunk_chars <= 0 or max_len <= 0:
         raise ValueError("chunk_chars and max_len must be positive")
     toks = TokenizedDoc(doc, vocab)
-    drops = DropCounter()
-    spans = drop_colliding_spans(_align(doc.mentions, toks.offsets, drops), drops)
     # joined[k]: tokens k-1 and k lie in one mention's span, so no cut at k
     joined = [False] * (len(toks.ids) + 1)
-    for _, (i, j) in spans:
+    for _, (i, j) in toks.spans:
         joined[i + 1 : j + 1] = [True] * (j - i)
-    contexts = []
     cuts = _chunk_cuts(toks, joined, chunk_chars, max_len)
-    k = 0  # spans are sorted, so each chunk's spans follow the last chunk's
-    for lo, hi in zip(cuts, cuts[1:]):
-        aligned = []
-        while k < len(spans) and spans[k][1][0] < hi:
-            m, (i, j) = spans[k]
-            if j < hi:
-                aligned.append((m, (i - lo, j - lo)))
-            else:
-                drops.straddled += 1
-            k += 1
-        contexts.append(
-            _labeled_context(
-                doc, aligned, toks.ids[lo:hi], toks.offsets[lo:hi], 0, entity_vocab, max_len, drops
-            )
-        )
-    return contexts, drops
+    contexts = [
+        toks.context(lo, hi, toks.spans_from(lo, hi), entity_vocab, max_len)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    return contexts, toks.drops
 
 
 def newline_sentences(text: str) -> list[tuple[int, int]]:
@@ -586,107 +540,37 @@ def newline_sentences(text: str) -> list[tuple[int, int]]:
     return ranges
 
 
-def make_eval_context(
-    doc: Document,
-    sentence: tuple[int, int],
-    mode: str,
-    vocab: TokenVocab,
-    entity_vocab: EntityVocab,
-    max_len: int = 256,
-    doc_tokens: TokenizedDoc | None = None,
-) -> tuple[Context, DropCounter]:
-    """Build one evaluation context for a newline-sentence of the document.
+def sentence_contexts(
+    doc: Document, mode: str, vocab: TokenVocab, entity_vocab: EntityVocab, max_len: int = 256
+) -> tuple[list[Context], DropCounter]:
+    """One evaluation context per newline-sentence of the document.
 
     mode "none" uses the sentence alone; "title" prepends the document
     title; "title_lead2" prepends the title and the document's first two
     newline-sentences. Prepended parts are joined with a single [SEP] token
-    each and contribute no mention labels. doc_tokens is the document's
-    TokenizedDoc; a caller building many contexts of one document passes
-    it in, so the document is tokenized once.
+    each and carry no labels. A sentence's context is labelled with the
+    spans that start in its tokens; every token lies in some sentence.
     """
     if mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {mode!r}")
-    ss, se = sentence
-    if not (0 <= ss <= se <= len(doc.text)):
-        raise ValueError(f"sentence range ({ss},{se}) outside document")
-    toks = TokenizedDoc(doc, vocab) if doc_tokens is None else doc_tokens
-
-    tokens: list[int] = []
-    if mode in ("title", "title_lead2"):
-        tokens += toks.title_ids + [vocab.sep_index]
-    if mode == "title_lead2":
-        for a, b in toks.sentences[:2]:
-            tokens += toks.ids[slice(*toks.covering(a, b))] + [vocab.sep_index]
-    shift = len(tokens)
-    offsets = [NO_OFFSET] * shift
-
-    lo, hi = toks.covering(ss, se)
-    tokens.extend(toks.ids[lo:hi])
-    offsets.extend(toks.offsets[lo:hi])
-
-    drops = DropCounter()
-    aligned = _align(_mentions_in(doc, ss, se, drops), offsets[shift:], drops)
-    ctx = _labeled_context(doc, aligned, tokens, offsets, shift, entity_vocab, max_len, drops)
-    return ctx, drops
-
-
-def sentence_contexts(
-    doc: Document, mode: str, vocab: TokenVocab, entity_vocab: EntityVocab, max_len: int = 256
-) -> tuple[list[Context], DropCounter]:
-    """make_eval_context of every newline-sentence of the document, from
-    one tokenization. A mention that starts in no sentence (on a newline,
-    or in a whitespace-only line) is counted as no_sentence."""
     toks = TokenizedDoc(doc, vocab)
-    contexts, drops = [], DropCounter()
-    for sent in toks.sentences:
-        ctx, d = make_eval_context(doc, sent, mode, vocab, entity_vocab, max_len, toks)
-        contexts.append(ctx)
-        drops.merge(d)
-    sent_starts = [s for s, _ in toks.sentences]
-    for m in doc.mentions:
-        k = bisect_right(sent_starts, m.start_char) - 1
-        if k < 0 or m.start_char >= toks.sentences[k][1]:
-            drops.no_sentence += 1
-    return contexts, drops
+    runs = [toks.covering(a, b) for a, b in newline_sentences(doc.text)]
+    prefix = []
+    if mode in ("title", "title_lead2"):
+        prefix += tokenize(doc.title, vocab)[0] + [vocab.sep_index]
+    if mode == "title_lead2":
+        for lo, hi in runs[:2]:
+            prefix += toks.ids[lo:hi] + [vocab.sep_index]
+    contexts = [
+        toks.context(lo, hi, toks.spans_from(lo, hi), entity_vocab, max_len, prefix)
+        for lo, hi in runs
+    ]
+    return contexts, toks.drops
 
 
 def utf8_offsets(text: str) -> list[int]:
     """UTF-8 byte offset of each character of text, then the total length."""
     return list(accumulate((len(c.encode("utf-8")) for c in text), initial=0))
-
-
-def window_context(
-    doc: Document,
-    mention: CharMention,
-    vocab: TokenVocab,
-    entity_vocab: EntityVocab,
-    window_bytes: int = 256,
-    max_len: int = 256,
-    doc_tokens: TokenizedDoc | None = None,
-) -> tuple[Context, DropCounter]:
-    """Context of window_bytes UTF-8 bytes either side of a mention.
-
-    The byte range snaps outward to whole characters, so the window never
-    cuts a multi-byte character, and then to whole tokens. doc_tokens is
-    the document's TokenizedDoc; a caller windowing many mentions of one
-    document passes it in, so the document is tokenized, and its byte
-    offsets built, once rather than per mention.
-    """
-    if window_bytes <= 0:
-        raise ValueError("window_bytes must be positive")
-    toks = TokenizedDoc(doc, vocab) if doc_tokens is None else doc_tokens
-    byte_at = toks.byte_at
-    lo = max(0, byte_at[mention.start_char] - window_bytes)
-    hi = min(byte_at[-1], byte_at[mention.end_char] + window_bytes)
-    # the byte range, outward to whole characters, then to whole tokens
-    lo, hi = toks.covering(bisect_right(byte_at, lo) - 1, bisect_left(byte_at, hi))
-
-    ids, offs = toks.ids[lo:hi], toks.offsets[lo:hi]
-    drops = DropCounter()
-    ctx = _labeled_context(
-        doc, _align([mention], offs, drops), ids, offs, 0, entity_vocab, max_len, drops
-    )
-    return ctx, drops
 
 
 def window_contexts(
@@ -696,17 +580,29 @@ def window_contexts(
     window_bytes: int = 256,
     max_len: int = 256,
 ) -> tuple[list[Context], DropCounter]:
-    """window_context of every mention of the document, from one
-    tokenization (none for a document without mentions)."""
-    contexts, drops = [], DropCounter()
+    """One context per mention of the document: window_bytes UTF-8 bytes
+    either side of it, labelled with that mention alone (none for a mention
+    dropped as whitespace or collided).
+
+    The byte range snaps outward to whole characters, so the window never
+    cuts a multi-byte character, and then to whole tokens.
+    """
+    if window_bytes <= 0:
+        raise ValueError("window_bytes must be positive")
     if not doc.mentions:
-        return contexts, drops
+        return [], DropCounter()
     toks = TokenizedDoc(doc, vocab)
-    for mention in doc.mentions:
-        ctx, d = window_context(doc, mention, vocab, entity_vocab, window_bytes, max_len, toks)
-        contexts.append(ctx)
-        drops.merge(d)
-    return contexts, drops
+    span_of = dict(toks.spans)
+    byte_at = utf8_offsets(doc.text)
+    contexts = []
+    for m in doc.mentions:
+        lo = max(0, byte_at[m.start_char] - window_bytes)
+        hi = min(byte_at[-1], byte_at[m.end_char] + window_bytes)
+        # the byte range, outward to whole characters, then to whole tokens
+        lo, hi = toks.covering(bisect_right(byte_at, lo) - 1, bisect_left(byte_at, hi))
+        spans = [(m, span_of[m])] if m in span_of else []
+        contexts.append(toks.context(lo, hi, spans, entity_vocab, max_len))
+    return contexts, toks.drops
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from elink.aliastable import RedirectMap, load_alias_tsv
 from elink.candidates import PageLinks, load_phrase_table
 from elink.config import build_run_config, parse_kv_file, parse_kv_text
 from elink.corpus import EntityVocab, TokenVocab, load_contexts, load_documents, tsv_cell
-from elink.model import encode, load_checkpoint
+from elink.model import ModelConfig, ModelParams, encode, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,32 @@ def test_resolved_config_reruns_the_run(world, built_corpus, trained, tmp_path, 
             **echoed, "paths.out_dir": str(again)}
     assert echoed["train.softmax_mode"] == "candidates"
     assert echoed["paths.alias_table"] == paths["alias_table"]
+
+
+def test_finetune_echoes_the_checkpoint_shape(world, built_corpus, tmp_path, capsys):
+    """A fine-tune from a checkpoint trains the checkpoint's shape, whatever
+    model.* says, so its echo gives that shape and reruns the run."""
+    root, paths, _ = world
+    tvocab = TokenVocab.from_file(paths["token_vocab"])
+    evocab = EntityVocab.from_file(paths["entity_vocab"])
+    shape = dict(d_model=8, n_layers=1, n_heads=2, d_ff=16, d_entity=8, max_len=32)
+    checkpoint = tmp_path / "d8.elck"
+    save_checkpoint(
+        checkpoint, ModelParams.initialize(ModelConfig(len(tvocab), len(evocab), **shape), 1)
+    )
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([
+        "finetune", "--checkpoint", str(checkpoint), "--dataset", built_corpus,
+        "--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"],
+        "--mode", "all_entities", "--out-dir", str(first), "--model.d_model=16",
+        "--train.total_steps=2", "--train.batch_size=4", "--train.log_interval=1",
+    ]) == 0
+    echoed = parse_kv_file(first / "resolved_config.cfg")
+    assert {k: echoed[f"model.{k}"] for k in shape} == {k: str(v) for k, v in shape.items()}
+    assert main(["finetune", "--config", str(first / "resolved_config.cfg"),
+                 "--out-dir", str(again)]) == 0
+    for name in ("checkpoint.elck", "train_log.tsv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_a_path_flag_wins_over_the_config_and_the_paths_override(world, tmp_path, capsys):
@@ -611,8 +637,6 @@ def oracle_checkpoint(root, max_len):
     token embeddings, no position embeddings, and "yuri" tagged B,
     "gagarin" I and every other token O. Returns (paths, params)."""
     import numpy as np
-
-    from elink.model import ModelConfig, ModelParams, save_checkpoint
 
     words = ["[PAD]", "[UNK]", "[MASK]", "[SEP]"] + ORACLE_WORDS
     n = len(words)

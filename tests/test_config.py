@@ -11,6 +11,7 @@ from elink.config import (
     ConfigError,
     ModelSettings,
     Paths,
+    RunConfig,
     build_run_config,
     load_run_config,
     parse_kv_text,
@@ -158,6 +159,24 @@ def test_non_finite_values_rejected_at_load(key, value):
         build_run_config({key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("model.n_heads", "3", "d_model must be divisible by n_heads"),
+    ("model.d_model", "0", "all model dimensions must be positive"),
+    ("model.max_len", "-5", "all model dimensions must be positive"),
+    ("model.n_layers", "-1", "n_layers must be >= 0"),
+    ("corpus.chunk_chars", "0", "chunk_chars must be positive"),
+    ("corpus.window_bytes", "-1", "window_bytes must be positive"),
+    ("corpus.mode", "paragraph", "mode must be one of"),
+    ("corpus.context_mode", "lead3", "context_mode must be one of"),
+])
+def test_out_of_range_values_rejected_at_load(key, value, message):
+    """The model section runs ModelConfig's own checks, and the corpus
+    section its own, when the config loads."""
+    section = key.partition(".")[0]
+    with pytest.raises(ConfigError, match=rf"^section '{section}': {re.escape(message)}"):
+        build_run_config({key: value})
+
+
 @pytest.mark.parametrize("key", ["paths.docs", "corpus.context_mode", "train.softmax_mode"])
 @pytest.mark.parametrize("line_end", ["\n", "\r"])
 def test_a_value_with_a_line_break_fails_at_load(key, line_end):
@@ -177,7 +196,8 @@ SEEDS = st.integers(-(2**70), 2**70)
 @st.composite
 def run_settings(draw):
     """Flat items that build a valid RunConfig, each key of every section
-    present or not: paths any one-line text, numbers in their valid ranges."""
+    present or not: paths any one-line text, numbers in their valid ranges,
+    n_heads a divisor of d_model."""
     items = {}
 
     def maybe(key, strategy):
@@ -188,7 +208,14 @@ def run_settings(draw):
     for f in dataclasses.fields(Paths):
         maybe(f"paths.{f.name}", ONE_LINE)
     for f in dataclasses.fields(ModelSettings):
-        maybe(f"model.{f.name}", st.integers(1, 1024))
+        if f.name != "n_heads":
+            maybe(f"model.{f.name}", st.integers(1, 1024))
+    d_model = int(items.get("model.d_model", ModelSettings.d_model))
+    heads = st.sampled_from([h for h in range(1, 65) if d_model % h == 0])
+    if d_model % ModelSettings.n_heads:  # the default does not divide d_model
+        items["model.n_heads"] = str(draw(heads))
+    else:
+        maybe("model.n_heads", heads)
     maybe("corpus.chunk_chars", st.integers(1, 10**6))
     maybe("corpus.mode", st.sampled_from(["chunk", "sentence", "window"]))
     maybe("corpus.context_mode", st.sampled_from(CONTEXT_MODES))
@@ -228,3 +255,50 @@ def test_resolved_text_rebuilds_the_config(items):
     builds back to the same config, so it reruns the run."""
     cfg = build_run_config(items)
     assert build_run_config(parse_kv_text(resolved_text(cfg))) == cfg
+
+
+KNOWN_KEYS = {"seed"} | {
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig) if section.name != "seed"
+    for f in dataclasses.fields(getattr(RunConfig(), section.name))
+}
+
+
+@given(run_settings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_file_under_a_random_corruption(tmp_path_factory, items, data):
+    """One change to a config file written from valid settings: a value
+    replaced by random one-line text, a line's `=` deleted, an unknown key
+    inserted, or the line ends switched to CRLF or CR. The file either
+    loads, or raises ConfigError naming the changed key, its section or its
+    `path:line`; never anything else. An unknown key always fails, and
+    switched line ends load the same config."""
+    lines = [f"{key} = {value}" for key, value in items.items()]
+    kind = data.draw(st.sampled_from(
+        ["unknown", "line_ends"] + (["value", "no_equals"] if lines else [])))
+    eol = data.draw(st.sampled_from(["\r\n", "\r"])) if kind == "line_ends" else "\n"
+    key, k = None, None  # the changed key, and its line's index
+    if kind == "unknown":
+        key = data.draw(st.from_regex(r"[a-z]{1,8}(\.[a-z_]{1,12})?", fullmatch=True)
+                        .filter(lambda key: key not in KNOWN_KEYS))
+        k = data.draw(st.integers(0, len(lines)))
+        lines.insert(k, f"{key} = 1")
+    elif kind != "line_ends":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        key = list(items)[k]
+        if kind == "value":
+            lines[k] = f"{key} = {data.draw(ONE_LINE)}"
+        else:
+            lines[k] = lines[k].replace("=", "", 1)
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    try:
+        cfg = load_run_config(str(path), {})
+    except ConfigError as exc:
+        assert key is not None, str(exc)
+        named = (key, f"section '{key.partition('.')[0]}'", f"{path}:{k + 1}: ")
+        assert any(name in str(exc) for name in named), str(exc)
+    else:
+        assert kind != "unknown"
+        if kind == "line_ends":
+            assert cfg == build_run_config(items)

@@ -3,6 +3,7 @@
 import json
 import re
 import unicodedata
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,12 +26,11 @@ from elink.corpus import (
     chunk_document,
     load_contexts,
     load_documents,
-    make_eval_context,
     newline_sentences,
     save_contexts,
     sentence_contexts,
     tokenize,
-    window_context,
+    window_contexts,
 )
 
 RESERVED = ["[PAD]", "[UNK]", "[MASK]", "[SEP]"]
@@ -119,7 +119,6 @@ def test_align_whitespace_only_dropped(vocab):
 
 def _brute_force_align(mentions, char_offsets):
     """align_spans by its rule, one overlap test per token."""
-    starts = [s for s, _ in char_offsets]
     aligned, dropped = [], 0
     for m in mentions:
         overlap = [k for k, (ts, te) in enumerate(char_offsets)
@@ -127,11 +126,7 @@ def _brute_force_align(mentions, char_offsets):
         if not overlap:
             dropped += 1
             continue
-        i = max((k for k, ts in enumerate(starts) if ts <= m.start_char), default=overlap[0])
-        j = overlap[-1]
-        while j < len(char_offsets) - 1 and char_offsets[j][1] < m.end_char:
-            j += 1
-        aligned.append((m, (i, j)))
+        aligned.append((m, (overlap[0], overlap[-1])))
     return aligned, dropped
 
 
@@ -233,8 +228,9 @@ def doc_with_mentions(draw):
     for w, sep in zip(words, seps):
         starts.append(len(text))
         text += w + sep
-    # a mention covers one word, or two across the separator between them;
-    # two mentions inside one word share its token and collide
+    # a mention covers one word, or two across the separator between them,
+    # and may start in the separator before its first word; two mentions
+    # inside one word share its token and collide
     mentions = []
     i = 0
     while i < len(words) and len(mentions) < 6:
@@ -245,7 +241,8 @@ def doc_with_mentions(draw):
             mentions.append(CharMention(starts[i] + 2, starts[i] + 3, "E0"))
         elif n:
             j = min(i + (n == "two"), len(words) - 1)
-            mentions.append(CharMention(starts[i], starts[j] + len(words[j]), entity))
+            lead = i > 0 and draw(st.booleans())
+            mentions.append(CharMention(starts[i] - lead, starts[j] + len(words[j]), entity))
             i = j
         i += 1
     return Document("d", "T", text, mentions=tuple(mentions))
@@ -290,50 +287,78 @@ def test_chunks_partition_the_document_tokens(doc, chunk_chars, max_len):
 @given(doc_with_mentions(), st.integers(5, 60), st.integers(3, 16),
        st.sampled_from(("chunk", "window", *cp.CONTEXT_MODES)))
 @example(long_document(), 60, 16, "window")
+@example(Document("d", "T", "yuri a\n  yuri", (CharMention(7, 13, "E0"),)), 60, 16, "chunk")
 @settings(max_examples=300, deadline=None)
 def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
-    """Every mention gives one label or one drop: in chunk and sentence (a
-    context mode) over the document's contexts, in window over its own."""
+    """Every mention gives one label or one drop over the document's
+    contexts, in every builder; a window labels at most its own mention.
+    A label's tokens are exactly the context's tokens that overlap its
+    source mention, and its surface is that mention's text."""
     vocab = TokenVocab(RESERVED + ["yuri", "gagarin", "nyc", "a", "bb", "ccc"])
     evocab = EntityVocab(["E0", "E1"])
+    sources = repeat(doc.mentions)  # the mentions each context may label
     if builder == "chunk":
         contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=width, max_len=max_len)
     elif builder == "window":
-        contexts = []
-        toks = cp.TokenizedDoc(doc, vocab)
-        for m in doc.mentions:
-            ctx, drops = window_context(
-                doc, m, vocab, evocab, window_bytes=width, max_len=max_len, doc_tokens=toks
-            )
-            assert len(ctx.labels) + drops.total == 1
-            contexts.append(ctx)
+        contexts, drops = window_contexts(doc, vocab, evocab, window_bytes=width, max_len=max_len)
+        assert len(contexts) == len(doc.mentions)
+        sources = [[m] for m in doc.mentions]
     else:
         contexts, drops = sentence_contexts(doc, builder, vocab, evocab, max_len=max_len)
-    if builder != "window":
-        n_labels = sum(len(c.labels) for c in contexts)
-        assert n_labels + drops.total == len(doc.mentions)
-    # every label's implied character range contains a source mention's range
-    for ctx in contexts:
+    assert sum(len(c.labels) for c in contexts) + drops.total == len(doc.mentions)
+    for ctx, mentions in zip(contexts, sources):
+        assert len(ctx.labels) <= len(mentions)
         for lab in ctx.labels:
             s, e = lab.span
-            lo, hi = ctx.char_offsets[s][0], ctx.char_offsets[e][1]
             assert any(
-                lo <= m.start_char and m.end_char <= hi for m in doc.mentions
+                lab.surface == doc.text[m.start_char : m.end_char]
+                and [k for k, (ts, te) in enumerate(ctx.char_offsets)
+                     if ts < m.end_char and te > m.start_char] == list(range(s, e + 1))
+                for m in mentions
             ), (lab, ctx.char_offsets)
 
 
 def test_a_mention_starting_in_no_sentence_is_counted(vocab, evocab):
-    # one mention starts on the newline, one in the whitespace-only line
+    # a mention of a line break alone, or of a whitespace-only line, overlaps
+    # no token; one that starts on a line break labels the next line's tokens
     doc = Document("d", "T", "x y\n  \nnew york",
-                   mentions=(CharMention(3, 4, "E1"), CharMention(5, 6, None),
-                             CharMention(7, 15, "E2")))
+                   mentions=(CharMention(3, 4, "E1"), CharMention(4, 6, None),
+                             CharMention(6, 15, "E2")))
     contexts, drops = sentence_contexts(doc, "none", vocab, evocab)
-    assert [c.labels for c in contexts] == [[], [MentionLabel((0, 1), 2, "new york")]]
-    assert drops.no_sentence == 2 and drops.total == 2
+    assert [c.labels for c in contexts] == [[], [MentionLabel((0, 1), 2, "\nnew york")]]
+    assert drops.whitespace == 2 and drops.total == 2
+
+
+@pytest.mark.parametrize("builder", ["chunk", "window", *cp.CONTEXT_MODES])
+def test_every_builder_labels_the_tokens_a_mention_overlaps(vocab, evocab, builder):
+    """A mention's label holds exactly the document tokens it overlaps, in
+    every builder and wherever its context starts; two mentions in one
+    token give one label and one collided drop."""
+    cases = [
+        # starts in the whitespace after "y": the label takes no "y"
+        (Document("d", "T", "x y\n  new york", (CharMention(4, 14, "E1"),)),
+         [(1, [(6, 9), (10, 14)])], 0),
+        # starts in the whitespace after "ab": the label takes no "ab"
+        (Document("d", "T", "ab  cd", (CharMention(3, 6, "E1"),)), [(1, [(4, 6)])], 0),
+        # one token: the first mention labels it, the second collides
+        (Document("d", "T", "new-york", (CharMention(0, 3, "E1"), CharMention(4, 8, "E2"))),
+         [(1, [(0, 8)])], 1),
+    ]
+    for doc, want, collided in cases:
+        if builder == "chunk":
+            contexts, drops = chunk_document(doc, vocab, evocab)
+        elif builder == "window":
+            contexts, drops = window_contexts(doc, vocab, evocab)
+        else:
+            contexts, drops = sentence_contexts(doc, builder, vocab, evocab)
+        got = [(lab.entity, ctx.char_offsets[lab.span[0] : lab.span[1] + 1])
+               for ctx in contexts for lab in ctx.labels]
+        assert got == want, doc.text
+        assert drops.collided == drops.total == collided
 
 
 def _reference_eval_tokens(doc, sentence, mode, vocab):
-    """make_eval_context's tokens and offsets as they were built before a
+    """A sentence context's tokens and offsets as they were built before a
     document was tokenized once: the title, each lead sentence and the
     sentence each tokenized as a text of their own."""
     parts = []
@@ -367,7 +392,7 @@ def test_sentence_contexts_equal_per_range_tokenization(title, text, mode):
 
 
 # ---------------------------------------------------------------------------
-# make_eval_context
+# sentence_contexts
 # ---------------------------------------------------------------------------
 
 
@@ -381,15 +406,13 @@ def eval_doc():
 
 
 def test_eval_context_mode_none(vocab, evocab, eval_doc):
-    sent = newline_sentences(eval_doc.text)[2]
-    ctx, _ = make_eval_context(eval_doc, sent, "none", vocab, evocab)
+    ctx = sentence_contexts(eval_doc, "none", vocab, evocab)[0][2]
     assert ctx.tokens == [vocab.lookup(w) for w in ["new", "york", "z"]]
     assert ctx.labels == [MentionLabel((0, 1), 2, "new york")]
 
 
 def test_eval_context_mode_title(vocab, evocab, eval_doc):
-    sent = newline_sentences(eval_doc.text)[2]
-    ctx, _ = make_eval_context(eval_doc, sent, "title", vocab, evocab)
+    ctx = sentence_contexts(eval_doc, "title", vocab, evocab)[0][2]
     expected = [vocab.lookup("yuri"), vocab.sep_index] + [
         vocab.lookup(w) for w in ["new", "york", "z"]
     ]
@@ -398,13 +421,12 @@ def test_eval_context_mode_title(vocab, evocab, eval_doc):
     # a mention starting on the sentence's leading space still labels only
     # sentence tokens, never the prepended [SEP]
     doc = Document("d", "yuri", "x\n  new york", mentions=(CharMention(3, 12, "E2"),))
-    ctx, _ = make_eval_context(doc, newline_sentences(doc.text)[1], "title", vocab, evocab)
+    ctx = sentence_contexts(doc, "title", vocab, evocab)[0][1]
     assert ctx.labels == [MentionLabel((2, 3), 2, " new york")]
 
 
 def test_eval_context_mode_title_lead2(vocab, evocab, eval_doc):
-    sent = newline_sentences(eval_doc.text)[2]
-    ctx, _ = make_eval_context(eval_doc, sent, "title_lead2", vocab, evocab)
+    ctx = sentence_contexts(eval_doc, "title_lead2", vocab, evocab)[0][2]
     words = ["yuri", "[SEP]", "x", "y", "[SEP]", "a", "b", "[SEP]", "new", "york", "z"]
     assert ctx.tokens == [vocab.lookup(w) if w != "[SEP]" else vocab.sep_index for w in words]
     assert ctx.labels == [MentionLabel((8, 9), 2, "new york")]
@@ -414,28 +436,27 @@ def test_eval_context_mode_title_lead2(vocab, evocab, eval_doc):
 
 def test_eval_context_one_sentence_doc(vocab, evocab):
     doc = Document("d", "yuri", "a b", mentions=())
-    sent = newline_sentences(doc.text)[0]
-    ctx, _ = make_eval_context(doc, sent, "title_lead2", vocab, evocab)
+    (ctx,), _ = sentence_contexts(doc, "title_lead2", vocab, evocab)
     # title + the only lead sentence + target sentence (duplicated)
     words = ["yuri", "[SEP]", "a", "b", "[SEP]", "a", "b"]
     assert ctx.tokens == [vocab.lookup(w) if w != "[SEP]" else vocab.sep_index for w in words]
 
 
 # ---------------------------------------------------------------------------
-# window_context
+# window_contexts
 # ---------------------------------------------------------------------------
 
 
 def test_window_clamps_at_doc_start(vocab, evocab):
     doc = Document("d", "T", "x " * 300, mentions=(CharMention(0, 1, "E1"),))
-    ctx, _ = window_context(doc, doc.mentions[0], vocab, evocab, window_bytes=16)
+    (ctx,), _ = window_contexts(doc, vocab, evocab, window_bytes=16)
     assert ctx.char_offsets[0][0] == 0
     assert ctx.labels[0].span == (0, 0)
 
 
 def test_window_small_doc_whole_text(vocab, evocab):
     doc = Document("d", "T", "a b x", mentions=(CharMention(4, 5, "E1"),))
-    ctx, _ = window_context(doc, doc.mentions[0], vocab, evocab, window_bytes=256)
+    (ctx,), _ = window_contexts(doc, vocab, evocab, window_bytes=256)
     assert [o for o in ctx.char_offsets] == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -443,7 +464,7 @@ def test_window_bytes_each_side(vocab, evocab):
     text = "x " * 400
     start = 400  # mention "x" at char 400
     doc = Document("d", "T", text, mentions=(CharMention(start, start + 1, "E1"),))
-    ctx, _ = window_context(doc, doc.mentions[0], vocab, evocab, window_bytes=256, max_len=512)
+    (ctx,), _ = window_contexts(doc, vocab, evocab, window_bytes=256, max_len=512)
     lo = ctx.char_offsets[0][0]
     hi = ctx.char_offsets[-1][1]
     # ASCII text: bytes == chars; window spans 256 each side of the mention
@@ -456,7 +477,7 @@ def test_window_snaps_outward_on_multibyte(vocab, evocab):
     # é is 2 bytes in UTF-8; a window boundary falling inside it moves outward
     text = "é" * 40
     doc = Document("d", "T", text, mentions=(CharMention(20, 21, "E1"),))
-    ctx, _ = window_context(doc, doc.mentions[0], vocab, evocab, window_bytes=5)
+    (ctx,), _ = window_contexts(doc, vocab, evocab, window_bytes=5)
     lo, hi = ctx.char_offsets[0][0], ctx.char_offsets[-1][1]
     assert lo <= 18  # 5 bytes = 2.5 chars, snapped outward to 3 chars
     assert hi >= 24
