@@ -21,13 +21,14 @@ gradient as soon as its rule has consumed it, and after the sweep strips
 every interior node of its backward rule and parents, so a step's
 activations die with its backward rather than with the next step's
 forward. Leaves keep their gradients; a second backward() through the
-spent graph raises. Three nodes keep less than that: `table_softmax_nll`
-drops its (N, K) score matrix as soon as its rule has run, not at the end
-of the sweep; `gelu` keeps only its input and recomputes the rest in its
-backward; and `attention` keeps its softmax's row maxima and row sums, not
-its probabilities, and rebuilds them in its backward. Each recomputation
-repeats the forward's ops in the forward's order, so it gets the forward's
-bytes.
+spent graph raises. Four nodes keep less than that: `table_softmax_nll`
+drops its (N, K) score matrix as soon as its table gradient is written,
+not at the end of the sweep; `gelu` keeps only its input and recomputes the
+rest in its backward; `attention` keeps its softmax's row maxima and row
+sums, not its probabilities, and rebuilds them in its backward; and
+`residual_layer_norm` keeps its normalised rows and row scales, not its
+projection or residual sum. Each recomputation repeats the forward's ops in
+the forward's order, so it gets the forward's bytes.
 
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
@@ -36,10 +37,13 @@ the table rows it scores. Adam, clipping and the finiteness check consume
 it as it is, so an embedding table's gradient costs what the batch
 touches, not the table size. A `RowGrad` meeting a dense gradient on the
 same tensor is densified. `add_grads` sums two gradients of one tensor, as
-training does with the gradients of a batch's two shards.
+training does with the gradients of a batch's two shards; the table rows
+that both shards score are one `TableRows`, gathered once per step, whose
+buffer takes both shards' table gradient, so that one needs no sum.
 
 The model's dense layers (`linear`), multi-head attention (`attention`),
-activation (`gelu`), normalisation (`layer_norm`) and softmax losses
+activation (`gelu`), output projection with residual sum and normalisation
+(`residual_layer_norm`) and softmax losses
 (`softmax_nll`, the weighted sum of per-row NLLs, and `table_softmax_nll`
 for span vectors scored against entity-table rows, with an optional
 per-row score bias that masks columns out of a row's softmax) are fused:
@@ -48,22 +52,25 @@ records and walks few full-size temporaries.
 Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
-- `layer_norm` takes its row means and variances, forward and backward, as
-  GEMVs against a 1/n column, and `attention` its softmax row sums as a
-  GEMV against a ones column;
+- `residual_layer_norm` takes its row means and variances, forward and
+  backward, as GEMVs against a 1/n column, and `attention` its softmax row
+  sums as a GEMV against a ones column;
 - `attention` scales the queries, not the T x T scores, and its softmax
   backward takes each query's sum(dP * P) as the dot of its output gradient
   with its own output (FlashAttention, Dao et al., arXiv 2205.14135).
 """
 
 import math
+import threading
 
 import numpy as np
 
 # Python floats, not np.float64: a numpy scalar would upcast float32 arrays.
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-# score values per block of table_softmax_nll's row-gradient GEMMs (1 MB of float32)
+# values in the blocks of the table gradient's GEMMs that its writers hold at
+# once (1 MB of float32): both the gathered (N, rows) score columns and the
+# (rows, d) gradient rows of a block
 _GRAD_BLOCK = 1 << 18
 
 
@@ -213,13 +220,14 @@ def grad_values(g) -> np.ndarray:
     return g.values if isinstance(g, RowGrad) else g
 
 
-def _accum(t: Tensor, g) -> None:
+def _accum(t: Tensor, g, owned: bool = False) -> None:
     """Add g into t.grad.
 
     Backward never writes a gradient in place, so an interior node keeps
     a C-contiguous first g as given even if another node shares it. A leaf,
-    whose gradient the caller owns and may scale, stores a copy, and so does
-    a strided view (C order keeps every later reduction's summation order).
+    whose gradient the caller owns and may scale, stores a copy, unless g is
+    `owned` (a new array that nothing else holds); a strided view is copied
+    too (C order keeps every later reduction's summation order).
     """
     if not t.requires_grad:
         return
@@ -235,7 +243,7 @@ def _accum(t: Tensor, g) -> None:
     if isinstance(g, RowGrad):
         g = g.dense()
     if t.grad is None:
-        keep = t._backward is not None and g.flags.c_contiguous
+        keep = (owned or t._backward is not None) and g.flags.c_contiguous
         t.grad = g if keep else g.copy()
     else:
         prev = t.grad.dense() if isinstance(t.grad, RowGrad) else t.grad
@@ -451,38 +459,140 @@ def softmax_nll(scores: Tensor, gold, weights) -> Tensor:
     return out
 
 
-def table_softmax_nll(
-    svec: Tensor, table: Tensor, rows, gold, bias=None
-) -> tuple[Tensor, np.ndarray]:
-    """softmax_nll over the scores svec @ table[rows].T (+ bias), as one node.
+class TableRows:
+    """Rows of a table that one step's `table_softmax_nll` nodes score,
+    gathered once.
 
-    Column j scores table row rows[j] (rows=None: every row, in order) and
-    gold[i] is a column. An optional (N, K) `bias` is added to the scores
-    before the max and the exponentials: a column biased by -1e9 gets an
-    exponential of exactly 0, so it adds nothing to that row's softmax and
-    gets no gradient from it, and the NLL is that of the row's unmasked
-    columns alone. Returns the (N,) per-row NLL and each row's argmax
-    column (exact ties to the lowest column, so to the lowest entity when
-    rows are sorted). The forward gathers the rows for the score GEMM and
-    drops them, then turns the score matrix into max-shifted exponentials in
-    place; the backward turns it into (softmax - onehot(gold)) * g in place,
-    gathers the rows again (the tape's leaves do not change before the
-    backward) and, once they are spent, writes the table's gradient into
-    their buffer, a block of sorted rows at a time. So the node holds no
-    gathered rows between forward and backward and makes no second
-    row-sized array; the gradient is a RowGrad over the sorted rows (dense
-    when rows is None). The rule then drops the score matrix, so it does
-    not live on through the rest of the backward sweep.
+    `rows` picks the rows (None: every row, in order, with no gather); it is
+    kept as given, as the batch's own candidate rows, so a caller can check
+    which rows these are. The first node to score gathers them; each node
+    scores its span vectors against them, and in its rule takes its
+    span-vector gradient from them and hands over its spent score gradient
+    (every node scores before any rule runs). Once every node has, the rows
+    are spent, and their buffer takes the table's gradient a block of sorted
+    rows at a time: the first part's GEMM for the block is written into it
+    and the second's is added (float addition is commutative, so the bytes do
+    not depend on the arrival order; so at most two nodes may score). The
+    gradient reaches `table` once: a RowGrad over the sorted rows, or one new
+    dense array when rows is None. So a step holds one row-sized buffer,
+    whether one batch shard or two score against it.
+
+    The two nodes may sit on two tapes, one per shard. With `concurrent`,
+    their rules run at the same time on two threads and meet: the first to
+    hand over waits for the second, and then each writes every other block.
+    Without, the first rule returns, and the second writes every block, so
+    nothing waits. abort() ends every wait, now and later, with
+    threading.BrokenBarrierError, so a shard that fails releases the other.
+    """
+
+    def __init__(self, table: Tensor, rows=None, concurrent: bool = False):
+        self.table = table
+        self.rows = rows
+        self.concurrent = concurrent
+        self._gather = self._order = self._sorted = None
+        if rows is not None:
+            self._gather = np.asarray(rows, dtype=np.int64)
+            self._order = np.argsort(self._gather)
+            self._sorted = self._gather[self._order]
+            if self._sorted.size and (
+                self._sorted[0] < 0 or (self._sorted[1:] == self._sorted[:-1]).any()
+            ):
+                raise ValueError("table rows must be distinct and non-negative")
+        self.emb = None     # the gathered rows (the table itself when rows is None)
+        self._cond = threading.Condition()
+        self._scorers = 0   # nodes that will hand over their scores
+        self._parts = []    # (scores gradient, span vectors) per node, in arrival order
+        self._buf = None
+        self._writers = self._written = 0   # nodes that write blocks; those done
+        self._broken = False
+
+    def _score(self, enroll: bool) -> np.ndarray:
+        """The gathered rows, gathered on the first call. `enroll` counts the
+        caller among the nodes that will hand over their scores."""
+        with self._cond:
+            if enroll and self._scorers == 2:
+                raise ValueError("at most two nodes can score one TableRows")
+            if self.emb is None:
+                self.emb = self.table.data if self._gather is None else self.table.data[self._gather]
+            self._scorers += enroll
+            return self.emb
+
+    def abort(self) -> None:
+        """End every wait, now and later (see the class)."""
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
+
+    def _hand_over(self, ds: np.ndarray, x: np.ndarray) -> None:
+        """Take one node's spent (N, K) score gradient ds and its (N, d)
+        span vectors x, whose table gradient is ds.T @ x."""
+        with self._cond:
+            self._parts.append((ds, x))
+            share = len(self._parts) - 1 if self.concurrent else 0
+            if len(self._parts) == self._scorers:
+                self._buf = np.empty_like(self.emb) if self._sorted is None else self.emb
+                self._writers = self._scorers if self.concurrent else 1
+                self._cond.notify_all()
+            elif not self.concurrent:
+                return
+            while len(self._parts) < self._scorers:
+                if self._broken:
+                    raise threading.BrokenBarrierError
+                self._cond.wait()
+            parts, writers = self._parts, self._writers
+        self._write(parts, share, writers)
+        with self._cond:
+            self._written += 1
+            if self._written < writers:
+                return
+            self._parts = []
+        if self._sorted is None:
+            _accum(self.table, self._buf, owned=True)
+        else:
+            _accum(self.table, RowGrad.of_rows(self._sorted, self._buf, self.table.data.shape))
+
+    def _write(self, parts: list, share: int, writers: int) -> None:
+        """Blocks share, share + writers, ... of the buffer's sorted rows:
+        each block's GEMM over the first part's N rows written, the other
+        part's added."""
+        buf = self._buf
+        n = len(buf)
+        step = max(1, _GRAD_BLOCK // (writers * max(max(x.shape) for _, x in parts)))
+        scratch = np.empty((min(step, n), buf.shape[1]), buf.dtype) if len(parts) > 1 else None
+        for lo in range(share * step, n, writers * step):
+            hi = min(lo + step, n)
+            cols = slice(lo, hi) if self._order is None else self._order[lo:hi]
+            rows = buf[lo:hi]   # a view: in-place writes, as a slice assignment would copy
+            for i, (ds, x) in enumerate(parts):
+                if i == 0:
+                    np.matmul(ds[:, cols].T, x, out=rows)
+                else:
+                    rows += np.matmul(ds[:, cols].T, x, out=scratch[: hi - lo])
+
+
+def table_softmax_nll(
+    svec: Tensor, table: TableRows, gold, bias=None
+) -> tuple[Tensor, np.ndarray]:
+    """softmax_nll over the scores of svec against table's rows (+ bias),
+    as one node.
+
+    Column j scores the table's row j (see TableRows) and gold[i] is a
+    column. An optional (N, K) `bias` is added to the scores before the max
+    and the exponentials: a column biased by -1e9 gets an exponential of
+    exactly 0, so it adds nothing to that row's softmax and gets no gradient
+    from it, and the NLL is that of the row's unmasked columns alone.
+    Returns the (N,) per-row NLL and each row's argmax column (exact ties to
+    the lowest column, so to the lowest entity when rows are sorted). The
+    forward turns the score matrix into max-shifted exponentials in place;
+    the backward turns it into (softmax - onehot(gold)) * g in place, takes
+    the span-vector gradient from the gathered rows and hands the matrix to
+    `table`, which writes the table's gradient (a RowGrad over the sorted
+    rows, dense when every row is scored) and then drops it, so it does not
+    live on through the rest of the backward sweep.
     """
     gold = np.asarray(gold, dtype=np.int64)
     at = np.arange(len(gold))
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        order = np.argsort(rows)
-        rows_sorted = rows[order]
-        if rows_sorted.size and (rows_sorted[0] < 0 or (rows_sorted[1:] == rows_sorted[:-1]).any()):
-            raise ValueError("table rows must be distinct and non-negative")
-    s = svec.data @ (table.data if rows is None else table.data[rows]).T
+    s = svec.data @ table._score(enroll=table.table.requires_grad).T
     if bias is not None:
         s += bias
     pred = s.argmax(axis=-1)
@@ -492,27 +602,18 @@ def table_softmax_nll(
     np.exp(s, out=s)
     total = s.sum(axis=-1, keepdims=True)
     lse = np.log(total) + m
-    out = Tensor(lse[:, 0] - picked, _parents=(svec, table))
+    out = Tensor(lse[:, 0] - picked, _parents=(svec, table.table))
 
     def bwd(g):
         nonlocal s
-        ds, s = s, None  # the rule is the score matrix's last reader
+        ds, s = s, None  # the table is the score matrix's last reader
         np.divide(ds, total, out=ds)
         ds[at, gold] -= 1.0
         np.multiply(ds, g[:, None], out=ds)
-        emb = table.data if rows is None else table.data[rows]
         if svec.requires_grad:
-            _accum(svec, ds @ emb)
-        if not table.requires_grad:
-            return
-        if rows is None:
-            _accum(table, ds.T @ svec.data)
-            return
-        # emb is spent: block by block, it takes the gradient of the sorted rows
-        step = max(1, _GRAD_BLOCK // max(1, len(gold)))
-        for lo in range(0, len(order), step):
-            np.matmul(ds[:, order[lo : lo + step]].T, svec.data, out=emb[lo : lo + step])
-        _accum(table, RowGrad.of_rows(rows_sorted, emb, table.data.shape))
+            _accum(svec, ds @ table.emb)
+        if table.table.requires_grad:
+            table._hand_over(ds, svec.data)
 
     out._backward = bwd if out.requires_grad else None
     return out, pred
@@ -556,24 +657,36 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
+def residual_layer_norm(
+    res: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
+) -> Tensor:
+    """Layer norm of res + h @ w + b over the last axis, then scale and
+    shift, as one node: a post-LN sublayer's output projection, residual sum
+    and normalisation.
 
-    Row means and variances, forward and backward, are GEMVs of the (N, n)
-    row view against a 1/n column. Each row is first shifted by its own
-    first value: the result is the same, but a float32 mean is then accurate
-    to the row's spread rather than to its offset from zero.
+    The projection is `linear`'s GEMM and bias add, and the residual is then
+    added into the same buffer, which becomes the normalised rows; so besides
+    its inputs the node keeps only those and the row scales, not the
+    projection or the sum. Row means and variances, forward and backward,
+    are GEMVs of the (N, n) row view against a 1/n column. Each row is first
+    shifted by its own first value: the result is the same, but a float32
+    mean is then accurate to the row's spread rather than to its offset from
+    zero. The backward is layer norm's, then `linear`'s, with the residual
+    taking the same gradient as the projection.
     """
-    n = a.data.shape[-1]
-    x = a.data.reshape(-1, n)
-    col = np.full(n, 1.0 / n, dtype=x.dtype)
-    xhat = x - x[:, :1]
+    n = w.data.shape[-1]
+    h2 = h.data.reshape(-1, h.data.shape[-1])
+    xhat = h2 @ w.data
+    xhat += b.data
+    xhat += res.data.reshape(-1, n)
+    col = np.full(n, 1.0 / n, dtype=xhat.dtype)
+    xhat -= xhat[:, :1]
     xhat -= (xhat @ col)[:, None]
     inv = 1.0 / np.sqrt((xhat * xhat) @ col + eps)
     xhat *= inv[:, None]
     y = xhat * gain.data
     y += bias.data
-    out = Tensor(y.reshape(a.data.shape), _parents=(a, gain, bias))
+    out = Tensor(y.reshape(res.data.shape), _parents=(res, h, w, b, gain, bias))
 
     def bwd(g):
         g = g.reshape(-1, n)
@@ -589,7 +702,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(xhat, m2[:, None], out=gx)
         dx -= gx
         dx *= inv[:, None]
-        _accum(a, dx.reshape(a.data.shape))
+        _accum(res, dx.reshape(res.data.shape))
+        _accum(h, (dx @ w.data.T).reshape(h.data.shape))
+        _accum(w, h2.T @ dx)
+        _accum(b, dx.sum(axis=0))
 
     out._backward = bwd if out.requires_grad else None
     return out

@@ -1,9 +1,10 @@
 """Transformer linking model: encoder, span scoring, losses, and inference.
 
 The encoder is a BERT-family stack (learned positions, post-layer-norm
-blocks, GELU in BERT's tanh form, layer norm with its row statistics taken
-as GEMVs; see autodiff) built on the local autodiff tape, so training
-gradients are exact and checkable against finite differences. A span is
+blocks, GELU in BERT's tanh form; each sublayer's output projection,
+residual sum and layer norm are one node, whose row statistics are GEMVs;
+see autodiff) built on the local autodiff tape, so training gradients are
+exact and checkable against finite differences. A span is
 represented by the concatenation of its start and end hidden states
 projected into entity space; entities are scored by dot product against an
 embedding table, with a softmax over either a candidate set or the full
@@ -178,12 +179,15 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def shared_leaves(self) -> "ModelParams":
-        """New leaf tensors over these same arrays. A tape recorded on them
-        leaves its gradients on them, not on self, and an in-place update of
-        self's arrays (Adam's) is an update of theirs."""
+    def shared_leaves(self, names=None) -> "ModelParams":
+        """New leaf tensors over these same arrays, for the groups `names`
+        (default: all). A tape recorded on them leaves its gradients on
+        them, not on self, and an in-place update of self's arrays (Adam's)
+        is an update of theirs."""
         tensors = OrderedDict(
-            (name, Tensor(t.data, requires_grad=t.requires_grad)) for name, t in self.items()
+            (name, Tensor(t.data, requires_grad=t.requires_grad))
+            for name, t in self.items()
+            if names is None or name in names
         )
         return ModelParams(self.config, tensors)
 
@@ -235,13 +239,17 @@ def _block(params: ModelParams, i: int, H: Tensor, key_bias: np.ndarray) -> Tens
     def proj(x: Tensor, w: str, b: str) -> Tensor:
         return ad.linear(x, params[p + w], params[p + b])
 
+    def add_norm(res: Tensor, h: Tensor, w: str, b: str, ln: str) -> Tensor:
+        return ad.residual_layer_norm(
+            res, h, params[p + w], params[p + b], params[p + ln + "_g"], params[p + ln + "_b"]
+        )
+
     ctx = ad.attention(
         proj(H, "wq", "bq"), proj(H, "wk", "bk"), proj(H, "wv", "bv"),
         key_bias, params.config.n_heads,
     )
-    H = ad.layer_norm(H + proj(ctx, "wo", "bo"), params[p + "ln1_g"], params[p + "ln1_b"])
-    ff = proj(ad.gelu(proj(H, "ff_w1", "ff_b1")), "ff_w2", "ff_b2")
-    return ad.layer_norm(H + ff, params[p + "ln2_g"], params[p + "ln2_b"])
+    H = add_norm(H, ctx, "wo", "bo", "ln1")
+    return add_norm(H, ad.gelu(proj(H, "ff_w1", "ff_b1")), "ff_w2", "ff_b2", "ln2")
 
 
 def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
@@ -440,21 +448,29 @@ def _no_links() -> dict:
     return {"linking_acc": float("nan"), "n_linked_mentions": 0, "n_correct_links": 0}
 
 
-def linking_loss(params: ModelParams, H: Tensor, batch: ModelBatch) -> tuple[Tensor, dict]:
+def linking_loss(
+    params: ModelParams, H: Tensor, batch: ModelBatch, table: ad.TableRows | None = None
+) -> tuple[Tensor, dict]:
     """Mean over the batch's examples of the summed per-mention candidate NLL.
 
     Unlinked mentions carry no target and contribute zero. Every gold must
     be present in its candidate row (guaranteed upstream). Scores and NLL
     are one `table_softmax_nll` node against the batch's candidate rows (or
     the full vocabulary), with the per-mention bias, if any, masking each
-    mention's softmax down to its own candidates.
+    mention's softmax down to its own candidates. `table` holds those rows
+    of an `ent_emb` leaf, gathered once for every shard of a step that
+    scores them, and must have been made from this batch's `cand_rows`
+    (split_batch keeps them); by default they are gathered from params for
+    this batch.
     """
+    if table is not None and table.rows is not batch.cand_rows:
+        raise ValueError("linking_loss: the TableRows was not made from this batch's cand_rows")
     if len(batch.ment_ex) == 0:
         return _zero(H), _no_links()
     svec = span_repr(params, H, batch.ment_ex, batch.ment_start, batch.ment_end)
-    nll, pred = ad.table_softmax_nll(
-        svec, params["ent_emb"], batch.cand_rows, batch.gold_pos, batch.cand_bias
-    )
+    if table is None:
+        table = ad.TableRows(params["ent_emb"], batch.cand_rows)
+    nll, pred = ad.table_softmax_nll(svec, table, batch.gold_pos, batch.cand_bias)
     loss = nll.sum() * (1.0 / batch.n_examples)
     correct = int((pred == batch.gold_pos).sum())
     return loss, {
@@ -485,11 +501,13 @@ def total_loss(
     batch: ModelBatch,
     link_weight: float = 1.0,
     bio_weight: float = 1.0,
+    table: ad.TableRows | None = None,
 ) -> tuple[Tensor, dict]:
-    """Weighted sum of linking and mention-detection losses, plus metrics."""
+    """Weighted sum of linking and mention-detection losses, plus metrics.
+    `table` is linking_loss's."""
     H = encode(params, batch.tokens, batch.pad_mask)
     if link_weight != 0.0:
-        link, metrics = linking_loss(params, H, batch)
+        link, metrics = linking_loss(params, H, batch, table)
     else:
         link = _zero(H)
         metrics = _no_links()
@@ -510,6 +528,13 @@ def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray | ad.Row
     """
     params.zero_grad()
     loss.backward()
+    return gradients(params)
+
+
+def gradients(params: ModelParams) -> dict[str, np.ndarray | ad.RowGrad]:
+    """Each group's gradient as backward() reports it, from the leaves'
+    .grad: an empty RowGrad where none arrived, and GradientError where one
+    is not finite."""
     grads: dict[str, np.ndarray | ad.RowGrad] = {}
     for name, t in params.items():
         g = t.grad

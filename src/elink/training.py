@@ -9,8 +9,11 @@ full-vocabulary softmax.
 Each step runs its batch as two shards, the first ceil(B/2) examples and
 the rest, each recording its own tape on its own thread, and sums their
 gradients (shard 0's, then shard 1's) before one clip and one Adam update.
-A step's batch, tapes and gradients die with the step, so the next step's
-forward does not run beside them.
+The entity rows that both shards score are gathered once per step, and both
+shards' table gradient is written into that one buffer (autodiff.TableRows),
+so `ent_emb` has one gradient, which is not summed. A step's batch, tapes
+and gradients die with the step, so the next step's forward does not run
+beside them.
 For the whole loop OpenBLAS runs on one thread, so training uses at most two
 cores, and a shard's bytes do not depend on the thread that computes it or
 on the core count. All randomness is derived from config seeds, so
@@ -22,6 +25,7 @@ import contextvars
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +34,7 @@ import numpy as np
 from . import model as M
 from . import threads
 from .aliastable import AliasTable
-from .autodiff import RowGrad, add_grads, grad_values
+from .autodiff import RowGrad, TableRows, add_grads, grad_values
 from .candidates import CandidateConfig, PageLinks, assemble_candidates, batch_negatives
 from .corpus import Context, TokenVocab
 from .model import MentionTarget, ModelConfig, ModelParams, build_batch, save_checkpoint
@@ -292,20 +296,35 @@ class _RunLogger:
             self._fh.close()
 
 
-def _on_shards(worker: ThreadPoolExecutor | None, fn, shard_args: list[tuple]) -> list:
+def _on_shards(worker: ThreadPoolExecutor | None, fn, shard_args: list[tuple], abort) -> list:
     """fn(*args) for each shard's args, in shard order. With a worker, the
     second shard's call runs on it, in a copy of this thread's context (so
-    np.errstate holds there too), while this thread runs the first; its
-    exception, if any, is raised here."""
+    np.errstate holds there too), while this thread runs the first. A call
+    that raises calls abort() (TableRows.abort), which ends the other's wait
+    at the shards' meeting with threading.BrokenBarrierError; the failing
+    shard's own exception is raised here."""
     if worker is None or len(shard_args) == 1:
         return [fn(*args) for args in shard_args]
-    second = worker.submit(contextvars.copy_context().run, fn, *shard_args[1])
-    first = fn(*shard_args[0])
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except BaseException:
+            abort()
+            raise
+
+    second = worker.submit(contextvars.copy_context().run, call, *shard_args[1])
+    try:
+        first = call(*shard_args[0])
+    except threading.BrokenBarrierError:
+        second.result()   # the second shard's own error, which broke the meeting
+        raise
     return [first, second.result()]
 
 
 def _sum_shards(shard_grads: list[dict[str, Grad]]) -> dict[str, Grad]:
-    """Each group's gradient summed over the shards, shard 0's first."""
+    """Each group's gradient summed over the shards, shard 0's first.
+    `ent_emb` is not among them: its one gradient is the step's TableRows'."""
     grads = shard_grads[0]
     for other in shard_grads[1:]:
         for name, g in other.items():
@@ -320,20 +339,24 @@ def _run_loop(params, batches_fn, train_cfg, out_dir) -> tuple[ModelParams, list
     A step splits its batch into two shards (model.split_batch), the first
     ceil(B/2) examples and the rest; a shard with no examples (B=1) is
     skipped. Each shard records its tape on its own leaf tensors, which share
-    params' arrays. Both forwards finish before the summed loss is checked,
-    so a non-finite loss stops the run before any backward; the shards'
-    gradients are then summed in shard order and clipped and applied once.
-    The shards run on two threads when numpy's OpenBLAS is found and two
-    CPUs are usable, else one after the other on this thread; the bytes are
-    the same.
+    params' arrays, except `ent_emb`: the step gathers the batch's entity
+    rows once, as one TableRows over a leaf of its own, and both shards score
+    against them and write their table gradient into them. Both forwards
+    finish before the summed loss is checked, so a non-finite loss stops the
+    run before any backward; the shards' other gradients are then summed in
+    shard order, and all are clipped and applied once. The shards run on two
+    threads when numpy's OpenBLAS is found and two CPUs are usable, else one
+    after the other on this thread; the bytes are the same.
     """
     state = OptimizerState.for_params(params)
     logger = _RunLogger(out_dir)
     last_ckpt = None
-    shards = [params.shared_leaves(), params.shared_leaves()]
+    own = [n for n in params.names() if n != "ent_emb"]
+    shards = [params.shared_leaves(own), params.shared_leaves(own)]
+    entities = params.shared_leaves(["ent_emb"])
 
-    def forward(leaves, batch):
-        return M.total_loss(leaves, batch, train_cfg.link_weight, train_cfg.bio_weight)
+    def forward(leaves, batch, table):
+        return M.total_loss(leaves, batch, train_cfg.link_weight, train_cfg.bio_weight, table)
 
     def train_step(step: int, worker) -> LogRow:
         """One clipped Adam step. Its batch, losses and gradients are locals,
@@ -341,15 +364,20 @@ def _run_loop(params, batches_fn, train_cfg, out_dir) -> tuple[ModelParams, list
         batch = batches_fn(step)
         parts = M.split_batch(batch, (batch.n_examples + 1) // 2)
         live = [(leaves, b) for leaves, b in zip(shards, parts) if len(b.tokens)]
-        outs = _on_shards(worker, forward, live)
+        table = TableRows(entities["ent_emb"], batch.cand_rows, concurrent=worker is not None)
+        outs = _on_shards(worker, forward, [(leaves, b, table) for leaves, b in live], table.abort)
         loss = sum(out[0].data for out in outs)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, last_ckpt)
         grads = _sum_shards(_on_shards(
-            worker, M.backward, [(out[0], leaves) for out, (leaves, _) in zip(outs, live)]
+            worker, M.backward, [(out[0], leaves) for out, (leaves, _) in zip(outs, live)],
+            table.abort,
         ))
-        for leaves in shards:
-            leaves.zero_grad()  # the sum holds what it needs of them
+        grads.update(M.gradients(entities))
+        # params' order, in which clipping sums the squared norms
+        grads = {name: grads[name] for name in params.names()}
+        for leaves in shards + [entities]:
+            leaves.zero_grad()  # grads holds what it needs of them
         clip_gradients(grads, train_cfg.clip_norm)
         lr = lr_schedule(step, train_cfg)
         adam_step(params, grads, state, lr, train_cfg)

@@ -347,3 +347,39 @@ def attention_state_refs(monkeypatch) -> list:
 
     monkeypatch.setattr(ad, "attention", attention)
     return refs
+
+
+def unfused_residual_layer_norm(res, h, w, b, gain, bias, eps=1e-5) -> Tensor:
+    """The reference for autodiff.residual_layer_norm: `linear`, a tape add
+    and a layer-norm node of its own, with layer norm's ops in the fused
+    node's order, so the two agree to the byte. Each of the three nodes
+    keeps its own output until the backward."""
+    x = ad.add(res, ad.linear(h, w, b))
+    n = x.data.shape[-1]
+    flat = x.data.reshape(-1, n)
+    col = np.full(n, 1.0 / n, dtype=flat.dtype)
+    xhat = flat - flat[:, :1]
+    xhat -= (xhat @ col)[:, None]
+    inv = 1.0 / np.sqrt((xhat * xhat) @ col + eps)
+    xhat *= inv[:, None]
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y.reshape(x.data.shape), _parents=(x, gain, bias))
+
+    def bwd(g):
+        g = g.reshape(-1, n)
+        gx = g * xhat
+        ad._accum(gain, gx.sum(axis=0))
+        ad._accum(bias, g.sum(axis=0))
+        wcol = gain.data * (1.0 / n)
+        m1 = g @ wcol
+        m2 = gx @ wcol
+        dx = g * gain.data
+        dx -= m1[:, None]
+        np.multiply(xhat, m2[:, None], out=gx)
+        dx -= gx
+        dx *= inv[:, None]
+        ad._accum(x, dx.reshape(x.data.shape))
+
+    out._backward = bwd
+    return out

@@ -1,7 +1,9 @@
 """Finite-difference checks for every autodiff primitive."""
 
 import math
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from elink import autodiff as ad
 from elink.autodiff import RowGrad, Tensor
+from helpers import unfused_residual_layer_norm
 
 
 def _dense_grad(t):
@@ -367,8 +370,8 @@ def test_table_softmax_nll_grad(rng, full, biased):
         bias = rng.normal(size=(3, 5))
         bias[[0, 0, 1, 2], [1, 3, 0, 4]] = -1e9
     w = rng.normal(size=3)
-    fd_check(lambda: (ad.table_softmax_nll(svec, table, rows, gold, bias)[0] * w).sum(),
-             [svec, table])
+    fd_check(lambda: (ad.table_softmax_nll(svec, ad.TableRows(table, rows), gold, bias)[0]
+                      * w).sum(), [svec, table])
 
 
 def test_table_softmax_nll_masked_column_adds_exactly_zero():
@@ -380,11 +383,11 @@ def test_table_softmax_nll_masked_column_adds_exactly_zero():
     table = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0], [-1.0, 1.0]]), requires_grad=True)
     gold = [1, 0]   # columns, and entities: the rows are 0-3 in order
     bias = np.array([[0.0, 0.0, -1e9, 0.0], [0.0, -1e9, 0.0, 0.0]])
-    nll, pred = ad.table_softmax_nll(svec, table, np.arange(4), gold, bias)
+    nll, pred = ad.table_softmax_nll(svec, ad.TableRows(table, np.arange(4)), gold, bias)
     assert pred.tolist() == [1, 2]   # span 0's best score, column 2's 9, is masked
     for i, own in enumerate(([0, 1, 3], [0, 2, 3])):
-        alone, _ = ad.table_softmax_nll(Tensor(svec.data[i : i + 1]), table, np.array(own),
-                                        [own.index(gold[i])])
+        alone, _ = ad.table_softmax_nll(Tensor(svec.data[i : i + 1]),
+                                        ad.TableRows(table, np.array(own)), [own.index(gold[i])])
         assert nll.data[i].tobytes() == alone.data[0].tobytes()
     (nll * np.array([1.0, 0.0])).sum().backward()
     assert table.grad.rows.tolist() == [0, 1, 2, 3]
@@ -412,7 +415,7 @@ def test_table_softmax_nll_matches_the_gather_matmul_composition(rng, full):
     want_table = np.zeros_like(table.data)
     np.add.at(want_table, slice(None) if full else rows, dscores.T @ svec.data)
 
-    nll, pred = ad.table_softmax_nll(svec, table, rows, gold)
+    nll, pred = ad.table_softmax_nll(svec, ad.TableRows(table, rows), gold)
     (nll * w).sum().backward()
     assert nll.data.tobytes() == ref.tobytes()
     assert pred.tolist() == scores.argmax(axis=-1).tolist()
@@ -428,24 +431,84 @@ def test_table_softmax_nll_matches_the_gather_matmul_composition(rng, full):
 
 def test_table_softmax_nll_writes_the_table_gradient_in_row_blocks(rng, monkeypatch):
     """A table gradient written in blocks of 2, 2 and 1 sorted rows equals
-    the one written as a single block."""
+    the one written as a single block, also when a second node shares the
+    rows and its blocks are added to the first's."""
     svec, table, rows, gold = _table_case(rng)
+    other = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     w = rng.normal(size=3)
-    grads = []
-    for block in (ad._GRAD_BLOCK, 6):   # 6 score values: 2 rows of 3 spans
-        monkeypatch.setattr(ad, "_GRAD_BLOCK", block)
-        nll, _ = ad.table_softmax_nll(svec, table, rows, gold)
-        (nll * w).sum().backward()
-        grads.append(_dense_grad(table))
-        svec.grad = table.grad = None
-    assert np.abs(grads[1] - grads[0]).max() <= 1e-14 * np.abs(grads[0]).max()
+    for nodes in ([(svec, gold)], [(svec, gold), (other, gold[:2])]):
+        grads = []
+        for block in (ad._GRAD_BLOCK, 8):   # 8 values: 2 rows of 3 spans and 4 columns
+            monkeypatch.setattr(ad, "_GRAD_BLOCK", block)
+            shared = ad.TableRows(table, rows)
+            terms = [(ad.table_softmax_nll(x, shared, g)[0] * w[: len(g)]).sum() for x, g in nodes]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = loss + term
+            loss.backward()
+            grads.append(_dense_grad(table))
+            svec.grad = other.grad = table.grad = None
+        assert np.abs(grads[1] - grads[0]).max() <= 1e-14 * np.abs(grads[0]).max()
+
+
+def _two_scorer_tapes(table, rows, concurrent) -> list:
+    """Two (loss, span vectors) tapes, each loss of a table_softmax_nll
+    node, the two nodes sharing one TableRows of table's rows."""
+    rng = np.random.default_rng(3)
+    shared = ad.TableRows(table, rows, concurrent=concurrent)
+    tapes = []
+    for n in (3, 4):
+        svec = Tensor(rng.normal(size=(n, table.shape[1])), requires_grad=True)
+        gold = rng.integers(0, len(rows), size=n)
+        nll, _ = ad.table_softmax_nll(svec, shared, gold)
+        tapes.append(((nll * rng.normal(size=n)).sum(), svec))
+    return tapes
+
+
+def test_table_rows_shared_by_two_threads_gives_the_serial_bytes(rng, monkeypatch):
+    """Two tapes whose nodes share a TableRows, their backwards on two
+    threads at once, give the table and span-vector gradients of the two
+    run one after the other, byte for byte: neither node's rows are
+    overwritten before both have read them, and the two writers' blocks
+    cover every row once. Many one-row blocks, a short switch interval and
+    four pairs at once on eight threads race the meeting and the writes."""
+    monkeypatch.setattr(ad, "_GRAD_BLOCK", 4)   # one row of 8 columns per block
+    table = Tensor(rng.normal(size=(40, 8)), requires_grad=True)
+    rows = rng.permutation(40)[:30]
+    serial = _two_scorer_tapes(table, rows, concurrent=False)
+    for loss, _ in serial:
+        loss.backward()
+    want = [table.grad.rows, table.grad.values] + [svec.grad for _, svec in serial]
+    tables = [Tensor(table.data, requires_grad=True) for _ in range(4)]
+    pairs = [_two_scorer_tapes(t, rows, concurrent=True) for t in tables]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = [pool.submit(loss.backward) for pair in pairs for loss, _ in pair]
+            for run in runs:
+                run.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for t, pair in zip(tables, pairs):
+        got = [t.grad.rows, t.grad.values] + [svec.grad for _, svec in pair]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_table_rows_serves_at_most_two_nodes(rng):
+    svec, table, rows, gold = _table_case(rng)
+    shared = ad.TableRows(table, rows)
+    for _ in range(2):
+        ad.table_softmax_nll(svec, shared, gold)
+    with pytest.raises(ValueError, match="at most two"):
+        ad.table_softmax_nll(svec, shared, gold)
 
 
 def test_table_softmax_nll_rejects_repeated_or_negative_rows(rng):
     svec, table, _, _ = _table_case(rng)
     for rows in ([1, 4, 1], [2, -1]):
         with pytest.raises(ValueError, match="distinct"):
-            ad.table_softmax_nll(svec, table, np.array(rows), np.zeros(3))
+            ad.TableRows(table, np.array(rows))
 
 
 def _closure_arrays(rule) -> list:
@@ -458,7 +521,7 @@ def test_table_softmax_nll_drops_its_scores_once_its_rule_has_run(rng):
     has run, while the sweep still has the node's input to walk."""
     svec, table, rows, gold = _table_case(rng)
     h = svec * 1.0   # an interior input, whose rule runs after the node's
-    nll, _ = ad.table_softmax_nll(h, table, rows, gold)
+    nll, _ = ad.table_softmax_nll(h, ad.TableRows(table, rows), gold)
     (scores,) = [a for a in _closure_arrays(nll._backward) if a.shape == (3, 5)]
     ref = weakref.ref(scores)
     del scores
@@ -505,23 +568,57 @@ def test_gelu_matches_the_tanh_form():
     assert got[-1] == 8.0 and got[0] == 0.0
 
 
+def _residual_layer_norm_inputs(rng, dtype=np.float64):
+    """res (2, 3, 6), h (2, 3, 5), w, b, gain and bias, each requiring grad."""
+    shapes = [(2, 3, 6), (2, 3, 5), (5, 6), (6,), (6,), (6,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    arrays[4] += 1.0   # gains near 1
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
 def test_layer_norm_grad(rng):
-    a = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-    g = Tensor(rng.normal(size=(6,)) + 1.0, requires_grad=True)
-    b = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    """residual_layer_norm's gradient in each of its six inputs."""
+    ins = _residual_layer_norm_inputs(rng)
     w = rng.normal(size=(2, 3, 6))
-    fd_check(lambda: (ad.layer_norm(a, g, b) * w).sum(), [a, g, b])
+    fd_check(lambda: (ad.residual_layer_norm(*ins) * w).sum(), ins)
+
+
+def test_residual_layer_norm_equals_the_unfused_chain_in_float32(rng):
+    """Output and all six gradients have the bytes of `linear`, a tape add
+    and a layer-norm node (helpers.unfused_residual_layer_norm)."""
+    w = rng.normal(size=(2, 3, 6)).astype(np.float32)
+    runs = []
+    for op in (ad.residual_layer_norm, unfused_residual_layer_norm):
+        ins = _residual_layer_norm_inputs(np.random.default_rng(5), np.float32)
+        out = op(*ins)
+        (out * w).sum().backward()
+        runs.append([out.data] + [t.grad for t in ins])
+    for got, want in zip(*runs):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_residual_layer_norm_keeps_only_its_normalised_rows_and_row_scales(rng):
+    ins = _residual_layer_norm_inputs(rng, np.float32)
+    out = ad.residual_layer_norm(*ins)
+    own = [a for a in _held_arrays(out._backward)
+           if not any(np.shares_memory(a, t.data) for t in ins)]
+    assert sorted(a.shape for a in own) == [(6,), (6, 6)]   # row scales, normalised rows
 
 
 def test_layer_norm_float32_at_a_large_common_offset(rng):
-    x = (1e3 + 0.1 * rng.normal(size=(4, 8, 64))).astype(np.float32)
+    res = (1e3 + 0.1 * rng.normal(size=(4, 8, 64))).astype(np.float32)
+    h = rng.normal(size=(4, 8, 16)).astype(np.float32)
+    w = (0.01 * rng.normal(size=(16, 64))).astype(np.float32)
+    b = (0.01 * rng.normal(size=64)).astype(np.float32)
     # the bias keeps every output near 2-3, so an elementwise rtol measures
     # error against the normalised scale rather than against zero
     gain = rng.uniform(0.2, 0.5, size=64).astype(np.float32)
     bias = rng.uniform(2.0, 3.0, size=64).astype(np.float32)
-    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    got = ad.residual_layer_norm(*(Tensor(a) for a in (res, h, w, b, gain, bias))).data
     assert got.dtype == np.float32
-    x64 = x.astype(np.float64)
+    # the float32 sum near 1e3 is rounded to 6e-5, against a 0.1 spread; so
+    # the reference normalises that rounded sum, in float64
+    x64 = (res + (h @ w + b)).astype(np.float64)
     xc = x64 - x64.mean(axis=-1, keepdims=True)
     want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
     np.testing.assert_allclose(got, want, rtol=1e-4)
@@ -561,7 +658,7 @@ def test_backward_on_a_spent_graph_raises(rng):
 
 def test_backward_through_a_spent_table_softmax_nll_raises(rng):
     svec, table, rows, gold = _table_case(rng)
-    nll, _ = ad.table_softmax_nll(svec, table, rows, gold)
+    nll, _ = ad.table_softmax_nll(svec, ad.TableRows(table, rows), gold)
     loss = nll.sum()
     loss.backward()
     first = table.grad.values.copy()

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -111,6 +112,29 @@ def test_pad_content_does_not_leak(params):
     Ha = encode(params, tokens_a, pad)
     Hb = encode(params, tokens_b, pad)
     assert np.array_equal(Ha.data[0, :5], Hb.data[0, :5])
+
+
+def test_encode_tape_holds_only_what_its_backward_reads():
+    """The tape of one (16, 128) shard at the default model holds, per
+    block, about the arrays its backward reads: q, k, v, the attention
+    output, two normalised-row arrays, two block outputs and the two
+    (B, T, d_ff) FFN activations. The bound allows one (B, T, d_model)
+    array more per block and three for the embeddings; a block whose
+    output projection, FFN output or residual sums stay alive exceeds it."""
+    cfg = ModelConfig(vocab_size=1000, n_entities=10)
+    p = ModelParams.initialize(cfg, seed=1)
+    B, T = 16, 128
+    tokens = np.random.default_rng(0).integers(4, cfg.vocab_size, size=(B, T))
+    tracemalloc.start()
+    try:
+        H = encode(p, tokens)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert H.requires_grad
+    per_block = 9 * cfg.d_model + 2 * cfg.d_ff
+    bound = (cfg.n_layers * per_block + 3 * cfg.d_model) * B * T * np.dtype(model.DTYPE).itemsize
+    assert live < bound
 
 
 def test_initialize_deterministic():
@@ -274,8 +298,8 @@ def test_softmax_stable_at_extreme_scores(params):
 def _mention_nll(scores: list[float], gold: int) -> float:
     """The linking node's NLL of one mention whose columns score `scores`:
     a 1-D span vector of 1 against a one-column table holding the scores."""
-    nll, _ = ad.table_softmax_nll(Tensor(np.ones((1, 1))), Tensor(np.array(scores)[:, None]),
-                                  None, [gold])
+    table = ad.TableRows(Tensor(np.array(scores)[:, None]))
+    nll, _ = ad.table_softmax_nll(Tensor(np.ones((1, 1))), table, [gold])
     return float(nll.data[0])
 
 
@@ -317,6 +341,21 @@ def test_linking_loss_matches_oracle_shared_candidates(params64):
     rows = svec @ params64["ent_emb"].data[cand].T
     expected = oracle_linking_loss(rows, batch.gold_pos, 3, batch.ment_ex)
     assert loss.data == pytest.approx(expected, abs=1e-9)
+
+
+def test_linking_loss_rejects_rows_made_for_another_batch(params):
+    """A TableRows passed to linking_loss must be the one made from the
+    batch's own cand_rows: equal rows in another array, or other rows, are
+    refused rather than scored."""
+    rng = np.random.default_rng(8)
+    ctx = make_context(rng, labels=[MentionLabel((1, 2), 5, None)])
+    batch = build_batch([ctx], 0, [[MentionTarget((1, 2), 5)]], np.array([3, 5, 9]))
+    H = encode(params, batch.tokens, batch.pad_mask)
+    for rows in (batch.cand_rows.copy(), np.array([3, 5, 8]), None):
+        with pytest.raises(ValueError, match="cand_rows"):
+            linking_loss(params, H, batch, ad.TableRows(params["ent_emb"], rows))
+    loss, _ = linking_loss(params, H, batch, ad.TableRows(params["ent_emb"], batch.cand_rows))
+    assert loss.data.tobytes() == linking_loss(params, H, batch)[0].data.tobytes()
 
 
 def test_linking_loss_matches_oracle_ragged(params64):

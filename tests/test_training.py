@@ -1,6 +1,7 @@
 """Schedule, clipping, Adam, and the pretrain/finetune loops."""
 
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import all_entity_accuracy, as_float64, attention_state_refs, dense_moments, make_world
 
+from elink import autodiff as ad
 from elink import model as M
 from elink import threads, training
 from elink.aliastable import AliasTable
@@ -624,11 +626,11 @@ SHARD_CASES = ["shared_union", "full_vocabulary", "alias_rows", "one_example",
                "links_in_one_half", "links_in_one_half_full_vocabulary"]
 
 
-def _first_sharded_step(monkeypatch, case):
+def _first_sharded_step(monkeypatch, case, cpus=2):
     """One training step of `case` from float64 parameters, on two shard
-    threads where numpy's OpenBLAS is found. Returns the parameters before
-    the step, the step's whole batch, its log row and the summed gradients
-    that reached clipping (dense copies)."""
+    threads where numpy's OpenBLAS is found and `cpus` is 2, else on one.
+    Returns the parameters before the step, the step's whole batch, its log
+    row and the summed gradients that reached clipping (dense copies)."""
     vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
     if case.startswith("links_in_one_half"):
         # only the first context keeps its links; the others keep BIO labels
@@ -637,7 +639,7 @@ def _first_sharded_step(monkeypatch, case):
                     [MentionLabel(l.span, None, l.surface) for l in c.labels])
             for c in contexts[1:]
         ]
-    monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(M, "_usable_cpus", lambda: cpus)
     seen = {}
     orig_split, orig_clip = M.split_batch, training.clip_gradients
 
@@ -694,10 +696,125 @@ def test_sharded_step_equals_one_tape_in_float64(monkeypatch, case):
     ref = M.backward(loss, before)
     assert row.loss == pytest.approx(float(loss.data), rel=1e-14, abs=0)
     assert row.linking_acc == metrics["linking_acc"]
-    assert set(grads) == set(ref)
+    assert list(grads) == list(ref)   # params' order, in which clipping sums
     for name, g in ref.items():
         want = g.dense() if isinstance(g, RowGrad) else g
         np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-16, err_msg=name)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("case", ["shared_union", "alias_rows", "full_vocabulary"])
+def test_step_table_gradient_is_the_sum_of_the_shards_own(monkeypatch, case, cpus):
+    """The one ent_emb gradient a step hands to clipping has the bytes of
+    add_grads of the two shards' own gradients, each shard scoring rows it
+    gathered itself: shared candidates, alias lists with a bias and the
+    full vocabulary, on two shard threads and on one."""
+    before, batch, cut, _, grads = _first_sharded_step(monkeypatch, case, cpus)
+    own = []
+    for shard in M.split_batch(batch, cut):
+        assert len(shard.ment_ex) > 0
+        own.append(M.backward(M.total_loss(before, shard)[0], before)["ent_emb"])
+    want = ad.add_grads(*own)
+    assert isinstance(want, RowGrad) == (case != "full_vocabulary")
+    want = want.dense() if isinstance(want, RowGrad) else want
+    assert grads["ent_emb"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_pretrain_step_holds_one_union_sized_buffer(monkeypatch, cpus):
+    """From the batch's split to clipping, a pretrain step's traced memory
+    peaks less than 1.5 union-sized buffers above where it started: the
+    batch's entity rows are gathered once and take both shards' table
+    gradient, whose sum needs no second buffer. The second of two steps is
+    measured, so no first call's lazy imports count."""
+    vocab, contexts, phrase, pages = make_world(n_entities=6000, n_contexts=16, seed=0)
+    mcfg = ModelConfig(vocab_size=len(vocab), n_entities=6000,
+                       **{**SMALL_MODEL, "d_entity": 256})
+    ccfg = CandidateConfig(k=1024, max_page=2, max_phrase=2, min_random=2, rng_seed=5)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=8, log_interval=1, rng_seed=3)
+    monkeypatch.setattr(M, "_usable_cpus", lambda: cpus)
+    seen = {}
+    orig_split, orig_clip = M.split_batch, training.clip_gradients
+
+    def split_batch(batch, cut):
+        seen["rows"] = len(batch.cand_rows)
+        tracemalloc.reset_peak()
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        return orig_split(batch, cut)
+
+    def clip_gradients(grads, clip_norm):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return orig_clip(grads, clip_norm)
+
+    monkeypatch.setattr(M, "split_batch", split_batch)
+    monkeypatch.setattr(training, "clip_gradients", clip_gradients)
+    tracemalloc.start()
+    try:
+        pretrain(contexts, vocab, 6000, mcfg, tcfg, ccfg, NoiseConfig(rng_seed=11), pages, phrase)
+    finally:
+        tracemalloc.stop()
+    buffer = seen["rows"] * mcfg.d_entity * np.dtype(M.DTYPE).itemsize
+    # a buffer of over 4 MB: the step's other arrays, such as a block of the
+    # table gradient (1 MB at most), are far smaller
+    assert seen["rows"] > 4000
+    assert seen["peak"] - seen["start"] < 1.5 * buffer, (seen["peak"] - seen["start"]) / buffer
+
+
+class ShardFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_shard_backward_raises_its_own_error(monkeypatch, failing):
+    """On two shard threads, a shard whose backward raises before it
+    reaches the shards' meeting makes the step raise that error: the
+    other shard, waiting there, is released, and nothing hangs."""
+    if threads._openblas_controls() is None:
+        pytest.skip("numpy's OpenBLAS is not found, so the shards share one thread")
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    monkeypatch.setattr(M, "_usable_cpus", lambda: 2)
+    orig = M.backward
+    caller = []
+
+    def backward(loss, params):
+        # shard 0 runs on the thread that called pretrain, shard 1 on the worker
+        if (threading.get_ident() == caller[0]) == (failing == 0):
+            raise ShardFailure(f"shard {failing}")
+        return orig(loss, params)
+
+    monkeypatch.setattr(M, "backward", backward)
+    raised = []
+
+    def run():
+        caller.append(threading.get_ident())
+        tcfg = TrainConfig(base_lr=1e-3, total_steps=2, batch_size=4, log_interval=1, rng_seed=3)
+        try:
+            pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
+        except BaseException as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the step hung"
+    assert len(raised) == 1 and isinstance(raised[0], ShardFailure)
+    assert str(raised[0]) == f"shard {failing}"
+
+
+def test_step_checks_the_one_table_gradient_for_finiteness(monkeypatch):
+    """A non-finite value in the gradient the shards write into their one
+    table buffer stops the step with GradientError naming ent_emb."""
+    vocab, contexts, phrase, pages, mcfg, ccfg, ncfg = small_setup()
+    orig = ad.TableRows._write
+
+    def write(self, parts, share, writers):
+        orig(self, parts, share, writers)
+        self._buf[-1, -1] = np.nan
+
+    monkeypatch.setattr(ad.TableRows, "_write", write)
+    tcfg = TrainConfig(base_lr=1e-3, total_steps=1, batch_size=4, log_interval=1, rng_seed=3)
+    with pytest.raises(M.GradientError, match="'ent_emb'"):
+        pretrain(contexts, vocab, 20, mcfg, tcfg, ccfg, ncfg, pages, phrase)
 
 
 @pytest.mark.parametrize("run", ["pretrain", "finetune"])
