@@ -87,41 +87,32 @@ def run_disambiguation(
     entity_vocab: EntityVocab,
     alias_table: AliasTable | None = None,
 ) -> DisambigResult:
-    """Predict entities for every labeled gold span in the dataset.
-
-    With an alias table, each mention's candidates are the lookup of its
-    surface (an empty lookup can never be correct and counts as wrong);
-    without one, the model ranks the full entity vocabulary.
-    """
-    preds: list[int | None] = []
-    golds: list[int] = []
-    errors: list[ErrorRecord] = []
-    n_no_candidates = 0
-    for ctx in contexts:
-        labeled = [l for l in ctx.labels if l.entity is not None]
-        if not labeled:
-            continue
-        cand_lists = None
-        if alias_table is not None:
-            cand_lists = [alias_table.lookup(l.surface or "") for l in labeled]
-        ranked = rank_entities(params, ctx.tokens, [l.span for l in labeled], cand_lists, top_k=2)
-        for l, top in zip(labeled, ranked):
-            golds.append(l.entity)
-            preds.append(top[0][0] if top else None)
-            n_no_candidates += not top
-            if preds[-1] != l.entity:
-                errors.append(
-                    ErrorRecord(
-                        surface=l.surface or "",
-                        gold=entity_vocab.ids[l.entity],
-                        top=[(entity_vocab.ids[e], s) for e, s in top],
-                    )
-                )
-    accuracy = disambiguation_accuracy(preds, golds)
+    """Predict entities for every labeled gold span in the dataset, ranking
+    them all in one rank_entities call: each against the alias lookup of its
+    surface (an empty lookup can never be correct and counts as wrong), or,
+    without an alias table, against the full entity vocabulary."""
+    labeled = [(ctx, [l for l in ctx.labels if l.entity is not None]) for ctx in contexts]
+    mentions = [l for _, ls in labeled for l in ls]
+    cand_lists = None
+    if alias_table is not None:
+        cand_lists = [alias_table.lookup(l.surface or "") for l in mentions]
+    inputs = [(ctx.tokens, [l.span for l in ls]) for ctx, ls in labeled]
+    ranked = rank_entities(params, inputs, cand_lists, top_k=2)
+    preds = [top[0][0] if top else None for top in ranked]
+    errors = [
+        ErrorRecord(
+            surface=l.surface or "",
+            gold=entity_vocab.ids[l.entity],
+            top=[(entity_vocab.ids[e], s) for e, s in top],
+        )
+        for l, top, pred in zip(mentions, ranked, preds)
+        if pred != l.entity
+    ]
+    accuracy = disambiguation_accuracy(preds, [l.entity for l in mentions])
     return DisambigResult(
         accuracy=accuracy,
-        n_mentions=len(golds),
-        n_no_candidates=n_no_candidates,
+        n_mentions=len(mentions),
+        n_no_candidates=sum(not top for top in ranked),
         errors=errors,
     )
 

@@ -275,19 +275,50 @@ def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def score_and_prob(params: ModelParams, svec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each span vector's best entity over the full table, ties to the
-    lowest index, and that entity's softmax probability 1 / sum exp(s -
-    s_best).
+# Inference scores span vectors in row blocks of about this many scores (32 MB
+# of float32), so its score matrix stays bounded however many spans it scores.
+SCORE_BLOCK_VALUES = 1 << 23
 
-    The exponentials are taken in place on the score matrix, so no
-    probability array is built; they stay finite for scores up to +-1e4.
-    """
-    scores = svec @ params["ent_emb"].data.T
-    best = scores.argmax(axis=-1)
-    scores -= scores[np.arange(len(scores)), best][:, None]
-    np.exp(scores, out=scores)
-    return best, 1.0 / scores.sum(axis=-1)
+
+def score_and_prob(
+    params: ModelParams,
+    svec: np.ndarray,
+    candidates: list | None = None,
+    top_k: int = 1,
+    with_prob: bool = False,
+) -> tuple[list[list[tuple[int, float]]], np.ndarray | None]:
+    """Inference's one product with the entity table: each span vector's
+    top_k (entity, score) pairs, best first, as _top_k ranks them (exact ties
+    to the lowest entity id, NaN scores last), and, with_prob, its best
+    entity's softmax probability 1 / sum exp(s - s_best), taken in place on
+    its scores (finite for scores up to +-1e4; NaN where nothing ranks).
+
+    Rows are scored in blocks of SCORE_BLOCK_VALUES // n_entities (at least
+    one), against the full table or, given one entity-id list per row, the
+    sorted union of the block's lists, whose columns each row then takes."""
+    if candidates is not None and len(candidates) != len(svec):
+        raise ValueError(f"{len(candidates)} candidate lists for {len(svec)} span vectors")
+    emb = params["ent_emb"].data
+    step = max(1, SCORE_BLOCK_VALUES // len(emb))
+    ranked: list[list[tuple[int, float]]] = []
+    sums = np.full(len(svec), np.nan, np.result_type(svec, emb)) if with_prob else None
+    for lo in range(0, len(svec), step):
+        union = own = None
+        if candidates is not None:
+            own = [np.sort(np.asarray(c, dtype=np.int64)) for c in candidates[lo : lo + step]]
+            union = np.unique(np.concatenate(own))
+        scores = svec[lo : lo + step] @ (emb if union is None else emb[union]).T
+        for i, row in enumerate(scores):
+            if own is not None:
+                row = row[np.searchsorted(union, own[i])]
+            top = _top_k(row, top_k)
+            ents = top if own is None else own[i][top]
+            ranked.append([(int(e), float(row[j])) for e, j in zip(ents, top)])
+            if sums is not None and top.size:
+                row -= row[top[0]]
+                np.exp(row, out=row)
+                sums[lo + i] = row.sum()
+    return ranked, None if sums is None else 1.0 / sums
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +564,7 @@ def backward(loss: Tensor, params: ModelParams) -> dict[str, np.ndarray | ad.Row
 
 def gradients(params: ModelParams) -> dict[str, np.ndarray | ad.RowGrad]:
     """Each group's gradient as backward() reports it, from the leaves'
-    .grad: an empty RowGrad where none arrived, and GradientError where one
-    is not finite."""
+    .grad: an empty RowGrad where none arrived (clipping checks finiteness)."""
     grads: dict[str, np.ndarray | ad.RowGrad] = {}
     for name, t in params.items():
         g = t.grad
@@ -542,8 +572,6 @@ def gradients(params: ModelParams) -> dict[str, np.ndarray | ad.RowGrad]:
             shape = t.data.shape
             empty = np.empty((0,) + shape[1:], t.data.dtype)
             g = ad.RowGrad.of_rows(np.empty(0, np.int64), empty, shape)
-        if not np.isfinite(ad.grad_values(g)).all():
-            raise GradientError(f"non-finite gradient in parameter group {name!r}")
         grads[name] = g
     return grads
 
@@ -609,7 +637,8 @@ def _top_k(row: np.ndarray, k: int) -> np.ndarray:
     neg = -row
     if k >= neg.size:
         return np.argsort(neg, kind="stable")[:k]
-    kth = np.partition(neg, k - 1)[k - 1]
+    # the k-th smallest as partition finds it, NaNs last; for k = 1, fmin skips NaNs
+    kth = np.fmin.reduce(neg) if k == 1 else np.partition(neg, k - 1)[k - 1]
     # ~(neg > kth), not neg <= kth: NaN scores stay in and sort last, as
     # the full sort places them
     keep = np.flatnonzero(~(neg > kth))
@@ -617,46 +646,24 @@ def _top_k(row: np.ndarray, k: int) -> np.ndarray:
 
 
 def rank_entities(
-    params: ModelParams,
-    tokens,
-    spans: list[tuple[int, int]],
-    candidates: list | None = None,
-    top_k: int = 2,
+    params: ModelParams, inputs: list[tuple], candidates: list | None = None, top_k: int = 2
 ) -> list[list[tuple[int, float]]]:
-    """Per span, the top_k (entity, score) pairs, best first.
-
-    candidates is a per-span list of entity-index lists, or None to rank
-    the full vocabulary; a span with an empty list gets []. All spans are
-    scored in one call, against the full table or against the sorted union
-    of their lists, whose columns each span then takes. Ties are broken
-    toward the lowest entity index.
-    """
-    if not spans:
+    """The top_k (entity, score) pairs, best first, of every span of every
+    (tokens, spans) input, in input order. Each input is encoded on its own,
+    unpadded, and all their span vectors are ranked in one score_and_prob
+    call: over the full vocabulary, or each over its own entity-id list in
+    candidates (one per span, in the same order)."""
+    svecs = [_span_vectors(params, encode(params, t), spans) for t, spans in inputs if spans]
+    if not svecs:
         return []
-    union = own = None
-    if candidates is not None:
-        own = [np.sort(np.asarray(c, dtype=np.int64)) for c in candidates]
-        union = np.unique(np.concatenate(own))
-        if union.size == 0:
-            return [[] for _ in spans]
-    svec = _span_vectors(params, encode(params, tokens), spans)
-    emb = params["ent_emb"].data
-    scores = svec @ (emb if union is None else emb[union]).T
-    out = []
-    for i, row in enumerate(scores):
-        if own is not None:
-            row = row[np.searchsorted(union, own[i])]
-        top = _top_k(row, top_k)
-        ents = top if own is None else own[i][top]
-        out.append([(int(e), float(row[j])) for e, j in zip(ents, top)])
-    return out
+    return score_and_prob(params, np.concatenate(svecs), candidates, top_k)[0]
 
 
 def predict_end_to_end(
     params: ModelParams, tokens, starts: range | None = None
 ) -> list[tuple[tuple[int, int], int, float]]:
     """Detect mention spans with the BIO head, then disambiguate every span
-    over all entities in one scoring call. Returns (span, entity,
+    over all entities in one score_and_prob call. Returns (span, entity,
     probability) triples; ties go to the lowest entity index. Given starts,
     only the spans that start in it are scored and returned."""
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -669,8 +676,8 @@ def predict_end_to_end(
         spans = [span for span in spans if span[0] in starts]
     if not spans:
         return []
-    best, prob = score_and_prob(params, _span_vectors(params, H, spans))
-    return [(span, int(b), float(p)) for span, b, p in zip(spans, best, prob)]
+    ranked, prob = score_and_prob(params, _span_vectors(params, H, spans), with_prob=True)
+    return [(span, top[0][0], float(p)) for span, top, p in zip(spans, ranked, prob)]
 
 
 # ---------------------------------------------------------------------------

@@ -179,17 +179,19 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 def clip_gradients(grads: dict[str, Grad], clip_norm: float) -> dict[str, Grad]:
     """Scale all gradients so the global L2 norm is at most clip_norm.
 
-    A RowGrad contributes and is scaled through its stored rows only.
+    A RowGrad contributes and is scaled through its stored rows only. A
+    group whose sum of squares is not finite raises GradientError naming it.
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     sq = 0.0
-    for g in grads.values():
+    for name, g in grads.items():
         flat = grad_values(g).reshape(-1)
-        sq += float(flat @ flat)
+        group = float(flat @ flat)
+        if not math.isfinite(group):
+            raise M.GradientError(f"non-finite gradient in parameter group {name!r}")
+        sq += group
     norm = math.sqrt(sq)  # a Python float: scaling by it runs in each gradient's dtype
-    if not math.isfinite(norm):
-        raise ValueError("non-finite gradient norm")
     if norm > clip_norm:
         scale = clip_norm / norm
         for g in grads.values():

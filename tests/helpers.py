@@ -77,7 +77,7 @@ def make_world(n_entities=200, n_contexts=50, seed=0, ctx_len=12, mentions_per_c
 
 def top1(params, tokens, spans, candidates=None) -> list[int]:
     """Each span's best entity: rank_entities with top_k=1."""
-    return [ranked[0][0] for ranked in rank_entities(params, tokens, spans, candidates, top_k=1)]
+    return [ranked[0][0] for ranked in rank_entities(params, [(tokens, spans)], candidates, top_k=1)]
 
 
 def all_entity_accuracy(params, contexts) -> float:

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_micro_f1
+from helpers import as_float64, oracle_micro_f1
 
+from elink import evaluation as ev
+from elink import model
+from elink.aliastable import AliasTable
+from elink.corpus import Context, EntityVocab, MentionLabel
 from elink.evaluation import (
     ErrorRecord,
     disambiguation_accuracy,
     strong_matching_micro_f1,
     write_error_dump,
 )
+from elink.model import ModelConfig, ModelParams, encode, span_repr
 
 
 # ---------------------------------------------------------------------------
@@ -146,3 +151,69 @@ def test_error_dump_keeps_a_surface_with_tabs_and_newlines_in_one_cell(tmp_path)
         ["surface", "gold", "pred1", "score1", "pred2", "score2"],
         ["New York City", "E1", "E2", "1.500000", "E1", "0.250000"],
     ]
+
+
+# ---------------------------------------------------------------------------
+# run_disambiguation
+# ---------------------------------------------------------------------------
+
+
+def _disambig_oracle(params, contexts, vocab, table):
+    """The report and error records of brute-force per-mention scoring: a
+    labeled mention's context encoded on its own, its span vector scored in
+    Python against every entity or its alias lookup, sorted by (-score, id)."""
+    ent = params["ent_emb"].data
+    golds, preds, errors, n_none = [], [], [], 0
+    for ctx in contexts:
+        H = encode(params, np.asarray(ctx.tokens))
+        for l in (l for l in ctx.labels if l.entity is not None):
+            sv = span_repr(params, H, [0], [l.span[0]], [l.span[1]]).data[0]
+            ids = range(len(ent)) if table is None else table.lookup(l.surface)
+            pairs = [(int(c), float(sv @ ent[c])) for c in ids]
+            top = sorted(pairs, key=lambda p: (-p[1], p[0]))[:2]
+            golds.append(l.entity)
+            preds.append(top[0][0] if top else None)
+            n_none += not top
+            if preds[-1] != l.entity:
+                errors.append((l.surface, vocab.ids[l.entity], [(vocab.ids[e], s) for e, s in top]))
+    accuracy = 100.0 * sum(p == g for p, g in zip(preds, golds)) / len(golds)
+    return {"accuracy": accuracy, "n_mentions": len(golds), "n_no_candidates": n_none}, errors
+
+
+@pytest.mark.parametrize("mode", ["all", "alias"])
+def test_run_disambiguation_equals_per_mention_scoring(monkeypatch, mode):
+    """Five contexts (one with no linked mention, one mention without
+    candidates), ranked in one rank_entities call at three rows a block,
+    give the report and error records of scoring each mention alone."""
+    cfg = ModelConfig(vocab_size=50, n_entities=20, d_model=8, n_layers=2, n_heads=2,
+                      d_ff=16, d_entity=8, max_len=16)
+    params = as_float64(ModelParams.initialize(cfg, seed=9, init_std=0.5))
+    vocab = EntityVocab([f"E{i}" for i in range(cfg.n_entities)])
+    table = AliasTable({"alpha": [3, 17, 8], "beta": [12], "gamma": [19, 0, 5, 11], "delta": [4, 6]})
+    labels = [
+        [((0, 1), 17, "alpha"), ((3, 3), 12, "beta"), ((5, 8), 6, "delta"), ((10, 10), 2, "alpha")],
+        [((1, 2), None, "gamma")],
+        [((0, 0), 5, "gamma"), ((2, 4), 9, "nowhere"), ((6, 6), None, "beta"), ((7, 8), 11, "gamma")],
+        [((4, 5), 3, "alpha"), ((9, 13), 4, "delta")],
+        [((0, 4), 12, "beta")],
+    ]
+    rng = np.random.default_rng(40)
+    contexts = []
+    for n, ls in zip((12, 6, 9, 14, 5), labels):
+        contexts.append(Context(tokens=rng.integers(4, cfg.vocab_size, size=n).tolist(),
+                                char_offsets=[(i, i + 1) for i in range(n)], doc_id="d",
+                                labels=[MentionLabel(*label) for label in ls]))
+    calls = []
+    rank = ev.rank_entities
+    monkeypatch.setattr(ev, "rank_entities", lambda *a, **k: calls.append(1) or rank(*a, **k))
+    monkeypatch.setattr(model, "SCORE_BLOCK_VALUES", 3 * cfg.n_entities)
+    table = table if mode == "alias" else None
+    result = ev.run_disambiguation(params, contexts, vocab, table)
+    report, errors = _disambig_oracle(params, contexts, vocab, table)
+    assert len(calls) == 1
+    assert result.report() == report
+    assert report["n_no_candidates"] == (mode == "alias") and errors
+    assert [(e.surface, e.gold, [i for i, _ in e.top]) for e in result.errors] == \
+        [(surface, gold, [i for i, _ in top]) for surface, gold, top in errors]
+    for got, (_, _, top) in zip(result.errors, errors):
+        assert [s for _, s in got.top] == pytest.approx([s for _, s in top], rel=1e-12, abs=1e-12)

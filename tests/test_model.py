@@ -52,6 +52,7 @@ from elink.model import (
     _trunc_normal,
 )
 from elink.seeding import derive_rng
+from elink.training import clip_gradients
 
 TINY = ModelConfig(vocab_size=50, n_entities=20, d_model=8, n_layers=2,
                    n_heads=2, d_ff=16, d_entity=8, max_len=16)
@@ -251,10 +252,17 @@ def _softmax64(scores) -> np.ndarray:
     return e / e.sum()
 
 
+def _best_and_prob(params, svec, candidates=None):
+    """score_and_prob's best entity (None for an empty list) and its
+    probability, per span vector."""
+    ranked, prob = score_and_prob(params, svec, candidates, with_prob=True)
+    return [r[0][0] if r else None for r in ranked], prob
+
+
 def test_equal_scores_uniform_probabilities(params):
     params["ent_emb"].data[:] = 0.0
-    best, prob = score_and_prob(params, np.ones((2, TINY.d_entity), np.float32))
-    assert best.tolist() == [0, 0]  # a tie goes to the lowest entity index
+    best, prob = _best_and_prob(params, np.ones((2, TINY.d_entity), np.float32))
+    assert best == [0, 0]  # a tie goes to the lowest entity index
     assert np.allclose(prob, 1 / TINY.n_entities)
 
 
@@ -264,15 +272,15 @@ def test_analytic_softmax_ln2(params64):
     params64["ent_emb"].data[5, 0] = math.log(2.0)
     sv = np.zeros((1, TINY.d_entity))
     sv[0, 0] = 1.0
-    best, prob = score_and_prob(params64, sv)
-    assert best.tolist() == [5]
+    best, prob = _best_and_prob(params64, sv)
+    assert best == [5]
     assert prob[0] == pytest.approx(2.0 / (TINY.n_entities + 1), rel=1e-12)
 
 
 def test_winner_probability_is_its_full_softmax_entry(params):
     rng = np.random.default_rng(4)
     sv = (rng.normal(size=(20, TINY.d_entity)) * rng.uniform(0.1, 5, size=(20, 1))).astype(np.float32)
-    best, prob = score_and_prob(params, sv)
+    best, prob = _best_and_prob(params, sv)
     for row, b, p in zip(sv @ params["ent_emb"].data.T, best, prob):
         assert b == int(np.argmax(row))
         assert p == pytest.approx(_softmax64(row)[b], rel=1e-5)
@@ -283,8 +291,8 @@ def test_softmax_stable_at_extreme_scores(params):
     params["ent_emb"].data[:3, 0] = [1e4, -1e4, 1e4 - 1.0]
     sv = np.zeros((2, TINY.d_entity), np.float32)
     sv[:, 0] = [1.0, -1.0]  # scores (1e4, -1e4, 1e4 - 1, 0...) and their negation
-    best, prob = score_and_prob(params, sv)
-    assert best.tolist() == [0, 1]
+    best, prob = _best_and_prob(params, sv)
+    assert best == [0, 1]
     assert np.isfinite(prob).all()
     assert prob[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-6)
     assert prob[1] == 1.0
@@ -566,8 +574,9 @@ def test_backward_flags_nonfinite_gradients(params):
     params["span_w2"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         loss, _ = total_loss(params, batch, 1.0, 0.0)
+        grads = backward(loss, params)
         with pytest.raises(GradientError, match="parameter group"):
-            backward(loss, params)
+            clip_gradients(grads, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +693,7 @@ def test_constant_score_shift_leaves_argmax(params):
 def test_rank_entities_orders_by_score(params):
     rng = np.random.default_rng(22)
     ctx = make_context(rng)
-    (top,) = rank_entities(params, ctx.tokens, [(1, 2)], [[3, 8, 15]], top_k=3)
+    (top,) = rank_entities(params, [(ctx.tokens, [(1, 2)])], [[3, 8, 15]], top_k=3)
     scores = [s for _, s in top]
     assert scores == sorted(scores, reverse=True)
 
@@ -698,12 +707,14 @@ def _span_vectors(params, tokens, spans=SPANS):
                      [e for _, e in spans]).data
 
 
-def _oracle_ranking(params, tokens, spans, candidates, top_k):
-    """Each span scored on its own and sorted by (-score, id) in Python."""
-    sv = _span_vectors(params, tokens, spans)
+def _oracle_ranking(params, tokens, spans, candidates, top_k, sv=None):
+    """Each span scored on its own and sorted by (-score, id) in Python;
+    given sv, those span vectors are scored instead of the spans'."""
+    if sv is None:
+        sv = _span_vectors(params, tokens, spans)
     ent = params["ent_emb"].data
     out = []
-    for i in range(len(spans)):
+    for i in range(len(sv)):
         ids = range(len(ent)) if candidates is None else candidates[i]
         pairs = [(int(c), float(sv[i] @ ent[c])) for c in ids]
         out.append(sorted(pairs, key=lambda p: (-p[1], p[0]))[:top_k])
@@ -734,7 +745,7 @@ def _plant_tie(params, tokens, span_index, tied, lower, scale=1.0):
 def test_rank_entities_matches_oracle_on_ragged_unordered_lists(params64):
     ctx = make_context(np.random.default_rng(26))
     cands = [[15, 3, 8], [19, 2, 11, 0, 5], [7], [18, 4, 12, 3], [6, 1, 19, 14, 9, 10]]
-    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=3)
+    got = rank_entities(params64, [(ctx.tokens, SPANS)], cands, top_k=3)
     _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 3))
 
 
@@ -742,7 +753,7 @@ def test_rank_entities_breaks_a_three_way_tie_at_top_k_toward_lowest_ids(params6
     ctx = make_context(np.random.default_rng(27))
     score = _plant_tie(params64, ctx.tokens, 2, tied=[13, 4, 9], lower=[2, 16])
     cands = [[5, 1], [17, 0, 3], [16, 13, 2, 9, 4], [11, 6, 18], [13, 9, 4]]
-    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=2)
+    got = rank_entities(params64, [(ctx.tokens, SPANS)], cands, top_k=2)
     assert got[2] == [(4, score), (9, score)]
     _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 2))
 
@@ -750,7 +761,7 @@ def test_rank_entities_breaks_a_three_way_tie_at_top_k_toward_lowest_ids(params6
 def test_rank_entities_top_k_past_a_list_returns_only_that_list(params64):
     ctx = make_context(np.random.default_rng(28))
     cands = [[15, 3, 8], [19, 2], [7], [18, 4, 12, 3], [6, 1]]
-    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=4)
+    got = rank_entities(params64, [(ctx.tokens, SPANS)], cands, top_k=4)
     assert [sorted(e for e, _ in r) for r in got] == [sorted(c) for c in cands]
     _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 4))
 
@@ -758,23 +769,104 @@ def test_rank_entities_top_k_past_a_list_returns_only_that_list(params64):
 def test_rank_entities_empty_list_ranks_nothing(params64):
     ctx = make_context(np.random.default_rng(29))
     cands = [[15, 3, 8], [], [7, 2], [], [6, 1]]
-    got = rank_entities(params64, ctx.tokens, SPANS, cands, top_k=2)
+    got = rank_entities(params64, [(ctx.tokens, SPANS)], cands, top_k=2)
     assert got[1] == [] and got[3] == []
     _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, cands, 2))
-    assert rank_entities(params64, ctx.tokens, SPANS[:2], [[], []]) == [[], []]
+    assert rank_entities(params64, [(ctx.tokens, SPANS[:2])], [[], []]) == [[], []]
 
 
 def test_rank_entities_full_vocabulary_matches_oracle(params64):
     ctx = make_context(np.random.default_rng(30))
     score = _plant_tie(params64, ctx.tokens, 1, tied=[17, 6, 11], lower=[0], scale=100.0)
-    got = rank_entities(params64, ctx.tokens, SPANS, None, top_k=2)
+    got = rank_entities(params64, [(ctx.tokens, SPANS)], None, top_k=2)
     assert got[1] == [(6, score), (11, score)]
     _assert_same_ranking(got, _oracle_ranking(params64, ctx.tokens, SPANS, None, 2))
-    everything = rank_entities(params64, ctx.tokens, SPANS, None, top_k=TINY.n_entities + 3)
+    everything = rank_entities(params64, [(ctx.tokens, SPANS)], None, top_k=TINY.n_entities + 3)
     assert all(len(r) == TINY.n_entities for r in everything)
     _assert_same_ranking(
         everything, _oracle_ranking(params64, ctx.tokens, SPANS, None, TINY.n_entities)
     )
+
+
+# 13 span vectors: ragged, unordered and empty lists, and rows 2 and 3 (a
+# block edge at three rows a block) share an exact tie among 13, 4 and 9
+BLOCK_CANDS = [[5, 1], [17, 0, 3], [16, 13, 2, 9, 4], [9, 4, 13, 11], [], [7],
+               [18, 4, 12, 3], [], [6, 1, 19, 14, 9, 10], [2, 8], [0], [19, 3, 15], []]
+
+
+def _block_edge_vectors(params):
+    """BLOCK_CANDS' span vectors, with the tie of rows 2 and 3 planted: the
+    tied rows and the lower ones are multiples of the first unit vector,
+    so every score of theirs is exact."""
+    sv = np.random.default_rng(31).normal(size=(len(BLOCK_CANDS), TINY.d_entity))
+    sv[2:4, 0] = 1.0
+    unit = np.zeros(TINY.d_entity)
+    unit[0] = 100.0
+    params["ent_emb"].data[[13, 4, 9]] = unit
+    params["ent_emb"].data[[2, 11]] = 0.5 * unit
+    return sv
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 13, 40])
+@pytest.mark.parametrize("mode", ["all", "candidates"])
+def test_score_and_prob_matches_the_oracle_at_block_edges(params64, monkeypatch, rows, mode):
+    """Every block size ranks as each span vector scored on its own does,
+    and gives each best entity its softmax probability over the entities
+    its row was scored against."""
+    monkeypatch.setattr(model, "SCORE_BLOCK_VALUES", rows * TINY.n_entities)
+    sv = _block_edge_vectors(params64)
+    cands = None if mode == "all" else BLOCK_CANDS
+    ranked, prob = score_and_prob(params64, sv, cands, top_k=3, with_prob=True)
+    assert ranked[2][:2] == ranked[3][:2] == [(4, 100.0), (9, 100.0)]
+    _assert_same_ranking(ranked, _oracle_ranking(params64, None, None, cands, 3, sv))
+    ent = params64["ent_emb"].data
+    for i, (top, p) in enumerate(zip(ranked, prob)):
+        ids = range(TINY.n_entities) if cands is None else sorted(cands[i])
+        if not ids:
+            assert top == [] and np.isnan(p)
+            continue
+        soft = _softmax64([sv[i] @ ent[c] for c in ids])
+        assert p == pytest.approx(soft[list(ids).index(top[0][0])], rel=1e-12)
+    alone, no_prob = score_and_prob(params64, sv, cands, top_k=3)
+    assert alone == ranked and no_prob is None
+
+
+def test_score_and_prob_ranks_a_nan_score_last(params):
+    """A NaN score never wins: it ranks after every number, as the head of
+    a stable sort of -score places it."""
+    params["ent_emb"].data[3, 0] = np.nan
+    sv = np.ones((2, TINY.d_entity), np.float32)
+    ranked, _ = score_and_prob(params, sv, top_k=TINY.n_entities)
+    assert all(r[-1][0] == 3 and math.isnan(r[-1][1]) for r in ranked)
+    ranked, _ = score_and_prob(params, sv, [[3, 7], [3]], top_k=2)
+    assert [e for e, _ in ranked[0]] == [7, 3] and ranked[1][0][0] == 3
+
+
+def test_score_and_prob_rejects_a_candidate_count_mismatch(params):
+    with pytest.raises(ValueError, match="2 candidate lists for 3 span vectors"):
+        score_and_prob(params, np.ones((3, TINY.d_entity), np.float32), [[1], [2]])
+
+
+def test_rank_entities_scores_several_inputs_across_blocks(params64, monkeypatch):
+    """Inputs of different lengths, one with no spans, ranked in one call
+    with three rows a block: each span ranks as it does on its own."""
+    monkeypatch.setattr(model, "SCORE_BLOCK_VALUES", 3 * TINY.n_entities)
+    rng = np.random.default_rng(32)
+    contexts = [make_context(rng, n_tokens=n) for n in (10, 4, 7, 12)]
+    spans = [SPANS, [(0, 3), (1, 1)], [], [(2, 5), (6, 6), (9, 11), (0, 0)]]
+    inputs = [(c.tokens, s) for c, s in zip(contexts, spans)]
+    cands = BLOCK_CANDS[:11]
+    for mode in (None, cands):
+        got = rank_entities(params64, inputs, mode, top_k=2)
+        want, at = [], 0
+        for c, s in zip(contexts, spans):
+            if s:
+                own = None if mode is None else mode[at : at + len(s)]
+                want += _oracle_ranking(params64, c.tokens, s, own, 2)
+                at += len(s)
+        assert len(got) == 11
+        _assert_same_ranking(got, want)
+    assert rank_entities(params64, [(contexts[0].tokens, [])]) == []
 
 
 @given(
@@ -788,6 +880,7 @@ def test_top_k_is_the_head_of_a_stable_sort(values, k):
     rank as the first k of a stable sort of -score."""
     row = np.array(values)
     assert _top_k(row, k).tolist() == np.argsort(-row, kind="stable")[:k].tolist()
+    assert _top_k(row, 1).tolist() == np.argsort(-row, kind="stable")[:1].tolist()
 
 
 def test_end_to_end_empty_when_all_outside(params):

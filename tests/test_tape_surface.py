@@ -69,7 +69,7 @@ def test_package_reaches_every_autodiff_op():
             finetune(params, contexts, vocab, replace(tcfg, softmax_mode=mode), table)
         ctx = contexts[0]
         spans = [l.span for l in ctx.labels]
-        rank_entities(params, ctx.tokens, spans, [[0, 1]] * len(spans))
+        rank_entities(params, [(ctx.tokens, spans)], [[0, 1]] * len(spans))
         predict_end_to_end(params, np.asarray(ctx.tokens))
     finally:
         sys.setprofile(None)

@@ -99,6 +99,21 @@ def test_clip_rejects_nonfinite():
         clip_gradients({"a": np.array([np.nan])}, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["dense", "rows"])
+def test_clip_names_the_nonfinite_group(bad, kind):
+    """A NaN, +inf or -inf in a dense group or in a RowGrad's stored rows
+    raises GradientError naming that group, before any group is scaled."""
+    values = np.full((2, 3), 4.0, np.float32)
+    values[1, 2] = bad
+    bad_grad = values if kind == "dense" else RowGrad.of_rows(np.array([1, 4]), values, (6, 3))
+    first = np.full(5, 9.0, np.float32)
+    grads = {"first": first, "bad": bad_grad, "last": np.ones(2, np.float32)}
+    with pytest.raises(M.GradientError, match="non-finite gradient in parameter group 'bad'"):
+        clip_gradients(grads, 1.0)
+    assert (first == 9.0).all()
+
+
 def test_clip_scales_rowgrad_values_like_dense():
     rng = np.random.default_rng(5)
     rows = RowGrad(np.array([3, 0, 3]), rng.normal(size=(3, 2)) * 4, (6, 2))
