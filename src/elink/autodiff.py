@@ -21,14 +21,18 @@ gradient as soon as its rule has consumed it, and after the sweep strips
 every interior node of its backward rule and parents, so a step's
 activations die with its backward rather than with the next step's
 forward. Leaves keep their gradients; a second backward() through the
-spent graph raises. Four nodes keep less than that: `table_softmax_nll`
-drops its (N, K) score matrix as soon as its table gradient is written,
-not at the end of the sweep; `gelu` keeps only its input and recomputes the
-rest in its backward; `attention` keeps its softmax's row maxima and row
-sums, not its probabilities, and rebuilds them in its backward; and
-`residual_layer_norm` keeps its normalised rows and row scales, not its
-projection or residual sum. Each recomputation repeats the forward's ops in
-the forward's order, so it gets the forward's bytes.
+spent graph raises. Four nodes keep less than their intermediates:
+- `table_softmax_nll` drops its (N, K) score matrix as soon as its table
+  gradient is written, not at the end of the sweep;
+- `gelu` keeps only its input and recomputes its tanh in its backward;
+- `attention_sublayer` keeps its input, its layer norm's normalised rows
+  and row scales, and its softmax's row maxima and row sums; its backward
+  recomputes q, k, v, the probabilities and the attention output;
+- `feed_forward_sublayer` keeps its input and its layer norm's normalised
+  rows and row scales; its backward recomputes the first projection and
+  its GELU.
+Each recomputation repeats the forward's ops in the forward's order, so it
+gets the forward's bytes.
 
 Gradients are dense arrays shaped like their tensor, except that a row
 gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
@@ -41,23 +45,29 @@ training does with the gradients of a batch's two shards; the table rows
 that both shards score are one `TableRows`, gathered once per step, whose
 buffer takes both shards' table gradient, so that one needs no sum.
 
-The model's dense layers (`linear`), multi-head attention (`attention`),
-activation (`gelu`), output projection with residual sum and normalisation
-(`residual_layer_norm`) and softmax losses
-(`softmax_nll`, the weighted sum of per-row NLLs, and `table_softmax_nll`
-for span vectors scored against entity-table rows, with an optional
-per-row score bias that masks columns out of a row's softmax) are fused:
-each is one tape node with a hand-written backward, so a training step
-records and walks few full-size temporaries.
+The model's dense layers (`linear`), its encoder sublayers
+(`attention_sublayer` and `feed_forward_sublayer`, each a post-LN
+sublayer from its input to its layer norm's output), its activation
+(`gelu`, in the span head) and its softmax losses (`softmax_nll`, the
+weighted sum of per-row NLLs, and `table_softmax_nll` for span vectors
+scored against entity-table rows, with an optional per-row score bias that
+masks columns out of a row's softmax) are fused: each is one tape node with
+a hand-written backward, so a training step records and walks few
+full-size temporaries. Each sublayer sums its input's gradients in the
+order of the unfused chain of `linear`, attention or `gelu`, a residual
+add and a layer norm (the residual's first, then each input projection's),
+so it gives that chain's bytes.
 Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
-- `residual_layer_norm` takes its row means and variances, forward and
-  backward, as GEMVs against a 1/n column, and `attention` its softmax row
-  sums as a GEMV against a ones column;
-- `attention` scales the queries, not the T x T scores, and its softmax
-  backward takes each query's sum(dP * P) as the dot of its output gradient
-  with its own output (FlashAttention, Dao et al., arXiv 2205.14135).
+- the sublayers take their layer norm's row means and variances, forward
+  and backward, as GEMVs against a 1/n column, and the softmax row sums as
+  a GEMV against a ones column;
+- `attention_sublayer` takes each softmax row's max as the entry at its
+  argmax, scales the queries, not the T x T scores, and its softmax
+  backward takes each query's sum(dP * P) as the dot of its output
+  gradient with its own attention output (FlashAttention, Dao et al.,
+  arXiv 2205.14135).
 """
 
 import math
@@ -68,6 +78,7 @@ import numpy as np
 # Python floats, not np.float64: a numpy scalar would upcast float32 arrays.
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_LN_EPS = 1e-5
 # values in the blocks of the table gradient's GEMMs that its writers hold at
 # once (1 MB of float32): both the gathered (N, rows) score columns and the
 # (rows, d) gradient rows of a block
@@ -347,6 +358,23 @@ def take2(a: Tensor, idx0, idx1) -> Tensor:
     return out
 
 
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x2 @ w + b for (N, n) rows x2, as a new array: one GEMM, then the
+    bias added in place."""
+    y = x2 @ w.data
+    y += b.data
+    return y
+
+
+def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> np.ndarray:
+    """Accumulate the weight and bias gradients of x2 @ w + b for the output
+    gradient g2 (one GEMM and one row-sum), and return x2's gradient (one
+    GEMM)."""
+    _accum(w, x2.T @ g2)
+    _accum(b, g2.sum(axis=0))
+    return g2 @ w.data.T
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over any number of leading dims, as one 2-D GEMM.
 
@@ -355,78 +383,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    y = x2 @ w.data
-    y += b.data
+    y = _affine(x2, w, b)
     out = Tensor(y.reshape(lead + (y.shape[-1],)), _parents=(x, w, b))
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
-        _accum(w, x2.T @ g2)
-        _accum(b, g2.sum(axis=0))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (B, T, d) inputs.
-
-    key_bias (B, T) is added to every query's scores for that key (a large
-    negative value masks a padding key). Heads are split and merged inside
-    the node. The score scale is applied to the queries, and in the backward
-    to the query and key gradients, so it touches B*T*d values, not B*H*T*T
-    scores. The node keeps only the softmax's (B, H, T, 1) row maxima and
-    row sums, not the (B, H, T, T) probabilities: the backward rebuilds them
-    with the forward's ops in the forward's order, so with its bytes, and
-    skips the max and the row-sum GEMV (FlashAttention, Dao et al., arXiv
-    2205.14135).
-    """
-    B, T, d = q.data.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def heads(x: np.ndarray) -> np.ndarray:
-        return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(B, T, d)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-
-    def biased_scores() -> np.ndarray:
-        s = heads(q.data * scale) @ kh.swapaxes(-1, -2)
-        s += key_bias[:, None, None, :]
-        return s
-
-    p = biased_scores()
-    row_max = p.max(axis=-1, keepdims=True)
-    p -= row_max
-    np.exp(p, out=p)
-    row_sum = (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
-    p /= row_sum
-    ctx = merge(p @ vh)
-    out = Tensor(ctx, _parents=(q, k, v))
-
-    def bwd(g):
-        p = biased_scores()
-        p -= row_max
-        np.exp(p, out=p)
-        p /= row_sum
-        gh = heads(g)
-        _accum(v, merge(p.swapaxes(-1, -2) @ gh))
-        # softmax backward p * (gp - sum(gp * p)), where each query's
-        # sum(gp * p) = g . sum(p * v) = g . ctx, a dot over dh, not over T keys
-        dot = (gh * heads(ctx)).sum(axis=-1, keepdims=True)
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= dot
-        gs *= p
-        gq = merge(gs @ kh)
-        gq *= scale
-        _accum(q, gq)
-        gk = merge(gs.swapaxes(-1, -2) @ qh)
-        gk *= scale
-        _accum(k, gk)
+        _accum(x, _affine_backward(x2, w, b, g.reshape(-1, g.shape[-1])).reshape(x.data.shape))
 
     out._backward = bwd if out.requires_grad else None
     return out
@@ -631,6 +592,21 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's input gradient for the output gradient g, from its input x and
+    the cdf _gelu_cdf(x): cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2),
+    times g."""
+    d = x * x
+    d *= 6.0 * _GELU_C * _GELU_A
+    d += 2.0 * _GELU_C
+    d *= x
+    d *= cdf
+    d *= 1.0 - cdf
+    d += cdf
+    d *= g
+    return d
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU in its tanh form, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
     as Google's BERT code computes it. The backward is this function's
@@ -641,71 +617,170 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(x * _gelu_cdf(x), _parents=(a,))
 
     def bwd(g):
-        # cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2)
-        cdf = _gelu_cdf(x)
-        d = x * x
-        d *= 6.0 * _GELU_C * _GELU_A
-        d += 2.0 * _GELU_C
-        d *= x
-        d *= cdf
-        d *= 1.0 - cdf
-        d += cdf
-        d *= g
-        _accum(a, d)
+        _accum(a, _gelu_backward(x, _gelu_cdf(x), g))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def residual_layer_norm(
-    res: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
-) -> Tensor:
-    """Layer norm of res + h @ w + b over the last axis, then scale and
-    shift, as one node: a post-LN sublayer's output projection, residual sum
-    and normalisation.
+def _add_norm(res: np.ndarray, y: np.ndarray, gain: Tensor, bias: Tensor):
+    """Layer norm of the (N, n) rows res + y over the last axis, then scale
+    and shift. The sum is taken in y's buffer, which becomes the normalised
+    rows. Row means and variances are GEMVs against a 1/n column, and each
+    row is first shifted by its own first value: the result is the same,
+    but a float32 mean is then accurate to the row's spread rather than to
+    its offset from zero. Returns the output, the normalised rows and the
+    (N,) row scales, which are all that the backward reads."""
+    y += res
+    col = np.full(y.shape[-1], 1.0 / y.shape[-1], dtype=y.dtype)
+    y -= y[:, :1]
+    y -= (y @ col)[:, None]
+    inv = 1.0 / np.sqrt((y * y) @ col + _LN_EPS)
+    y *= inv[:, None]
+    out = y * gain.data
+    out += bias.data
+    return out, y, inv
 
-    The projection is `linear`'s GEMM and bias add, and the residual is then
-    added into the same buffer, which becomes the normalised rows; so besides
-    its inputs the node keeps only those and the row scales, not the
-    projection or the sum. Row means and variances, forward and backward,
-    are GEMVs of the (N, n) row view against a 1/n column. Each row is first
-    shifted by its own first value: the result is the same, but a float32
-    mean is then accurate to the row's spread rather than to its offset from
-    zero. The backward is layer norm's, then `linear`'s, with the residual
-    taking the same gradient as the projection.
+
+def _add_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                       gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate the gain and bias gradients of _add_norm for the (N, n)
+    output gradient g, and return the gradient of the sum res + y, which
+    both of its terms take."""
+    n = xhat.shape[-1]
+    gx = g * xhat
+    _accum(gain, gx.sum(axis=0))
+    _accum(bias, g.sum(axis=0))
+    # the two row means of dxhat = g * gain and of dxhat * xhat
+    wcol = gain.data * (1.0 / n)
+    m1 = g @ wcol
+    m2 = gx @ wcol
+    dx = g * gain.data
+    dx -= m1[:, None]
+    np.multiply(xhat, m2[:, None], out=gx)
+    dx -= gx
+    dx *= inv[:, None]
+    return dx
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (B, n_heads, T, d / n_heads) head view of a (B, T, d) array."""
+    B, T, d = x.shape
+    return x.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """The (B, T, d) array of a (B, n_heads, T, d / n_heads) head stack."""
+    B, H, T, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
+
+
+def _softmax(qh: np.ndarray, kh: np.ndarray, key_bias: np.ndarray, row_max=None, row_sum=None):
+    """The row softmax of the scores qh @ kh^T, with key_bias (B, T) added to
+    every query's scores for that key, and its (B, H, T, 1) row maxima and
+    row sums. The maxima are taken as the entries at each row's argmax,
+    which is exact; the sums are a GEMV against a ones column. Given the
+    maxima and sums of an earlier call on the same inputs, it reuses them
+    and skips both passes: the ops that remain are the same, in the same
+    order, so the probabilities have the earlier call's bytes."""
+    p = qh @ kh.swapaxes(-1, -2)
+    p += key_bias[:, None, None, :]
+    if row_max is None:
+        row_max = np.take_along_axis(p, p.argmax(axis=-1)[..., None], axis=-1)
+    p -= row_max
+    np.exp(p, out=p)
+    if row_sum is None:
+        B, H, T, _ = p.shape
+        row_sum = (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, H, T, 1)
+    p /= row_sum
+    return p, row_max, row_sum
+
+
+def attention_sublayer(
+    H: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+    wo: Tensor, bo: Tensor, gain: Tensor, bias: Tensor, key_bias: np.ndarray, n_heads: int,
+) -> Tensor:
+    """A post-LN self-attention sublayer over (B, T, d) rows H, as one node:
+    LN(H + attention(H wq + bq, H wk + bk, H wv + bv) wo + bo).
+
+    The attention is multi-head scaled dot-product attention; key_bias
+    (B, T) is added to every query's scores for that key (a large negative
+    value masks a padding key). The score scale is applied to the queries,
+    and in the backward to the query and key gradients, so it touches
+    B*T*d values, not B*H*T*T scores. The node keeps only its input, its
+    layer norm's normalised rows and row scales, and its softmax's
+    (B, H, T, 1) row maxima and row sums. Its backward runs the layer norm's
+    backward, then rebuilds q, k, v, the probabilities and the attention
+    output with the forward's ops in the forward's order, so with its bytes,
+    skipping the softmax's max and row-sum passes; each query's softmax
+    backward sum(dP * P) is the dot of its output gradient with its own
+    output (FlashAttention, Dao et al., arXiv 2205.14135). H's gradient is
+    the residual's plus q's, k's and v's input gradients, summed in that
+    order, as the unfused chain sums them.
     """
-    n = w.data.shape[-1]
-    h2 = h.data.reshape(-1, h.data.shape[-1])
-    xhat = h2 @ w.data
-    xhat += b.data
-    xhat += res.data.reshape(-1, n)
-    col = np.full(n, 1.0 / n, dtype=xhat.dtype)
-    xhat -= xhat[:, :1]
-    xhat -= (xhat @ col)[:, None]
-    inv = 1.0 / np.sqrt((xhat * xhat) @ col + eps)
-    xhat *= inv[:, None]
-    y = xhat * gain.data
-    y += bias.data
-    out = Tensor(y.reshape(res.data.shape), _parents=(res, h, w, b, gain, bias))
+    B, T, d = H.data.shape
+    x = H.data.reshape(-1, d)
+    scale = 1.0 / math.sqrt(d // n_heads)
+
+    def attend(row_max=None, row_sum=None):
+        q, k, v = (_affine(x, w, b).reshape(B, T, d) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        kh, vh = _heads(k, n_heads), _heads(v, n_heads)
+        p, row_max, row_sum = _softmax(_heads(q * scale, n_heads), kh, key_bias, row_max, row_sum)
+        return _heads(q, n_heads), kh, vh, p, _merge(p @ vh), row_max, row_sum
+
+    ctx, row_max, row_sum = attend()[-3:]
+    y, xhat, inv = _add_norm(x, _affine(ctx.reshape(-1, d), wo, bo), gain, bias)
+    out = Tensor(y.reshape(B, T, d), _parents=(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias))
 
     def bwd(g):
-        g = g.reshape(-1, n)
-        gx = g * xhat
-        _accum(gain, gx.sum(axis=0))
-        _accum(bias, g.sum(axis=0))
-        # the two row means of dxhat = g * gain and of dxhat * xhat
-        wcol = gain.data * (1.0 / n)
-        m1 = g @ wcol
-        m2 = gx @ wcol
-        dx = g * gain.data
-        dx -= m1[:, None]
-        np.multiply(xhat, m2[:, None], out=gx)
-        dx -= gx
-        dx *= inv[:, None]
-        _accum(res, dx.reshape(res.data.shape))
-        _accum(h, (dx @ w.data.T).reshape(h.data.shape))
-        _accum(w, h2.T @ dx)
-        _accum(b, dx.sum(axis=0))
+        dx = _add_norm_backward(g.reshape(-1, d), xhat, inv, gain, bias)
+        qh, kh, vh, p, ctx, _, _ = attend(row_max, row_sum)
+        gh = _heads(_affine_backward(ctx.reshape(-1, d), wo, bo, dx).reshape(B, T, d), n_heads)
+        gv = _merge(p.swapaxes(-1, -2) @ gh)
+        # softmax backward p * (gp - sum(gp * p)), where each query's
+        # sum(gp * p) = g . sum(p * v) = g . ctx, a dot over dh, not over T keys
+        dot = (gh * _heads(ctx, n_heads)).sum(axis=-1, keepdims=True)
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= dot
+        gs *= p
+        gq = _merge(gs @ kh)
+        gq *= scale
+        gk = _merge(gs.swapaxes(-1, -2) @ qh)
+        gk *= scale
+        for w, b, gw in ((wq, bq, gq), (wk, bk, gk), (wv, bv, gv)):
+            dx += _affine_backward(x, w, b, gw.reshape(-1, d))
+        _accum(H, dx.reshape(B, T, d))
+
+    out._backward = bwd if out.requires_grad else None
+    return out
+
+
+def feed_forward_sublayer(
+    H: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor
+) -> Tensor:
+    """A post-LN feed-forward sublayer over rows H, as one node:
+    LN(H + gelu(H w1 + b1) w2 + b2), with `gelu`'s tanh form.
+
+    The node keeps only its input and its layer norm's normalised rows and
+    row scales. Its backward runs the layer norm's backward, then rebuilds
+    H w1 + b1 and its GELU cdf once with the forward's ops in the forward's
+    order, so with its bytes: the GELU output, for w2's gradient, and
+    GELU's derivative both come from that cdf. H's gradient is the
+    residual's plus the first projection's input gradient.
+    """
+    shape = H.data.shape
+    x = H.data.reshape(-1, shape[-1])
+    pre = _affine(x, w1, b1)
+    y, xhat, inv = _add_norm(x, _affine(pre * _gelu_cdf(pre), w2, b2), gain, bias)
+    out = Tensor(y.reshape(shape), _parents=(H, w1, b1, w2, b2, gain, bias))
+
+    def bwd(g):
+        dx = _add_norm_backward(g.reshape(-1, shape[-1]), xhat, inv, gain, bias)
+        pre = _affine(x, w1, b1)
+        cdf = _gelu_cdf(pre)
+        gh = _affine_backward(pre * cdf, w2, b2, dx)
+        dx += _affine_backward(x, w1, b1, _gelu_backward(pre, cdf, gh))
+        _accum(H, dx.reshape(shape))
 
     out._backward = bwd if out.requires_grad else None
     return out

@@ -234,22 +234,19 @@ def encode(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None 
 
 
 def _block(params: ModelParams, i: int, H: Tensor, key_bias: np.ndarray) -> Tensor:
+    """Encoder block i, post-LN: two tape nodes, `attention_sublayer` and
+    `feed_forward_sublayer`. Each keeps its input, its layer norm's
+    normalised rows and row scales, and, for attention, its softmax's row
+    maxima and row sums; each recomputes its projections, attention and
+    GELU in its backward."""
     p = f"layers.{i}."
-
-    def proj(x: Tensor, w: str, b: str) -> Tensor:
-        return ad.linear(x, params[p + w], params[p + b])
-
-    def add_norm(res: Tensor, h: Tensor, w: str, b: str, ln: str) -> Tensor:
-        return ad.residual_layer_norm(
-            res, h, params[p + w], params[p + b], params[p + ln + "_g"], params[p + ln + "_b"]
-        )
-
-    ctx = ad.attention(
-        proj(H, "wq", "bq"), proj(H, "wk", "bk"), proj(H, "wv", "bv"),
+    H = ad.attention_sublayer(
+        H, *(params[p + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")),
         key_bias, params.config.n_heads,
     )
-    H = add_norm(H, ctx, "wo", "bo", "ln1")
-    return add_norm(H, ad.gelu(proj(H, "ff_w1", "ff_b1")), "ff_w2", "ff_b2", "ln2")
+    return ad.feed_forward_sublayer(
+        H, *(params[p + n] for n in ("ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_g", "ln2_b"))
+    )
 
 
 def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:

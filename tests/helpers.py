@@ -333,26 +333,84 @@ def dense_moments(state) -> tuple[dict, dict]:
 
 
 def attention_state_refs(monkeypatch) -> list:
-    """Patch autodiff.attention to record a weakref to each call's softmax
-    row maxima, which only that node's backward rule holds."""
+    """Patch autodiff.attention_sublayer to record a weakref to each call's
+    softmax row maxima, which only that node's backward rule holds."""
     refs = []
-    orig = ad.attention
+    orig = ad.attention_sublayer
 
-    def attention(*args, **kwargs):
+    def attention_sublayer(*args, **kwargs):
         out = orig(*args, **kwargs)
         rule = out._backward
         cell = rule.__closure__[rule.__code__.co_freevars.index("row_max")]
         refs.append(weakref.ref(cell.cell_contents))
         return out
 
-    monkeypatch.setattr(ad, "attention", attention)
+    monkeypatch.setattr(ad, "attention_sublayer", attention_sublayer)
     return refs
 
 
+def unfused_attention(q, k, v, key_bias, n_heads) -> Tensor:
+    """The reference for autodiff.attention_sublayer's attention: multi-head
+    scaled dot-product attention over (B, T, d) tensors as a node of its
+    own, with the fused node's ops in its order, so the two agree to the
+    byte. It takes each row's max with a max pass, and it keeps its
+    (B, H, T, T) probabilities for its backward rather than rebuilding them."""
+    B, T, d = q.data.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(x):
+        return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, T, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    p = heads(q.data * scale) @ kh.swapaxes(-1, -2)
+    p += key_bias[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    ctx = merge(p @ vh)
+    out = Tensor(ctx, _parents=(q, k, v))
+
+    def bwd(g):
+        gh = heads(g)
+        ad._accum(v, merge(p.swapaxes(-1, -2) @ gh))
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= (gh * heads(ctx)).sum(axis=-1, keepdims=True)
+        gs *= p
+        gq = merge(gs @ kh)
+        gq *= scale
+        ad._accum(q, gq)
+        gk = merge(gs.swapaxes(-1, -2) @ qh)
+        gk *= scale
+        ad._accum(k, gk)
+
+    out._backward = bwd
+    return out
+
+
+def unfused_attention_sublayer(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, key_bias,
+                               n_heads) -> Tensor:
+    """The reference for autodiff.attention_sublayer: three `linear` nodes,
+    unfused_attention and unfused_residual_layer_norm, each node keeping its
+    own output until the backward."""
+    q, k, v = (ad.linear(H, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    return unfused_residual_layer_norm(H, unfused_attention(q, k, v, key_bias, n_heads),
+                                       wo, bo, gain, bias)
+
+
+def unfused_feed_forward_sublayer(H, w1, b1, w2, b2, gain, bias) -> Tensor:
+    """The reference for autodiff.feed_forward_sublayer: `linear`, `gelu`
+    and unfused_residual_layer_norm."""
+    return unfused_residual_layer_norm(H, ad.gelu(ad.linear(H, w1, b1)), w2, b2, gain, bias)
+
+
 def unfused_residual_layer_norm(res, h, w, b, gain, bias, eps=1e-5) -> Tensor:
-    """The reference for autodiff.residual_layer_norm: `linear`, a tape add
+    """The layer norm of both sublayer references: `linear`, a tape add
     and a layer-norm node of its own, with layer norm's ops in the fused
-    node's order, so the two agree to the byte. Each of the three nodes
+    nodes' order, so they agree to the byte. Each of the three nodes
     keeps its own output until the backward."""
     x = ad.add(res, ad.linear(h, w, b))
     n = x.data.shape[-1]

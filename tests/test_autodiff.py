@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from elink import autodiff as ad
 from elink.autodiff import RowGrad, Tensor
-from helpers import unfused_residual_layer_norm
+from helpers import unfused_attention_sublayer, unfused_feed_forward_sublayer
 
 
 def _dense_grad(t):
@@ -175,90 +175,121 @@ def test_linear_matches_matmul_plus_bias(rng):
     assert np.allclose(ad.linear(x, w, b).data, x.data @ w.data + b.data, rtol=1e-13, atol=0.0)
 
 
-def _padded_attention_inputs(rng, B=2, T=5, d=6):
-    q, k, v = (Tensor(rng.normal(size=(B, T, d)), requires_grad=True) for _ in range(3))
+def _sublayer_inputs(rng, kind, dtype=np.float64, B=2, T=5, d=6, d_ff=8):
+    """H (B, T, d) and the parameters of an attention or a feed-forward
+    sublayer, in the node's argument order, each requiring grad. Weights are
+    scaled by 1/sqrt(fan-in) and gains sit near 1."""
+    mats = [(d, d)] * 4 if kind == "attention" else [(d, d_ff), (d_ff, d)]
+    shapes = [(B, T, d)]
+    for m in mats:
+        shapes += [m, m[1:]]
+    arrays = [rng.normal(size=s) / (math.sqrt(s[0]) if len(s) == 2 else 1.0) for s in shapes]
+    arrays += [1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+def _padding(B=2, T=5):
+    """A (B, T) padding mask with two padding keys in example 0, and its key bias."""
     pad = np.zeros((B, T), dtype=bool)
-    pad[0, 3:] = True                       # example 0 has two padding keys
-    return q, k, v, pad, np.where(pad, -1e9, 0.0)
+    pad[0, 3:] = True
+    return pad, np.where(pad, -1e9, 0.0)
 
 
 def test_attention_grad_with_padded_keys(rng):
-    q, k, v, pad, bias = _padded_attention_inputs(rng)
-    w = rng.normal(size=q.shape)
-    fd_check(lambda: (ad.attention(q, k, v, bias, 2) * w).sum(), [q, k, v])
+    """attention_sublayer's gradient in each of its eleven inputs."""
+    ins = _sublayer_inputs(rng, "attention")
+    _, bias = _padding()
+    w = rng.normal(size=ins[0].shape)
+    fd_check(lambda: (ad.attention_sublayer(*ins, bias, 2) * w).sum(), ins)
+
+
+def test_feed_forward_sublayer_grad(rng):
+    """feed_forward_sublayer's gradient in each of its seven inputs."""
+    ins = _sublayer_inputs(rng, "feed_forward")
+    w = rng.normal(size=ins[0].shape)
+    fd_check(lambda: (ad.feed_forward_sublayer(*ins) * w).sum(), ins)
 
 
 def test_attention_ignores_padding_keys(rng):
-    q, k, v, pad, bias = _padded_attention_inputs(rng)
-    w = rng.normal(size=q.shape) * ~pad[..., None]   # loss reads non-pad outputs only
-    out = ad.attention(q, k, v, bias, 2)
+    ins = _sublayer_inputs(rng, "attention")
+    H = ins[0]
+    pad, bias = _padding()
+    w = rng.normal(size=H.shape) * ~pad[..., None]   # loss reads non-pad outputs only
+    out = ad.attention_sublayer(*ins, bias, 2)
     (out * w).sum().backward()
-    assert not k.grad[pad].any() and not v.grad[pad].any()
-    # new content at the padded keys leaves every non-pad output unchanged
-    k.data[pad] = rng.normal(size=k.data[pad].shape) * 50
-    v.data[pad] = rng.normal(size=v.data[pad].shape) * 50
-    again = ad.attention(q, k, v, bias, 2)
+    assert not H.grad[pad].any()
+    # new content at the padded positions leaves every non-pad output unchanged
+    H.data[pad] = rng.normal(size=H.data[pad].shape) * 50
+    again = ad.attention_sublayer(*ins, bias, 2)
     assert again.data[~pad].tobytes() == out.data[~pad].tobytes()
 
 
+def _layer_norm64(x, gain, bias):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+
+
 def test_attention_weights_sum_to_one(rng):
-    # a value that is the same at every key comes back unchanged, at any
-    # score scale, only if each query's weights sum to one
-    q = Tensor(rng.normal(size=(2, 4, 6)) * 10)
-    k = Tensor(rng.normal(size=(2, 4, 6)) * 10)
-    v = Tensor(np.broadcast_to(rng.normal(size=(2, 1, 6)), (2, 4, 6)).copy())
-    out = ad.attention(q, k, v, np.zeros((2, 4)), 3)
-    assert np.allclose(out.data, v.data, atol=1e-12)
+    # a value that is the same at every key (wv = 0) comes back unchanged, at
+    # any score scale, only if each query's weights sum to one
+    ins = _sublayer_inputs(rng, "attention", B=2, T=4)
+    H, wq, wk, wv, bv = ins[0], ins[1], ins[3], ins[5], ins[6]
+    H.data *= 10
+    wq.data *= 10
+    wk.data *= 10
+    wv.data[:] = 0.0
+    out = ad.attention_sublayer(*ins, np.zeros((2, 4)), 3)
+    wo, bo, gain, bias = (t.data for t in ins[7:])
+    want = _layer_norm64(H.data + (bv.data @ wo + bo), gain, bias)
+    assert np.allclose(out.data, want, atol=1e-12)
 
 
 def test_attention_float32_matches_float64_on_a_padded_batch(rng):
-    q, k, v, pad, bias = _padded_attention_inputs(rng, B=3, T=16, d=32)
+    ins64 = _sublayer_inputs(rng, "attention", B=3, T=16, d=32)
+    pad, bias = _padding(B=3, T=16)
     pad[2, 9:] = True
     bias = np.where(pad, -1e9, 0.0)
-    w = rng.normal(size=q.shape)
+    w = rng.normal(size=ins64[0].shape)
     runs = []
     for dtype in (np.float64, np.float32):
-        ins = [Tensor(t.data.astype(dtype), requires_grad=True) for t in (q, k, v)]
-        out = ad.attention(*ins, bias.astype(dtype), 4)
+        ins = [Tensor(t.data.astype(dtype), requires_grad=True) for t in ins64]
+        out = ad.attention_sublayer(*ins, bias.astype(dtype), 4)
         (out * w.astype(dtype)).sum().backward()
         assert out.data.dtype == dtype and all(t.grad.dtype == dtype for t in ins)
         runs.append([out.data] + [t.grad for t in ins])
+    # bk's gradient is zero but for rounding (the softmax cancels a score
+    # that a query adds to every key), so it is measured against bq's
+    runs[0].pop(5)
+    assert np.abs(runs[1].pop(5)).max() <= 1e-4 * np.abs(runs[1][3]).max()
     # each array's error is measured against its largest entry: elementwise,
     # a gradient that cancels to near zero has no float32 relative accuracy
     for want, got in zip(*runs):
         assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
 
-def _attention_keeping_probs(q, k, v, key_bias, n_heads, g):
-    """Attention's output and q/k/v gradients for output gradient g, with
-    the probabilities kept from the forward for the backward."""
-    B, T, d = q.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def heads(x):
-        return x.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(B, T, d)
-
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    p = heads(q * scale) @ kh.swapaxes(-1, -2)
-    p += key_bias[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
-    ctx = merge(p @ vh)
-    gh = heads(g)
-    gv = merge(p.swapaxes(-1, -2) @ gh)
-    gs = gh @ vh.swapaxes(-1, -2)
-    gs -= (gh * heads(ctx)).sum(axis=-1, keepdims=True)
-    gs *= p
-    gq = merge(gs @ kh)
-    gq *= scale
-    gk = merge(gs.swapaxes(-1, -2) @ qh)
-    gk *= scale
-    return ctx, gq, gk, gv
+@pytest.mark.parametrize("kind", ["attention", "feed_forward"])
+def test_sublayer_equals_the_unfused_chain_in_float32(rng, kind):
+    """Output and every input gradient have the bytes of the unfused chain
+    of `linear`, attention or `gelu`, a tape add and a layer-norm node
+    (helpers.unfused_attention_sublayer, unfused_feed_forward_sublayer),
+    with padded keys. H is an interior node, X * 1.0, so its gradient, the
+    sum of the residual's and each input projection's, reaches the leaf X
+    as one gradient."""
+    pad, bias = _padding(B=3, T=16)
+    pad[2, 9:] = True
+    bias = np.where(pad, -1e9, 0.0).astype(np.float32)
+    extra = (bias, 4) if kind == "attention" else ()
+    fused = ad.attention_sublayer if kind == "attention" else ad.feed_forward_sublayer
+    chain = unfused_attention_sublayer if kind == "attention" else unfused_feed_forward_sublayer
+    w = rng.normal(size=(3, 16, 32)).astype(np.float32)
+    runs = []
+    for op in (fused, chain):
+        X, *params = _sublayer_inputs(np.random.default_rng(5), kind, np.float32, 3, 16, 32, 64)
+        out = op(X * 1.0, *params, *extra)
+        (out * w).sum().backward()
+        runs.append([out.data, X.grad] + [t.grad for t in params])
+    for got, want in zip(*runs):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def _held_arrays(obj, seen=None) -> list:
@@ -278,21 +309,25 @@ def _held_arrays(obj, seen=None) -> list:
 
 
 def test_attention_keeps_only_row_statistics(rng):
+    """Besides its inputs and the key bias, the node keeps its normalised
+    rows, its row scales and the softmax's row maxima and row sums: no q, k,
+    v, probabilities or attention output."""
     B, T, d, H = 3, 16, 32, 4
-    q, k, v, pad, bias = _padded_attention_inputs(rng, B=B, T=T, d=d)
-    pad[2, 9:] = True
-    bias = np.where(pad, -1e9, 0.0).astype(np.float32)
-    ins = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in (q, k, v)]
-    w = rng.normal(size=q.shape).astype(np.float32)
-    out = ad.attention(*ins, bias, H)
-    held = _held_arrays(out._backward)
-    assert held and all(a.size < B * H * T * T for a in held)
-    assert sum(a.shape == (B, H, T, 1) for a in held) == 2   # row maxima and row sums
-    (out * w).sum().backward()
-    want = _attention_keeping_probs(*(t.data for t in ins), bias, H, w)
-    got = (out.data,) + tuple(t.grad for t in ins)
-    for a, b in zip(got, want):
-        assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+    ins = _sublayer_inputs(rng, "attention", np.float32, B, T, d)
+    _, bias = _padding(B, T)
+    bias = bias.astype(np.float32)
+    out = ad.attention_sublayer(*ins, bias, H)
+    own = [a for a in _held_arrays(out._backward)
+           if not any(np.shares_memory(a, t) for t in [bias] + [t.data for t in ins])]
+    assert sorted(a.shape for a in own) == sorted([(B * T,), (B * T, d), (B, H, T, 1), (B, H, T, 1)])
+
+
+def test_feed_forward_sublayer_keeps_only_its_input_and_normalised_rows(rng):
+    ins = _sublayer_inputs(rng, "feed_forward", np.float32)
+    out = ad.feed_forward_sublayer(*ins)
+    own = [a for a in _held_arrays(out._backward)
+           if not any(np.shares_memory(a, t.data) for t in ins)]
+    assert sorted(a.shape for a in own) == [(10,), (10, 6)]   # row scales, normalised rows
 
 
 def _nll_rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -568,60 +603,25 @@ def test_gelu_matches_the_tanh_form():
     assert got[-1] == 8.0 and got[0] == 0.0
 
 
-def _residual_layer_norm_inputs(rng, dtype=np.float64):
-    """res (2, 3, 6), h (2, 3, 5), w, b, gain and bias, each requiring grad."""
-    shapes = [(2, 3, 6), (2, 3, 5), (5, 6), (6,), (6,), (6,)]
-    arrays = [rng.normal(size=shape) for shape in shapes]
-    arrays[4] += 1.0   # gains near 1
-    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-
-
-def test_layer_norm_grad(rng):
-    """residual_layer_norm's gradient in each of its six inputs."""
-    ins = _residual_layer_norm_inputs(rng)
-    w = rng.normal(size=(2, 3, 6))
-    fd_check(lambda: (ad.residual_layer_norm(*ins) * w).sum(), ins)
-
-
-def test_residual_layer_norm_equals_the_unfused_chain_in_float32(rng):
-    """Output and all six gradients have the bytes of `linear`, a tape add
-    and a layer-norm node (helpers.unfused_residual_layer_norm)."""
-    w = rng.normal(size=(2, 3, 6)).astype(np.float32)
-    runs = []
-    for op in (ad.residual_layer_norm, unfused_residual_layer_norm):
-        ins = _residual_layer_norm_inputs(np.random.default_rng(5), np.float32)
-        out = op(*ins)
-        (out * w).sum().backward()
-        runs.append([out.data] + [t.grad for t in ins])
-    for got, want in zip(*runs):
-        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-
-
-def test_residual_layer_norm_keeps_only_its_normalised_rows_and_row_scales(rng):
-    ins = _residual_layer_norm_inputs(rng, np.float32)
-    out = ad.residual_layer_norm(*ins)
-    own = [a for a in _held_arrays(out._backward)
-           if not any(np.shares_memory(a, t.data) for t in ins)]
-    assert sorted(a.shape for a in own) == [(6,), (6, 6)]   # row scales, normalised rows
-
-
 def test_layer_norm_float32_at_a_large_common_offset(rng):
     res = (1e3 + 0.1 * rng.normal(size=(4, 8, 64))).astype(np.float32)
-    h = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    w = (0.01 * rng.normal(size=(16, 64))).astype(np.float32)
-    b = (0.01 * rng.normal(size=64)).astype(np.float32)
+    w1 = (0.01 * rng.normal(size=(64, 16))).astype(np.float32)
+    b1 = (0.01 * rng.normal(size=16)).astype(np.float32)
+    w2 = (0.01 * rng.normal(size=(16, 64))).astype(np.float32)
+    b2 = (0.01 * rng.normal(size=64)).astype(np.float32)
     # the bias keeps every output near 2-3, so an elementwise rtol measures
     # error against the normalised scale rather than against zero
     gain = rng.uniform(0.2, 0.5, size=64).astype(np.float32)
     bias = rng.uniform(2.0, 3.0, size=64).astype(np.float32)
-    got = ad.residual_layer_norm(*(Tensor(a) for a in (res, h, w, b, gain, bias))).data
+    ins = [Tensor(a) for a in (res, w1, b1, w2, b2, gain, bias)]
+    got = ad.feed_forward_sublayer(*ins).data
     assert got.dtype == np.float32
     # the float32 sum near 1e3 is rounded to 6e-5, against a 0.1 spread; so
     # the reference normalises that rounded sum, in float64
-    x64 = (res + (h @ w + b)).astype(np.float64)
-    xc = x64 - x64.mean(axis=-1, keepdims=True)
-    want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
-    np.testing.assert_allclose(got, want, rtol=1e-4)
+    x = res.reshape(-1, 64)
+    h = ad.gelu(ad.linear(Tensor(x), ins[1], ins[2])).data
+    x64 = ((h @ w2 + b2) + x).astype(np.float64).reshape(res.shape)
+    np.testing.assert_allclose(got, _layer_norm64(x64, gain, bias), rtol=1e-4)
 
 
 def test_backward_accumulates_shared_nodes(rng):

@@ -117,11 +117,11 @@ def test_pad_content_does_not_leak(params):
 
 def test_encode_tape_holds_only_what_its_backward_reads():
     """The tape of one (16, 128) shard at the default model holds, per
-    block, about the arrays its backward reads: q, k, v, the attention
-    output, two normalised-row arrays, two block outputs and the two
-    (B, T, d_ff) FFN activations. The bound allows one (B, T, d_model)
-    array more per block and three for the embeddings; a block whose
-    output projection, FFN output or residual sums stay alive exceeds it."""
+    block, four (B, T, d_model) arrays: each sublayer's normalised rows and
+    its output, the attention sublayer's being the feed-forward sublayer's
+    input. The bound allows one such array more per block and three for
+    the embeddings; a block that keeps its q, k, v, attention output or
+    FFN activations exceeds it."""
     cfg = ModelConfig(vocab_size=1000, n_entities=10)
     p = ModelParams.initialize(cfg, seed=1)
     B, T = 16, 128
@@ -133,7 +133,7 @@ def test_encode_tape_holds_only_what_its_backward_reads():
     finally:
         tracemalloc.stop()
     assert H.requires_grad
-    per_block = 9 * cfg.d_model + 2 * cfg.d_ff
+    per_block = 5 * cfg.d_model
     bound = (cfg.n_layers * per_block + 3 * cfg.d_model) * B * T * np.dtype(model.DTYPE).itemsize
     assert live < bound
 
