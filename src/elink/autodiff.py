@@ -21,16 +21,15 @@ gradient as soon as its rule has consumed it, and after the sweep strips
 every interior node of its backward rule and parents, so a step's
 activations die with its backward rather than with the next step's
 forward. Leaves keep their gradients; a second backward() through the
-spent graph raises. Four nodes keep less than their intermediates:
+spent graph raises. Three nodes keep less than their intermediates:
 - `table_softmax_nll` drops its (N, K) score matrix as soon as its table
   gradient is written, not at the end of the sweep;
 - `gelu` keeps only its input and recomputes its tanh in its backward;
-- `attention_sublayer` keeps its input, its layer norm's normalised rows
-  and row scales, and its softmax's row maxima and row sums; its backward
-  recomputes q, k, v, the probabilities and the attention output;
-- `feed_forward_sublayer` keeps its input and its layer norm's normalised
-  rows and row scales; its backward recomputes the first projection and
-  its GELU.
+- `encoder`, the whole Transformer stack, keeps its input and, per layer,
+  only its two layer norms' normalised rows and row scales and its
+  softmax's row maxima and row sums. Its backward rebuilds each sublayer's
+  input from the layer norm before it and recomputes the projections, the
+  probabilities, the attention output and the GELU.
 Each recomputation repeats the forward's ops in the forward's order, so it
 gets the forward's bytes.
 
@@ -45,29 +44,29 @@ training does with the gradients of a batch's two shards; the table rows
 that both shards score are one `TableRows`, gathered once per step, whose
 buffer takes both shards' table gradient, so that one needs no sum.
 
-The model's dense layers (`linear`), its encoder sublayers
-(`attention_sublayer` and `feed_forward_sublayer`, each a post-LN
-sublayer from its input to its layer norm's output), its activation
-(`gelu`, in the span head) and its softmax losses (`softmax_nll`, the
-weighted sum of per-row NLLs, and `table_softmax_nll` for span vectors
-scored against entity-table rows, with an optional per-row score bias that
-masks columns out of a row's softmax) are fused: each is one tape node with
-a hand-written backward, so a training step records and walks few
-full-size temporaries. Each sublayer sums its input's gradients in the
-order of the unfused chain of `linear`, attention or `gelu`, a residual
-add and a layer norm (the residual's first, then each input projection's),
-so it gives that chain's bytes.
+The model's dense layers (`linear`), its encoder (`encoder`, post-LN
+blocks of an attention and a feed-forward sublayer, each from its input
+to its layer norm's output), its activation (`gelu`, in the span head)
+and its softmax losses (`softmax_nll`, the weighted sum of per-row NLLs,
+and `table_softmax_nll` for span vectors scored against entity-table rows,
+with an optional per-row score bias that masks columns out of a row's
+softmax) are fused: each is one tape node with a hand-written backward,
+so a training step records and walks few full-size temporaries. The
+encoder sums each sublayer input's gradients in the order of the unfused
+chain of `linear`, attention or `gelu`, a residual add and a layer norm
+(the residual's first, then each input projection's), so it gives that
+chain's bytes; it runs its attention scores and GELU a block of whole
+examples at a time, so those temporaries take a block's size.
 Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
-- the sublayers take their layer norm's row means and variances, forward
-  and backward, as GEMVs against a 1/n column, and the softmax row sums as
-  a GEMV against a ones column;
-- `attention_sublayer` takes each softmax row's max as the entry at its
-  argmax, scales the queries, not the T x T scores, and its softmax
-  backward takes each query's sum(dP * P) as the dot of its output
-  gradient with its own attention output (FlashAttention, Dao et al.,
-  arXiv 2205.14135).
+- the encoder takes its layer norms' row means and variances, forward and
+  backward, as GEMVs against a 1/n column, and the softmax row sums as a
+  GEMV against a ones column;
+- the encoder takes each softmax row's max as the entry at its argmax,
+  scales the queries, not the T x T scores, and its softmax backward
+  takes each query's sum(dP * P) as the dot of its output gradient with
+  its own attention output (FlashAttention, Dao et al., arXiv 2205.14135).
 """
 
 import math
@@ -83,6 +82,10 @@ _LN_EPS = 1e-5
 # once (1 MB of float32): both the gathered (N, rows) score columns and the
 # (rows, d) gradient rows of a block
 _GRAD_BLOCK = 1 << 18
+# rows (tokens) in a block of whole examples, over which the encoder runs its
+# attention scores, softmax and GELU, so that their temporaries take a block's
+# size: (B, H, T, T) scores of 4 examples of 128 tokens at 4 heads are 1 MB
+_BLOCK_ROWS = 512
 
 
 class Tensor:
@@ -592,10 +595,10 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """GELU's input gradient for the output gradient g, from its input x and
-    the cdf _gelu_cdf(x): cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2),
-    times g."""
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative at x, from x and the cdf _gelu_cdf(x):
+    cdf + 2 sqrt(2/pi) x cdf (1 - cdf) (1 + 3 * 0.044715 x^2), as a new array.
+    Times the output gradient, it is the input gradient."""
     d = x * x
     d *= 6.0 * _GELU_C * _GELU_A
     d += 2.0 * _GELU_C
@@ -603,7 +606,6 @@ def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     d *= cdf
     d *= 1.0 - cdf
     d += cdf
-    d *= g
     return d
 
 
@@ -617,9 +619,20 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(x * _gelu_cdf(x), _parents=(a,))
 
     def bwd(g):
-        _accum(a, _gelu_backward(x, _gelu_cdf(x), g))
+        d = _gelu_slope(x, _gelu_cdf(x))
+        d *= g
+        _accum(a, d)
 
     out._backward = bwd if out.requires_grad else None
+    return out
+
+
+def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """A layer norm's output from its normalised rows: xhat * gain + bias, as
+    a new array. _add_norm's output and the encoder's rebuilt sublayer inputs
+    both come from here, so they have the same bytes."""
+    out = xhat * gain.data
+    out += bias.data
     return out
 
 
@@ -637,9 +650,7 @@ def _add_norm(res: np.ndarray, y: np.ndarray, gain: Tensor, bias: Tensor):
     y -= (y @ col)[:, None]
     inv = 1.0 / np.sqrt((y * y) @ col + _LN_EPS)
     y *= inv[:, None]
-    out = y * gain.data
-    out += bias.data
-    return out, y, inv
+    return _scale_shift(y, gain, bias), y, inv
 
 
 def _add_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
@@ -696,91 +707,161 @@ def _softmax(qh: np.ndarray, kh: np.ndarray, key_bias: np.ndarray, row_max=None,
     return p, row_max, row_sum
 
 
-def attention_sublayer(
-    H: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
-    wo: Tensor, bo: Tensor, gain: Tensor, bias: Tensor, key_bias: np.ndarray, n_heads: int,
-) -> Tensor:
-    """A post-LN self-attention sublayer over (B, T, d) rows H, as one node:
-    LN(H + attention(H wq + bq, H wk + bk, H wv + bv) wo + bo).
+def _example_blocks(B: int, T: int, n_heads: int) -> list[slice]:
+    """Consecutive slices of whole examples of a (B, T) batch, each of about
+    _BLOCK_ROWS rows (at least one example).
+
+    Each block but the last holds a multiple of 8 softmax rows (n_heads * T
+    an example). A block's row sums are one GEMV, and OpenBLAS's GEMV sums
+    the rows of a call in groups of 8 from its first row, and its last few
+    rows apart: so each row's sum has the bytes of one GEMV over the batch."""
+    step = max(1, _BLOCK_ROWS // T)
+    step += -step % (8 // math.gcd(8, n_heads * T))
+    return [slice(lo, min(lo + step, B)) for lo in range(0, B, step)]
+
+
+def _qkv(x: np.ndarray, layer: tuple, B: int, T: int) -> list:
+    """The (B, T, d) queries, keys and values of the (B*T, d) rows x."""
+    wq, bq, wk, bk, wv, bv = layer[:6]
+    return [_affine(x, w, b).reshape(B, T, -1) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+
+
+def _attention(x: np.ndarray, layer: tuple, key_bias: np.ndarray, n_heads: int):
+    """The (B*T, d) attention output of the rows x, before its output
+    projection, and the softmax's (B, H, T, 1) row maxima and row sums;
+    scores, softmax and output a block of examples at a time."""
+    B, T = key_bias.shape
+    q, k, v = _qkv(x, layer, B, T)
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    ctx = np.empty_like(q)
+    row_max, row_sum = (np.empty((B, n_heads, T, 1), q.dtype) for _ in range(2))
+    for s in _example_blocks(B, T, n_heads):
+        p, row_max[s], row_sum[s] = _softmax(
+            _heads(q[s] * scale, n_heads), _heads(k[s], n_heads), key_bias[s])
+        _heads(ctx, n_heads)[s] = p @ _heads(v[s], n_heads)
+    return ctx.reshape(x.shape), row_max, row_sum
+
+
+def _attention_backward(x: np.ndarray, layer: tuple, key_bias: np.ndarray, n_heads: int,
+                        row_max: np.ndarray, row_sum: np.ndarray, dx: np.ndarray) -> None:
+    """Accumulate the gradients of the q, k, v and output projections of
+    _attention(x) for the (B*T, d) gradient dx of their output, and add x's
+    gradients through q, k and v, in that order, into dx.
+
+    A block at a time, the probabilities and attention output are rebuilt
+    from q, k and the row statistics, skipping the max and row-sum passes;
+    each query's softmax backward sum(dP * P) is the dot of its output
+    gradient with its own output."""
+    B, T = key_bias.shape
+    wq, bq, wk, bk, wv, bv, wo, bo = layer[:8]
+    q, k, v = _qkv(x, layer, B, T)
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    gctx = (dx @ wo.data.T).reshape(q.shape)
+    ctx, gq, gk, gv = (np.empty_like(q) for _ in range(4))
+    for s in _example_blocks(B, T, n_heads):
+        qh, kh, vh = (_heads(a[s], n_heads) for a in (q, k, v))
+        p = _softmax(_heads(q[s] * scale, n_heads), kh, key_bias[s], row_max[s], row_sum[s])[0]
+        ch = _heads(ctx, n_heads)[s]
+        ch[...] = p @ vh
+        gh = _heads(gctx[s], n_heads)
+        _heads(gv, n_heads)[s] = p.swapaxes(-1, -2) @ gh
+        # softmax backward p * (gp - sum(gp * p)), where each query's
+        # sum(gp * p) = g . sum(p * v) = g . ctx, a dot over dh, not over T keys
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= (gh * ch).sum(axis=-1, keepdims=True)
+        gs *= p
+        _heads(gq, n_heads)[s] = gs @ kh
+        _heads(gk, n_heads)[s] = gs.swapaxes(-1, -2) @ qh
+    gq *= scale
+    gk *= scale
+    _accum(wo, ctx.reshape(x.shape).T @ dx)
+    _accum(bo, dx.sum(axis=0))
+    for w, b, gw in ((wq, bq, gq), (wk, bk, gk), (wv, bv, gv)):
+        dx += _affine_backward(x, w, b, gw.reshape(x.shape))
+
+
+def _feed_forward_backward(a: np.ndarray, layer: tuple, rows: list, dx: np.ndarray) -> None:
+    """Accumulate the gradients of both projections of gelu(a w1 + b1) w2 + b2
+    for the gradient dx of its output, and add a's gradient into dx. The
+    GELU cdf is computed once, a block of rows at a time, for both the GELU
+    output (w2's gradient) and GELU's slope."""
+    w1, b1, w2, b2 = layer[10:14]
+    pre = _affine(a, w1, b1)
+    h = np.empty_like(pre)
+    for r in rows:   # h = gelu(pre), and pre becomes GELU's slope
+        cdf = _gelu_cdf(pre[r])
+        np.multiply(pre[r], cdf, out=h[r])
+        pre[r] = _gelu_slope(pre[r], cdf)
+    gh = _affine_backward(h, w2, b2, dx)
+    del h
+    gh *= pre
+    dx += _affine_backward(a, w1, b1, gh)
+
+
+def encoder(H: Tensor, layers: list, key_bias: np.ndarray, n_heads: int) -> Tensor:
+    """A stack of post-LN Transformer blocks over (B, T, d) rows H, as one
+    node. Each layer is a tuple of 16 tensors, in checkpoint order: wq, bq,
+    wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, ff_w1, ff_b1, ff_w2, ff_b2, ln2_g,
+    ln2_b. A block maps its input X to
+        A = LN1(X + attention(X wq + bq, X wk + bk, X wv + bv) wo + bo),
+        Y = LN2(A + gelu(A ff_w1 + ff_b1) ff_w2 + ff_b2),
+    and Y is the next block's input. With no layers it returns H.
 
     The attention is multi-head scaled dot-product attention; key_bias
     (B, T) is added to every query's scores for that key (a large negative
     value masks a padding key). The score scale is applied to the queries,
     and in the backward to the query and key gradients, so it touches
-    B*T*d values, not B*H*T*T scores. The node keeps only its input, its
-    layer norm's normalised rows and row scales, and its softmax's
-    (B, H, T, 1) row maxima and row sums. Its backward runs the layer norm's
-    backward, then rebuilds q, k, v, the probabilities and the attention
-    output with the forward's ops in the forward's order, so with its bytes,
-    skipping the softmax's max and row-sum passes; each query's softmax
-    backward sum(dP * P) is the dot of its output gradient with its own
-    output (FlashAttention, Dao et al., arXiv 2205.14135). H's gradient is
-    the residual's plus q's, k's and v's input gradients, summed in that
-    order, as the unfused chain sums them.
+    B*T*d values, not B*H*T*T scores.
+
+    Besides its input H, the node keeps per layer only its two layer norms'
+    normalised rows and row scales and the softmax's (B, H, T, 1) row maxima
+    and row sums. Its backward walks the layers in reverse. It rebuilds each
+    sublayer's input from the layer norm before it (the first attention's
+    is H) with that layer norm's own last two ops, runs the sublayer's layer
+    norm backward, then recomputes the sublayer's projections,
+    probabilities, attention output or GELU with the forward's ops in the
+    forward's order, so with its bytes. A sublayer's input gradient is
+    summed as the unfused chain sums it: the residual's, then q's, k's and
+    v's input gradients, or the first feed-forward projection's.
+
+    The scores, softmax and attention output (forward, replay and backward)
+    and the GELU passes run a block of whole examples at a time, so their
+    temporaries take a block's size, not the batch's. Every product or sum
+    across rows (the projections, the layer norms, and every weight, bias
+    and gain gradient) is one op over all rows.
     """
+    if not layers:
+        return H
     B, T, d = H.data.shape
+    rows = [slice(s.start * T, s.stop * T) for s in _example_blocks(B, T, n_heads)]
+    kept = []   # per layer: xhat1, inv1, row_max, row_sum, xhat2, inv2
     x = H.data.reshape(-1, d)
-    scale = 1.0 / math.sqrt(d // n_heads)
-
-    def attend(row_max=None, row_sum=None):
-        q, k, v = (_affine(x, w, b).reshape(B, T, d) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-        kh, vh = _heads(k, n_heads), _heads(v, n_heads)
-        p, row_max, row_sum = _softmax(_heads(q * scale, n_heads), kh, key_bias, row_max, row_sum)
-        return _heads(q, n_heads), kh, vh, p, _merge(p @ vh), row_max, row_sum
-
-    ctx, row_max, row_sum = attend()[-3:]
-    y, xhat, inv = _add_norm(x, _affine(ctx.reshape(-1, d), wo, bo), gain, bias)
-    out = Tensor(y.reshape(B, T, d), _parents=(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias))
+    for layer in layers:
+        wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = layer[6:]
+        ctx, row_max, row_sum = _attention(x, layer, key_bias, n_heads)
+        a, xhat1, inv1 = _add_norm(x, _affine(ctx, wo, bo), g1, c1)
+        del ctx
+        h = _affine(a, w1, b1)
+        for r in rows:
+            h[r] *= _gelu_cdf(h[r])
+        x, xhat2, inv2 = _add_norm(a, _affine(h, w2, b2), g2, c2)
+        del a, h
+        kept.append([xhat1, inv1, row_max, row_sum, xhat2, inv2])
+    out = Tensor(x.reshape(B, T, d), _parents=(H, *(t for layer in layers for t in layer)))
 
     def bwd(g):
-        dx = _add_norm_backward(g.reshape(-1, d), xhat, inv, gain, bias)
-        qh, kh, vh, p, ctx, _, _ = attend(row_max, row_sum)
-        gh = _heads(_affine_backward(ctx.reshape(-1, d), wo, bo, dx).reshape(B, T, d), n_heads)
-        gv = _merge(p.swapaxes(-1, -2) @ gh)
-        # softmax backward p * (gp - sum(gp * p)), where each query's
-        # sum(gp * p) = g . sum(p * v) = g . ctx, a dot over dh, not over T keys
-        dot = (gh * _heads(ctx, n_heads)).sum(axis=-1, keepdims=True)
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= dot
-        gs *= p
-        gq = _merge(gs @ kh)
-        gq *= scale
-        gk = _merge(gs.swapaxes(-1, -2) @ qh)
-        gk *= scale
-        for w, b, gw in ((wq, bq, gq), (wk, bk, gk), (wv, bv, gv)):
-            dx += _affine_backward(x, w, b, gw.reshape(-1, d))
+        dx = g.reshape(-1, d)
+        for i in reversed(range(len(layers))):
+            layer = layers[i]
+            xhat1, inv1, row_max, row_sum, xhat2, inv2 = kept[i]
+            kept[i] = None
+            dx = _add_norm_backward(dx, xhat2, inv2, *layer[14:])
+            _feed_forward_backward(_scale_shift(xhat1, *layer[8:10]), layer, rows, dx)
+            dx = _add_norm_backward(dx, xhat1, inv1, *layer[8:10])
+            del xhat1, xhat2
+            x = _scale_shift(kept[i - 1][4], *layers[i - 1][14:]) if i else H.data.reshape(-1, d)
+            _attention_backward(x, layer, key_bias, n_heads, row_max, row_sum, dx)
         _accum(H, dx.reshape(B, T, d))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def feed_forward_sublayer(
-    H: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor
-) -> Tensor:
-    """A post-LN feed-forward sublayer over rows H, as one node:
-    LN(H + gelu(H w1 + b1) w2 + b2), with `gelu`'s tanh form.
-
-    The node keeps only its input and its layer norm's normalised rows and
-    row scales. Its backward runs the layer norm's backward, then rebuilds
-    H w1 + b1 and its GELU cdf once with the forward's ops in the forward's
-    order, so with its bytes: the GELU output, for w2's gradient, and
-    GELU's derivative both come from that cdf. H's gradient is the
-    residual's plus the first projection's input gradient.
-    """
-    shape = H.data.shape
-    x = H.data.reshape(-1, shape[-1])
-    pre = _affine(x, w1, b1)
-    y, xhat, inv = _add_norm(x, _affine(pre * _gelu_cdf(pre), w2, b2), gain, bias)
-    out = Tensor(y.reshape(shape), _parents=(H, w1, b1, w2, b2, gain, bias))
-
-    def bwd(g):
-        dx = _add_norm_backward(g.reshape(-1, shape[-1]), xhat, inv, gain, bias)
-        pre = _affine(x, w1, b1)
-        cdf = _gelu_cdf(pre)
-        gh = _affine_backward(pre * cdf, w2, b2, dx)
-        dx += _affine_backward(x, w1, b1, _gelu_backward(pre, cdf, gh))
-        _accum(H, dx.reshape(shape))
 
     out._backward = bwd if out.requires_grad else None
     return out

@@ -89,9 +89,10 @@ def _load_model(cfg: RunConfig, training: bool = False):
     return tvocab, evocab, params
 
 
-def _load_dataset(cfg: RunConfig, tvocab, evocab) -> list[cp.Context]:
-    """The paths.dataset context cache, its ids checked against the vocabularies."""
-    return cp.load_contexts(_path(cfg, "dataset"), len(tvocab), len(evocab))
+def _load_dataset(cfg: RunConfig, tvocab, evocab, max_len: int) -> list[cp.Context]:
+    """The paths.dataset context cache, its ids checked against the
+    vocabularies and its lengths against the model's max_len."""
+    return cp.load_contexts(_path(cfg, "dataset"), len(tvocab), len(evocab), max_len)
 
 
 def _model_config(cfg: RunConfig, tvocab, evocab) -> ModelConfig:
@@ -159,7 +160,7 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
     out_dir = _path(cfg, "out_dir")
     tvocab, evocab = _load_vocabs(cfg)
     model_cfg = _model_config(cfg, tvocab, evocab)
-    contexts = cp.load_contexts(_path(cfg, "corpus"), len(tvocab), len(evocab))
+    contexts = cp.load_contexts(_path(cfg, "corpus"), len(tvocab), len(evocab), model_cfg.max_len)
     page_links = (
         PageLinks.from_tsv(cfg.paths.page_links, evocab) if cfg.paths.page_links else None
     )
@@ -185,15 +186,22 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
 def cmd_finetune(args, cfg: RunConfig) -> int:
     out_dir = _path(cfg, "out_dir")
     tvocab, evocab, params = _load_model(cfg, training=True)
-    contexts = _load_dataset(cfg, tvocab, evocab)
+    if params is not None:
+        # the run trains the checkpoint's shape, so the echo gives that shape;
+        # RunConfig does not record which values a flag set, so each value
+        # that differs is named
+        shape = {f.name: getattr(params.config, f.name) for f in dataclasses.fields(ModelSettings)}
+        for name, value in shape.items():
+            if getattr(cfg.model, name) != value:
+                print(f"warning: ignoring model.{name} = {getattr(cfg.model, name)}: "
+                      f"the checkpoint's is {value}", file=sys.stderr)
+        cfg = dataclasses.replace(cfg, model=ModelSettings(**shape))
+    contexts = _load_dataset(cfg, tvocab, evocab, cfg.model.max_len)
     if params is None:
         params = ModelParams.initialize(
             _model_config(cfg, tvocab, evocab),
             derive_seed(cfg.train.rng_seed, "init"),
         )
-    else:  # the run trains the checkpoint's shape, so the echo gives that shape
-        shape = {f.name: getattr(params.config, f.name) for f in dataclasses.fields(ModelSettings)}
-        cfg = dataclasses.replace(cfg, model=ModelSettings(**shape))
     alias_table = None
     if cfg.train.softmax_mode == "candidates":
         alias_table, _ = _load_alias_table(cfg, evocab)
@@ -214,7 +222,7 @@ def _write_or_print(report: dict, out_path) -> None:
 
 def cmd_eval_disambig(args, cfg: RunConfig) -> int:
     tvocab, evocab, params = _load_model(cfg)
-    contexts = _load_dataset(cfg, tvocab, evocab)
+    contexts = _load_dataset(cfg, tvocab, evocab, params.config.max_len)
     alias_table = None
     if args.candidates == "alias":
         alias_table, _ = _load_alias_table(cfg, evocab)
@@ -227,7 +235,7 @@ def cmd_eval_disambig(args, cfg: RunConfig) -> int:
 
 def cmd_eval_e2e(args, cfg: RunConfig) -> int:
     tvocab, evocab, params = _load_model(cfg)
-    contexts = _load_dataset(cfg, tvocab, evocab)
+    contexts = _load_dataset(cfg, tvocab, evocab, params.config.max_len)
     result = ev.run_end_to_end(params, contexts)
     _write_or_print(result.report(), args.out)
     return 0

@@ -581,8 +581,8 @@ def window_contexts(
     max_len: int = 256,
 ) -> tuple[list[Context], DropCounter]:
     """One context per mention of the document: window_bytes UTF-8 bytes
-    either side of it, labelled with that mention alone (none for a mention
-    dropped as whitespace or collided).
+    either side of it, labelled with that mention alone. A mention dropped
+    as whitespace or collided is counted in the drops and gets no context.
 
     The byte range snaps outward to whole characters, so the window never
     cuts a multi-byte character, and then to whole tokens.
@@ -596,12 +596,13 @@ def window_contexts(
     byte_at = utf8_offsets(doc.text)
     contexts = []
     for m in doc.mentions:
+        if m not in span_of:
+            continue
         lo = max(0, byte_at[m.start_char] - window_bytes)
         hi = min(byte_at[-1], byte_at[m.end_char] + window_bytes)
         # the byte range, outward to whole characters, then to whole tokens
         lo, hi = toks.covering(bisect_right(byte_at, lo) - 1, bisect_left(byte_at, hi))
-        spans = [(m, span_of[m])] if m in span_of else []
-        contexts.append(toks.context(lo, hi, spans, entity_vocab, max_len))
+        contexts.append(toks.context(lo, hi, [(m, span_of[m])], entity_vocab, max_len))
     return contexts, toks.drops
 
 
@@ -755,7 +756,8 @@ def save_contexts(path, contexts) -> None:
 
 
 def load_contexts(
-    path, n_tokens: int | None = None, n_entities: int | None = None
+    path, n_tokens: int | None = None, n_entities: int | None = None,
+    max_len: int | None = None,
 ) -> list[Context]:
     """The contexts of a JSONL context cache, one per non-blank line.
 
@@ -765,7 +767,8 @@ def load_contexts(
     integers (not floats or booleans); a label's surface is a string or
     null. Given the vocabulary sizes, every token id must lie in
     [0, n_tokens) and every label's entity index in [0, n_entities) or be
-    null. A malformed line raises CorpusFormatError naming path:line.
+    null; given the model's max_len, a context holds at most that many
+    tokens. A malformed line raises CorpusFormatError naming path:line.
     """
 
     def parse(rec: dict) -> Context:
@@ -782,6 +785,8 @@ def load_contexts(
             ],
         )
         _check_fields(ctx, n_tokens, n_entities)
+        if max_len is not None and len(ctx.tokens) > max_len:
+            raise ValueError(f"{len(ctx.tokens)} tokens exceed the model's max_len {max_len}")
         return ctx
 
     return _json_lines(path, parse)

@@ -1,10 +1,11 @@
 """Transformer linking model: encoder, span scoring, losses, and inference.
 
 The encoder is a BERT-family stack (learned positions, post-layer-norm
-blocks, GELU in BERT's tanh form; each sublayer's output projection,
-residual sum and layer norm are one node, whose row statistics are GEMVs;
-see autodiff) built on the local autodiff tape, so training gradients are
-exact and checkable against finite differences. A span is
+blocks, GELU in BERT's tanh form) built on the local autodiff tape, so
+training gradients are exact and checkable against finite differences.
+Its layers are one tape node, `autodiff.encoder`, which keeps only its
+layer norms' normalised rows and row scales and its softmax's row
+statistics, and rebuilds the rest in its backward. A span is
 represented by the concatenation of its start and end hidden states
 projected into entity space; entities are scored by dot product against an
 embedding table, with a softmax over either a candidate set or the full
@@ -64,13 +65,16 @@ class ModelConfig:
     max_len: int = 256
 
     def __post_init__(self):
-        if min(self.vocab_size, self.n_entities, self.d_model, self.n_heads,
-               self.d_ff, self.d_entity, self.max_len) <= 0:
-            raise ValueError("all model dimensions must be positive")
+        for name in ("vocab_size", "n_entities", "d_model", "n_heads", "d_ff", "d_entity",
+                     "max_len"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"all model dimensions must be positive: {name} is {value}")
         if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError(
+                f"d_model must be divisible by n_heads, got {self.d_model} and {self.n_heads}")
 
 
 def _param_specs(cfg: ModelConfig):
@@ -210,11 +214,19 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
+# an encoder layer's parameters, in the order autodiff.encoder takes them
+LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
+                "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_g", "ln2_b")
+
+
 def encode(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None = None) -> Tensor:
     """Hidden states (B, T, d_model) for a padded batch of token ids.
 
     pad_mask is True at padding positions; padded keys are excluded from
-    attention so non-pad outputs never depend on padding content.
+    attention so non-pad outputs never depend on padding content. The layers
+    are one tape node, `autodiff.encoder`, which keeps only its input (the
+    embedding sum), each layer norm's normalised rows and row scales and the
+    softmax's row statistics, and rebuilds the rest in its backward.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim == 1:
@@ -228,25 +240,8 @@ def encode(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None 
 
     H = ad.take(params["tok_emb"], tokens) + ad.take(params["pos_emb"], np.arange(T))
     key_bias = np.where(pad_mask, NEG_INF, 0.0).astype(H.data.dtype)
-    for i in range(cfg.n_layers):
-        H = _block(params, i, H, key_bias)
-    return H
-
-
-def _block(params: ModelParams, i: int, H: Tensor, key_bias: np.ndarray) -> Tensor:
-    """Encoder block i, post-LN: two tape nodes, `attention_sublayer` and
-    `feed_forward_sublayer`. Each keeps its input, its layer norm's
-    normalised rows and row scales, and, for attention, its softmax's row
-    maxima and row sums; each recomputes its projections, attention and
-    GELU in its backward."""
-    p = f"layers.{i}."
-    H = ad.attention_sublayer(
-        H, *(params[p + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")),
-        key_bias, params.config.n_heads,
-    )
-    return ad.feed_forward_sublayer(
-        H, *(params[p + n] for n in ("ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_g", "ln2_b"))
-    )
+    layers = [tuple(params[f"layers.{i}.{n}"] for n in LAYER_PARAMS) for i in range(cfg.n_layers)]
+    return ad.encoder(H, layers, key_bias, cfg.n_heads)
 
 
 def span_repr(params: ModelParams, H: Tensor, ex_idx, starts, ends) -> Tensor:

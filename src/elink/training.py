@@ -24,6 +24,7 @@ number of cores when numpy's OpenBLAS is found (see threads).
 import contextvars
 import logging
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +104,26 @@ class TrainConfig:
             raise ValueError(f"softmax_mode must be one of {SOFTMAX_MODES}")
 
 
+def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in a private anonymous mapping of its own, advised to
+    use huge pages where the platform has that advice; np.zeros where it has
+    no such mapping.
+
+    Its pages are mapped in only when first written, however much memory the
+    process has freed before: np.zeros of a large array may instead be
+    served from freed heap memory, which calloc then clears page by page."""
+    if not hasattr(mmap, "MAP_ANONYMOUS"):  # Unix has it, and MAP_PRIVATE
+        return np.zeros(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel without transparent huge pages: advice only
+            pass
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
 @dataclass
 class HeldMoments:
     """Adam moments of one parameter group, kept for its held rows only.
@@ -110,9 +131,11 @@ class HeldMoments:
     A row is held once any gradient has reached it. `order[:n]` lists the
     held rows in first-reach order, `slot` maps a row to its index there
     (-1 while the row is not held), and slot i of `m` and `v` holds the
-    moments of held row i. `m` and `v` are np.zeros of the parameter's
-    dtype, whose pages stay unmapped until a slot is used, so a row no
-    gradient has reached costs no memory and no work.
+    moments of held row i. `m` and `v` are zeros of the parameter's dtype,
+    each in a private anonymous mapping of its own (_mapped_zeros), whose
+    pages stay unmapped until a slot is used, so a row no gradient has
+    reached costs no memory and no work. First-reach order keeps the used
+    slots a prefix, so the used pages are too.
     """
 
     m: np.ndarray
@@ -124,8 +147,8 @@ class HeldMoments:
     @classmethod
     def for_shape(cls, shape: tuple, dtype) -> "HeldMoments":
         return cls(
-            m=np.zeros(shape, dtype),
-            v=np.zeros(shape, dtype),
+            m=_mapped_zeros(shape, dtype),
+            v=_mapped_zeros(shape, dtype),
             slot=np.full(shape[0], -1, dtype=np.int64),
             order=np.empty(shape[0], dtype=np.int64),
         )

@@ -333,28 +333,29 @@ def dense_moments(state) -> tuple[dict, dict]:
 
 
 def attention_state_refs(monkeypatch) -> list:
-    """Patch autodiff.attention_sublayer to record a weakref to each call's
-    softmax row maxima, which only that node's backward rule holds."""
+    """Patch autodiff.encoder to record a weakref to each layer's softmax row
+    maxima, which only that node's backward rule holds."""
     refs = []
-    orig = ad.attention_sublayer
+    orig = ad.encoder
 
-    def attention_sublayer(*args, **kwargs):
+    def encoder(*args, **kwargs):
         out = orig(*args, **kwargs)
         rule = out._backward
-        cell = rule.__closure__[rule.__code__.co_freevars.index("row_max")]
-        refs.append(weakref.ref(cell.cell_contents))
+        kept = rule.__closure__[rule.__code__.co_freevars.index("kept")].cell_contents
+        refs.extend(weakref.ref(layer[2]) for layer in kept)
         return out
 
-    monkeypatch.setattr(ad, "attention_sublayer", attention_sublayer)
+    monkeypatch.setattr(ad, "encoder", encoder)
     return refs
 
 
 def unfused_attention(q, k, v, key_bias, n_heads) -> Tensor:
-    """The reference for autodiff.attention_sublayer's attention: multi-head
-    scaled dot-product attention over (B, T, d) tensors as a node of its
-    own, with the fused node's ops in its order, so the two agree to the
-    byte. It takes each row's max with a max pass, and it keeps its
-    (B, H, T, T) probabilities for its backward rather than rebuilding them."""
+    """The reference for autodiff.encoder's attention: multi-head scaled
+    dot-product attention over (B, T, d) tensors as a node of its own, over
+    the whole batch at once, with the fused node's ops in its order, so the
+    two agree to the byte. It takes each row's max with a max pass, and it
+    keeps its (B, H, T, T) probabilities for its backward rather than
+    rebuilding them."""
     B, T, d = q.data.shape
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
@@ -393,7 +394,8 @@ def unfused_attention(q, k, v, key_bias, n_heads) -> Tensor:
 
 def unfused_attention_sublayer(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, key_bias,
                                n_heads) -> Tensor:
-    """The reference for autodiff.attention_sublayer: three `linear` nodes,
+    """The reference for an autodiff.encoder layer's attention sublayer,
+    LN1(H + attention(...) wo + bo): three `linear` nodes,
     unfused_attention and unfused_residual_layer_norm, each node keeping its
     own output until the backward."""
     q, k, v = (ad.linear(H, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
@@ -402,9 +404,19 @@ def unfused_attention_sublayer(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, ke
 
 
 def unfused_feed_forward_sublayer(H, w1, b1, w2, b2, gain, bias) -> Tensor:
-    """The reference for autodiff.feed_forward_sublayer: `linear`, `gelu`
-    and unfused_residual_layer_norm."""
+    """The reference for an autodiff.encoder layer's feed-forward sublayer,
+    LN2(H + gelu(H w1 + b1) w2 + b2): `linear`, `gelu` and
+    unfused_residual_layer_norm."""
     return unfused_residual_layer_norm(H, ad.gelu(ad.linear(H, w1, b1)), w2, b2, gain, bias)
+
+
+def unfused_encoder(H, layers, key_bias, n_heads) -> Tensor:
+    """The reference for autodiff.encoder: each layer's
+    unfused_attention_sublayer, then its unfused_feed_forward_sublayer."""
+    for layer in layers:
+        H = unfused_attention_sublayer(H, *layer[:10], key_bias, n_heads)
+        H = unfused_feed_forward_sublayer(H, *layer[10:])
+    return H
 
 
 def unfused_residual_layer_norm(res, h, w, b, gain, bias, eps=1e-5) -> Tensor:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from elink import autodiff as ad
 from elink.autodiff import RowGrad, Tensor
-from helpers import unfused_attention_sublayer, unfused_feed_forward_sublayer
+from helpers import unfused_attention_sublayer, unfused_encoder
 
 
 def _dense_grad(t):
@@ -175,17 +175,24 @@ def test_linear_matches_matmul_plus_bias(rng):
     assert np.allclose(ad.linear(x, w, b).data, x.data @ w.data + b.data, rtol=1e-13, atol=0.0)
 
 
-def _sublayer_inputs(rng, kind, dtype=np.float64, B=2, T=5, d=6, d_ff=8):
-    """H (B, T, d) and the parameters of an attention or a feed-forward
-    sublayer, in the node's argument order, each requiring grad. Weights are
-    scaled by 1/sqrt(fan-in) and gains sit near 1."""
-    mats = [(d, d)] * 4 if kind == "attention" else [(d, d_ff), (d_ff, d)]
-    shapes = [(B, T, d)]
-    for m in mats:
-        shapes += [m, m[1:]]
-    arrays = [rng.normal(size=s) / (math.sqrt(s[0]) if len(s) == 2 else 1.0) for s in shapes]
-    arrays += [1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d)]
-    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+def _encoder_inputs(rng, n_layers=1, dtype=np.float64, B=2, T=5, d=6, d_ff=8):
+    """H (B, T, d) and the parameters of n_layers encoder layers, each a
+    tuple in autodiff.encoder's order, every tensor requiring grad. Weights
+    are scaled by 1/sqrt(fan-in) and gains sit near 1."""
+
+    def leaf(shape, scale=1.0, offset=0.0):
+        return Tensor((offset + scale * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+
+    def norm():
+        return [leaf(d, 0.1, 1.0), leaf(d, 0.1)]
+
+    H = leaf((B, T, d))
+    layers = []
+    for _ in range(n_layers):
+        layer = [t for _ in range(4) for t in (leaf((d, d), 1 / math.sqrt(d)), leaf(d))] + norm()
+        layer += [leaf((d, d_ff), 1 / math.sqrt(d)), leaf(d_ff), leaf((d_ff, d), 1 / math.sqrt(d_ff)), leaf(d)]
+        layers.append(tuple(layer + norm()))
+    return H, layers
 
 
 def _padding(B=2, T=5):
@@ -195,32 +202,42 @@ def _padding(B=2, T=5):
     return pad, np.where(pad, -1e9, 0.0)
 
 
-def test_attention_grad_with_padded_keys(rng):
-    """attention_sublayer's gradient in each of its eleven inputs."""
-    ins = _sublayer_inputs(rng, "attention")
-    _, bias = _padding()
-    w = rng.normal(size=ins[0].shape)
-    fd_check(lambda: (ad.attention_sublayer(*ins, bias, 2) * w).sum(), ins)
+def test_attention_grad_with_padded_keys(rng, monkeypatch):
+    """The encoder's gradient in its input and each of a layer's 16
+    parameters, with padded keys, over blocks of two examples and a last
+    block of one."""
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", 8)
+    H, layers = _encoder_inputs(rng, 1, B=3, T=4)
+    assert ad._example_blocks(3, 4, 2) == [slice(0, 2), slice(2, 3)]
+    _, bias = _padding(B=3, T=4)
+    w = rng.normal(size=H.shape)
+    fd_check(lambda: (ad.encoder(H, layers, bias, 2) * w).sum(), [H, *layers[0]])
 
 
-def test_feed_forward_sublayer_grad(rng):
-    """feed_forward_sublayer's gradient in each of its seven inputs."""
-    ins = _sublayer_inputs(rng, "feed_forward")
-    w = rng.normal(size=ins[0].shape)
-    fd_check(lambda: (ad.feed_forward_sublayer(*ins) * w).sum(), ins)
+@pytest.mark.parametrize("B, T, block_rows", [(1, 5, 512), (2, 4, 3)],
+                         ids=["one_example_below_a_block", "one_example_blocks"])
+def test_encoder_grad(rng, monkeypatch, B, T, block_rows):
+    """Two layers' gradients in every input, with a padded key: B = 1 with
+    T below one block, and blocks of one example each."""
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", block_rows)
+    H, layers = _encoder_inputs(rng, 2, B=B, T=T)
+    pad = np.zeros((B, T), dtype=bool)
+    pad[0, -1] = True
+    w = rng.normal(size=H.shape)
+    fd_check(lambda: (ad.encoder(H, layers, np.where(pad, -1e9, 0.0), 2) * w).sum(),
+             [H, *layers[0], *layers[1]])
 
 
 def test_attention_ignores_padding_keys(rng):
-    ins = _sublayer_inputs(rng, "attention")
-    H = ins[0]
+    H, layers = _encoder_inputs(rng, 2)
     pad, bias = _padding()
     w = rng.normal(size=H.shape) * ~pad[..., None]   # loss reads non-pad outputs only
-    out = ad.attention_sublayer(*ins, bias, 2)
+    out = ad.encoder(H, layers, bias, 2)
     (out * w).sum().backward()
     assert not H.grad[pad].any()
     # new content at the padded positions leaves every non-pad output unchanged
     H.data[pad] = rng.normal(size=H.data[pad].shape) * 50
-    again = ad.attention_sublayer(*ins, bias, 2)
+    again = ad.encoder(H, layers, bias, 2)
     assert again.data[~pad].tobytes() == out.data[~pad].tobytes()
 
 
@@ -231,29 +248,32 @@ def _layer_norm64(x, gain, bias):
 
 def test_attention_weights_sum_to_one(rng):
     # a value that is the same at every key (wv = 0) comes back unchanged, at
-    # any score scale, only if each query's weights sum to one
-    ins = _sublayer_inputs(rng, "attention", B=2, T=4)
-    H, wq, wk, wv, bv = ins[0], ins[1], ins[3], ins[5], ins[6]
+    # any score scale, only if each query's weights sum to one; a zero second
+    # feed-forward projection leaves the second layer norm alone after it
+    H, layers = _encoder_inputs(rng, 1, B=2, T=4)
+    wq, _, wk, _, wv, bv, wo, bo, g1, c1, _, _, w2, b2, g2, c2 = layers[0]
     H.data *= 10
     wq.data *= 10
     wk.data *= 10
-    wv.data[:] = 0.0
-    out = ad.attention_sublayer(*ins, np.zeros((2, 4)), 3)
-    wo, bo, gain, bias = (t.data for t in ins[7:])
-    want = _layer_norm64(H.data + (bv.data @ wo + bo), gain, bias)
+    for t in (wv, w2, b2):
+        t.data[:] = 0.0
+    out = ad.encoder(H, layers, np.zeros((2, 4)), 3)
+    a = _layer_norm64(H.data + (bv.data @ wo.data + bo.data), g1.data, c1.data)
+    want = _layer_norm64(a, g2.data, c2.data)
     assert np.allclose(out.data, want, atol=1e-12)
 
 
 def test_attention_float32_matches_float64_on_a_padded_batch(rng):
-    ins64 = _sublayer_inputs(rng, "attention", B=3, T=16, d=32)
+    H, layers = _encoder_inputs(rng, 1, B=3, T=16, d=32, d_ff=64)
+    ins64 = [H, *layers[0]]
     pad, bias = _padding(B=3, T=16)
     pad[2, 9:] = True
     bias = np.where(pad, -1e9, 0.0)
-    w = rng.normal(size=ins64[0].shape)
+    w = rng.normal(size=H.shape)
     runs = []
     for dtype in (np.float64, np.float32):
         ins = [Tensor(t.data.astype(dtype), requires_grad=True) for t in ins64]
-        out = ad.attention_sublayer(*ins, bias.astype(dtype), 4)
+        out = ad.encoder(ins[0], [tuple(ins[1:])], bias.astype(dtype), 4)
         (out * w.astype(dtype)).sum().backward()
         assert out.data.dtype == dtype and all(t.grad.dtype == dtype for t in ins)
         runs.append([out.data] + [t.grad for t in ins])
@@ -267,34 +287,37 @@ def test_attention_float32_matches_float64_on_a_padded_batch(rng):
         assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("kind", ["attention", "feed_forward"])
-def test_sublayer_equals_the_unfused_chain_in_float32(rng, kind):
-    """Output and every input gradient have the bytes of the unfused chain
-    of `linear`, attention or `gelu`, a tape add and a layer-norm node
-    (helpers.unfused_attention_sublayer, unfused_feed_forward_sublayer),
-    with padded keys. H is an interior node, X * 1.0, so its gradient, the
-    sum of the residual's and each input projection's, reaches the leaf X
-    as one gradient."""
-    pad, bias = _padding(B=3, T=16)
-    pad[2, 9:] = True
+@pytest.mark.parametrize("B, T, block_rows", [(3, 16, 512), (3, 16, 32), (3, 16, 16), (5, 7, 7)],
+                         ids=["one_block", "two_example_blocks", "one_example_blocks",
+                              "odd_length_blocks"])
+def test_encoder_equals_the_unfused_chain_in_float32(monkeypatch, B, T, block_rows):
+    """Output and every input gradient of a two-layer encoder have the bytes
+    of the chain of per-layer unfused sublayers (`linear`, attention or
+    `gelu`, a tape add and a layer-norm node: helpers.unfused_encoder), with
+    padded keys, over blocks of several examples, of one, and, for T = 7,
+    blocks rounded up to two examples (a multiple of eight softmax rows),
+    each with a shorter last block. H is an interior node, X * 1.0, so its
+    gradient, the sum of the residual's and each input projection's,
+    reaches the leaf X as one gradient."""
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", block_rows)
+    pad, _ = _padding(B, T)
+    pad[2, T // 2:] = True
     bias = np.where(pad, -1e9, 0.0).astype(np.float32)
-    extra = (bias, 4) if kind == "attention" else ()
-    fused = ad.attention_sublayer if kind == "attention" else ad.feed_forward_sublayer
-    chain = unfused_attention_sublayer if kind == "attention" else unfused_feed_forward_sublayer
-    w = rng.normal(size=(3, 16, 32)).astype(np.float32)
+    w = np.random.default_rng(4).normal(size=(B, T, 32)).astype(np.float32)
     runs = []
-    for op in (fused, chain):
-        X, *params = _sublayer_inputs(np.random.default_rng(5), kind, np.float32, 3, 16, 32, 64)
-        out = op(X * 1.0, *params, *extra)
+    for op in (ad.encoder, unfused_encoder):
+        X, layers = _encoder_inputs(np.random.default_rng(5), 2, np.float32, B, T, 32, 64)
+        out = op(X * 1.0, layers, bias, 4)
         (out * w).sum().backward()
-        runs.append([out.data, X.grad] + [t.grad for t in params])
+        runs.append([out.data, X.grad] + [t.grad for layer in layers for t in layer])
     for got, want in zip(*runs):
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def _held_arrays(obj, seen=None) -> list:
     """Every array a backward rule reaches through its closure: its own
-    cells, its nested functions' cells and its tensors' data."""
+    cells, its nested functions' cells, the lists and tuples they hold and
+    its tensors' data."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -303,31 +326,50 @@ def _held_arrays(obj, seen=None) -> list:
         return [obj]
     if isinstance(obj, Tensor):
         return [obj.data]
+    if isinstance(obj, (list, tuple)):
+        return [a for x in obj for a in _held_arrays(x, seen)]
     if callable(obj) and getattr(obj, "__closure__", None):
         return [a for c in obj.__closure__ for a in _held_arrays(c.cell_contents, seen)]
     return []
 
 
 def test_attention_keeps_only_row_statistics(rng):
-    """Besides its inputs and the key bias, the node keeps its normalised
-    rows, its row scales and the softmax's row maxima and row sums: no q, k,
-    v, probabilities or attention output."""
-    B, T, d, H = 3, 16, 32, 4
-    ins = _sublayer_inputs(rng, "attention", np.float32, B, T, d)
+    """Besides its inputs and the key bias, the node keeps per layer only
+    its two layer norms' normalised rows and row scales and the softmax's
+    row maxima and row sums: no sublayer input or output, q, k, v,
+    probabilities, attention output or feed-forward activations."""
+    B, T, d, n_heads, n_layers = 3, 16, 32, 4, 2
+    H, layers = _encoder_inputs(rng, n_layers, np.float32, B, T, d, 64)
     _, bias = _padding(B, T)
     bias = bias.astype(np.float32)
-    out = ad.attention_sublayer(*ins, bias, H)
+    out = ad.encoder(H, layers, bias, n_heads)
+    inputs = [bias, H.data] + [t.data for layer in layers for t in layer]
     own = [a for a in _held_arrays(out._backward)
-           if not any(np.shares_memory(a, t) for t in [bias] + [t.data for t in ins])]
-    assert sorted(a.shape for a in own) == sorted([(B * T,), (B * T, d), (B, H, T, 1), (B, H, T, 1)])
+           if not any(np.shares_memory(a, t) for t in inputs)]
+    per_layer = [(B * T,), (B * T, d), (B, n_heads, T, 1), (B, n_heads, T, 1), (B * T,), (B * T, d)]
+    assert sorted(a.shape for a in own) == sorted(per_layer * n_layers)
 
 
 def test_feed_forward_sublayer_keeps_only_its_input_and_normalised_rows(rng):
-    ins = _sublayer_inputs(rng, "feed_forward", np.float32)
-    out = ad.feed_forward_sublayer(*ins)
+    """For its feed-forward sublayer the encoder node keeps no (B*T, d_ff)
+    activation: only the normalised rows its input is rebuilt from, to the
+    bytes of the unfused attention sublayer's output, and its own layer
+    norm's normalised rows, which give the node's output to the byte."""
+    B, T, d, d_ff = 3, 16, 32, 64
+    H, layers = _encoder_inputs(rng, 1, np.float32, B, T, d, d_ff)
+    _, bias = _padding(B, T)
+    bias = bias.astype(np.float32)
+    out = ad.encoder(H, layers, bias, 4)
+    ff_input = unfused_attention_sublayer(H, *layers[0][:10], bias, 4).data.reshape(-1, d)
+    inputs = [bias, H.data] + [t.data for t in layers[0]]
     own = [a for a in _held_arrays(out._backward)
-           if not any(np.shares_memory(a, t.data) for t in ins)]
-    assert sorted(a.shape for a in own) == [(10,), (10, 6)]   # row scales, normalised rows
+           if not any(np.shares_memory(a, t) for t in inputs)]
+    assert not any(d_ff in a.shape for a in own)
+    rows = [a for a in own if a.shape == (B * T, d)]
+    rebuilt = [[ad._scale_shift(a, *layers[0][k:k + 2]).tobytes() for a in rows] for k in (8, 14)]
+    assert len(rows) == 2
+    assert ff_input.tobytes() in rebuilt[0]
+    assert out.data.tobytes() in rebuilt[1]
 
 
 def _nll_rows(scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -604,23 +646,19 @@ def test_gelu_matches_the_tanh_form():
 
 
 def test_layer_norm_float32_at_a_large_common_offset(rng):
-    res = (1e3 + 0.1 * rng.normal(size=(4, 8, 64))).astype(np.float32)
-    w1 = (0.01 * rng.normal(size=(64, 16))).astype(np.float32)
-    b1 = (0.01 * rng.normal(size=16)).astype(np.float32)
-    w2 = (0.01 * rng.normal(size=(16, 64))).astype(np.float32)
-    b2 = (0.01 * rng.normal(size=64)).astype(np.float32)
+    """The encoder's residual layer norm (autodiff._add_norm) in float32, on
+    rows whose sum sits near 1e3 with a 0.1 spread."""
+    res = (1e3 + 0.1 * rng.normal(size=(32, 64))).astype(np.float32)
+    y = (0.01 * rng.normal(size=(32, 64))).astype(np.float32)
     # the bias keeps every output near 2-3, so an elementwise rtol measures
     # error against the normalised scale rather than against zero
     gain = rng.uniform(0.2, 0.5, size=64).astype(np.float32)
     bias = rng.uniform(2.0, 3.0, size=64).astype(np.float32)
-    ins = [Tensor(a) for a in (res, w1, b1, w2, b2, gain, bias)]
-    got = ad.feed_forward_sublayer(*ins).data
-    assert got.dtype == np.float32
     # the float32 sum near 1e3 is rounded to 6e-5, against a 0.1 spread; so
     # the reference normalises that rounded sum, in float64
-    x = res.reshape(-1, 64)
-    h = ad.gelu(ad.linear(Tensor(x), ins[1], ins[2])).data
-    x64 = ((h @ w2 + b2) + x).astype(np.float64).reshape(res.shape)
+    x64 = (y + res).astype(np.float64)
+    got = ad._add_norm(res, y, Tensor(gain), Tensor(bias))[0]
+    assert got.dtype == np.float32
     np.testing.assert_allclose(got, _layer_norm64(x64, gain, bias), rtol=1e-4)
 
 

@@ -271,7 +271,8 @@ def test_resolved_config_reruns_the_run(world, built_corpus, trained, tmp_path, 
 
 def test_finetune_echoes_the_checkpoint_shape(world, built_corpus, tmp_path, capsys):
     """A fine-tune from a checkpoint trains the checkpoint's shape, whatever
-    model.* says, so its echo gives that shape and reruns the run."""
+    model.* says, and names each model.* value it ignores on stderr; its
+    echo gives that shape and reruns the run."""
     root, paths, _ = world
     tvocab = TokenVocab.from_file(paths["token_vocab"])
     evocab = EntityVocab.from_file(paths["entity_vocab"])
@@ -287,6 +288,8 @@ def test_finetune_echoes_the_checkpoint_shape(world, built_corpus, tmp_path, cap
         "--mode", "all_entities", "--out-dir", str(first), "--model.d_model=16",
         "--train.total_steps=2", "--train.batch_size=4", "--train.log_interval=1",
     ]) == 0
+    # the run says which settings it ignores
+    assert "ignoring model.d_model = 16: the checkpoint's is 8" in capsys.readouterr().err
     echoed = parse_kv_file(first / "resolved_config.cfg")
     assert {k: echoed[f"model.{k}"] for k in shape} == {k: str(v) for k, v in shape.items()}
     assert main(["finetune", "--config", str(first / "resolved_config.cfg"),
@@ -532,6 +535,37 @@ def test_context_ids_are_checked_against_the_vocabularies(world, built_corpus, t
         "alias-stats": ["--alias-table", paths["alias_table"], "--dataset", str(bad)],
     }[command]
     assert main([command] + argv + vocabs) == 1
+    assert f"{bad}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval-disambig", "eval-e2e"])
+def test_a_context_longer_than_max_len_fails_at_load(world, built_corpus, trained, tmp_path,
+                                                     capsys, command):
+    """A context with more tokens than the model's max_len fails every
+    command that encodes contexts with the file's path:line, before
+    training writes anything. The max_len is the config's for pretrain and
+    the checkpoint's (32, where the config says 256) for the others."""
+    root, paths, _ = world
+    lines = open(built_corpus).read().splitlines()
+    rec = json.loads(lines[1])
+    while len(rec["tokens"]) <= 32:
+        rec["tokens"] += rec["tokens"]
+        rec["char_offsets"] += rec["char_offsets"]
+    bad = tmp_path / "long.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    vocabs = ["--token-vocab", paths["token_vocab"], "--entity-vocab", paths["entity_vocab"]]
+    argv = {
+        "pretrain": ["--corpus", str(bad), "--out-dir", str(tmp_path / "run"),
+                     "--model.d_model=8", "--model.n_layers=1", "--model.n_heads=2",
+                     "--model.d_ff=16", "--model.d_entity=8", "--model.max_len=32"],
+        "finetune": ["--checkpoint", trained, "--dataset", str(bad), "--mode", "all_entities",
+                     "--out-dir", str(tmp_path / "run")],
+        "eval-disambig": ["--checkpoint", trained, "--dataset", str(bad), "--candidates", "all"],
+        "eval-e2e": ["--checkpoint", trained, "--dataset", str(bad)],
+    }[command]
+    assert main([command] + argv + vocabs) == 1
+    message = f"{len(rec['tokens'])} tokens exceed the model's max_len 32"
     assert f"{bad}:2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

@@ -177,6 +177,19 @@ def test_out_of_range_values_rejected_at_load(key, value, message):
         build_run_config({key: value})
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig)])
+def test_a_bad_model_dimension_is_named_with_its_value(name):
+    """ModelConfig names the field it rejects and its value; a config key
+    also gets its section."""
+    bad = -1 if name == "n_layers" else -5
+    message = rf"{name}\b.* {bad}$"
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{"vocab_size": 10, "n_entities": 10, name: bad})
+    if name in {f.name for f in dataclasses.fields(ModelSettings)}:
+        with pytest.raises(ConfigError, match=rf"^section 'model': .*{message}"):
+            build_run_config({f"model.{name}": str(bad)})
+
+
 @pytest.mark.parametrize("key", ["paths.docs", "corpus.context_mode", "train.softmax_mode"])
 @pytest.mark.parametrize("line_end", ["\n", "\r"])
 def test_a_value_with_a_line_break_fails_at_load(key, line_end):

@@ -291,7 +291,8 @@ def test_chunks_partition_the_document_tokens(doc, chunk_chars, max_len):
 @settings(max_examples=300, deadline=None)
 def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
     """Every mention gives one label or one drop over the document's
-    contexts, in every builder; a window labels at most its own mention.
+    contexts, in every builder; a window labels at most its own mention, and
+    a mention dropped as whitespace or collided gets no window.
     A label's tokens are exactly the context's tokens that overlap its
     source mention, and its surface is that mention's text."""
     vocab = TokenVocab(RESERVED + ["yuri", "gagarin", "nyc", "a", "bb", "ccc"])
@@ -301,8 +302,10 @@ def test_drop_accounting_and_alignment_soundness(doc, width, max_len, builder):
         contexts, drops = chunk_document(doc, vocab, evocab, chunk_chars=width, max_len=max_len)
     elif builder == "window":
         contexts, drops = window_contexts(doc, vocab, evocab, window_bytes=width, max_len=max_len)
-        assert len(contexts) == len(doc.mentions)
-        sources = [[m] for m in doc.mentions]
+        # one window per mention but those dropped as whitespace or collided
+        assert len(contexts) == len(doc.mentions) - drops.whitespace - drops.collided
+        aligned = dict(cp.TokenizedDoc(doc, vocab).spans)
+        sources = [[m] for m in doc.mentions if m in aligned]
     else:
         contexts, drops = sentence_contexts(doc, builder, vocab, evocab, max_len=max_len)
     assert sum(len(c.labels) for c in contexts) + drops.total == len(doc.mentions)
@@ -333,7 +336,7 @@ def test_a_mention_starting_in_no_sentence_is_counted(vocab, evocab):
 def test_every_builder_labels_the_tokens_a_mention_overlaps(vocab, evocab, builder):
     """A mention's label holds exactly the document tokens it overlaps, in
     every builder and wherever its context starts; two mentions in one
-    token give one label and one collided drop."""
+    token give one label and one collided drop, and one window."""
     cases = [
         # starts in the whitespace after "y": the label takes no "y"
         (Document("d", "T", "x y\n  new york", (CharMention(4, 14, "E1"),)),
@@ -355,6 +358,8 @@ def test_every_builder_labels_the_tokens_a_mention_overlaps(vocab, evocab, build
                for ctx in contexts for lab in ctx.labels]
         assert got == want, doc.text
         assert drops.collided == drops.total == collided
+        if builder == "window":   # no window for the collided mention
+            assert len(contexts) == len(want)
 
 
 def _reference_eval_tokens(doc, sentence, mode, vocab):

@@ -117,10 +117,12 @@ def test_pad_content_does_not_leak(params):
 
 def test_encode_tape_holds_only_what_its_backward_reads():
     """The tape of one (16, 128) shard at the default model holds, per
-    block, four (B, T, d_model) arrays: each sublayer's normalised rows and
-    its output, the attention sublayer's being the feed-forward sublayer's
-    input. The bound allows one such array more per block and three for
-    the embeddings; a block that keeps its q, k, v, attention output or
+    block, its two layer norms' normalised rows, two (B, T, d_model)
+    arrays, their row scales and the softmax's (B, n_heads, T, 1) row
+    maxima and row sums. Besides those it holds the token embeddings, their
+    sum with the positions (the encoder node's input) and the encoder's
+    output. The bound allows one (B, T, d_model) array more; a block that
+    keeps a sublayer's input or output, q, k, v, the attention output or
     FFN activations exceeds it."""
     cfg = ModelConfig(vocab_size=1000, n_entities=10)
     p = ModelParams.initialize(cfg, seed=1)
@@ -133,8 +135,8 @@ def test_encode_tape_holds_only_what_its_backward_reads():
     finally:
         tracemalloc.stop()
     assert H.requires_grad
-    per_block = 5 * cfg.d_model
-    bound = (cfg.n_layers * per_block + 3 * cfg.d_model) * B * T * np.dtype(model.DTYPE).itemsize
+    per_block = 2 * cfg.d_model + 2 * cfg.n_heads + 2
+    bound = (cfg.n_layers * per_block + 4 * cfg.d_model) * B * T * np.dtype(model.DTYPE).itemsize
     assert live < bound
 
 

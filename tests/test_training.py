@@ -1,5 +1,9 @@
 """Schedule, clipping, Adam, and the pretrain/finetune loops."""
 
+import os
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -310,6 +314,48 @@ def test_adam_holds_rows_reached_over_steps_out_of_row_order(monkeypatch):
         assert p.data.tobytes() == ref[name].tobytes(), name
         assert m[name].tobytes() == ref_m[name].tobytes(), name
         assert v[name].tobytes() == ref_v[name].tobytes(), name
+
+
+_HEAP_REUSE = """
+import os
+import numpy as np
+from elink.training import HeldMoments
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+shape = (6144, 1024)
+# glibc maps the first array of this size and, once it is freed, raises its
+# mmap threshold: the second comes from the heap, which keeps it when freed
+for _ in range(2):
+    a = np.ones(shape, np.float32)
+    del a
+before = rss()
+held = HeldMoments.for_shape(shape, np.float32)
+slots = held.hold(np.arange(8))
+held.m[slots] = 1.0
+held.v[slots] = 1.0
+b = np.ones(shape, np.float32)
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
+                    reason="glibc's heap reuse, measured in /proc")
+def test_held_moments_leave_freed_heap_pages_to_the_next_allocation():
+    """In a fresh process that has freed a heap array the size of a moments
+    group, HeldMoments with a few held rows leaves that array's pages to the
+    next allocation of its size: RSS grows by about the held rows (one
+    2 MB huge page for each of m and v at most), not by the group, as it
+    would if calloc served the moments from the freed heap."""
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _HEAP_REUSE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    group = 6144 * 1024 * 4
+    assert int(out.stdout) < 2 * (2 << 20) + (1 << 20), int(out.stdout) / group
 
 
 def test_unlinked_batch_gives_ent_emb_an_empty_rowgrad_and_no_held_row():
