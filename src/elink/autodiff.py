@@ -61,8 +61,9 @@ Their elementwise work is kept cheap:
 - `gelu` is the tanh form 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   with its exact derivative, as Google's BERT code computes it;
 - the encoder takes its layer norms' row means and variances, forward and
-  backward, as GEMVs against a 1/n column, and the softmax row sums as a
-  GEMV against a ones column;
+  backward, and its softmax row sums with `np.einsum`, whose loops add a
+  row in an order fixed by its length: a row's sum does not depend on the
+  rows beside it, the BLAS kernel or the thread count;
 - the encoder takes each softmax row's max as the entry at its argmax,
   scales the queries, not the T x T scores, and its softmax backward
   takes each query's sum(dP * P) as the dot of its output gradient with
@@ -361,20 +362,22 @@ def take2(a: Tensor, idx0, idx1) -> Tensor:
     return out
 
 
-def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
     """x2 @ w + b for (N, n) rows x2, as a new array: one GEMM, then the
-    bias added in place."""
+    bias, if any, added in place."""
     y = x2 @ w.data
-    y += b.data
+    if b is not None:
+        y += b.data
     return y
 
 
-def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray) -> np.ndarray:
+def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor | None, g2: np.ndarray) -> np.ndarray:
     """Accumulate the weight and bias gradients of x2 @ w + b for the output
-    gradient g2 (one GEMM and one row-sum), and return x2's gradient (one
-    GEMM)."""
+    gradient g2 (one GEMM and, with a bias, one row-sum), and return x2's
+    gradient (one GEMM)."""
     _accum(w, x2.T @ g2)
-    _accum(b, g2.sum(axis=0))
+    if b is not None:
+        _accum(b, g2.sum(axis=0))
     return g2 @ w.data.T
 
 
@@ -639,16 +642,16 @@ def _scale_shift(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
 def _add_norm(res: np.ndarray, y: np.ndarray, gain: Tensor, bias: Tensor):
     """Layer norm of the (N, n) rows res + y over the last axis, then scale
     and shift. The sum is taken in y's buffer, which becomes the normalised
-    rows. Row means and variances are GEMVs against a 1/n column, and each
-    row is first shifted by its own first value: the result is the same,
-    but a float32 mean is then accurate to the row's spread rather than to
-    its offset from zero. Returns the output, the normalised rows and the
-    (N,) row scales, which are all that the backward reads."""
+    rows. Row means and variances are einsum sums against a 1/n column, and
+    each row is first shifted by its own first value: the result is the
+    same, but a float32 mean is then accurate to the row's spread rather
+    than to its offset from zero. Returns the output, the normalised rows
+    and the (N,) row scales, which are all that the backward reads."""
     y += res
     col = np.full(y.shape[-1], 1.0 / y.shape[-1], dtype=y.dtype)
     y -= y[:, :1]
-    y -= (y @ col)[:, None]
-    inv = 1.0 / np.sqrt((y * y) @ col + _LN_EPS)
+    y -= np.einsum("ij,j->i", y, col)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,j->i", y * y, col) + _LN_EPS)
     y *= inv[:, None]
     return _scale_shift(y, gain, bias), y, inv
 
@@ -664,8 +667,8 @@ def _add_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     _accum(bias, g.sum(axis=0))
     # the two row means of dxhat = g * gain and of dxhat * xhat
     wcol = gain.data * (1.0 / n)
-    m1 = g @ wcol
-    m2 = gx @ wcol
+    m1 = np.einsum("ij,j->i", g, wcol)
+    m2 = np.einsum("ij,j->i", gx, wcol)
     dx = g * gain.data
     dx -= m1[:, None]
     np.multiply(xhat, m2[:, None], out=gx)
@@ -680,20 +683,14 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge(x: np.ndarray) -> np.ndarray:
-    """The (B, T, d) array of a (B, n_heads, T, d / n_heads) head stack."""
-    B, H, T, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
-
-
 def _softmax(qh: np.ndarray, kh: np.ndarray, key_bias: np.ndarray, row_max=None, row_sum=None):
     """The row softmax of the scores qh @ kh^T, with key_bias (B, T) added to
     every query's scores for that key, and its (B, H, T, 1) row maxima and
     row sums. The maxima are taken as the entries at each row's argmax,
-    which is exact; the sums are a GEMV against a ones column. Given the
-    maxima and sums of an earlier call on the same inputs, it reuses them
-    and skips both passes: the ops that remain are the same, in the same
-    order, so the probabilities have the earlier call's bytes."""
+    which is exact; the sums are an einsum over each row. Given the maxima
+    and sums of an earlier call on the same inputs, it reuses them and
+    skips both passes: the ops that remain are the same, in the same order,
+    so the probabilities have the earlier call's bytes."""
     p = qh @ kh.swapaxes(-1, -2)
     p += key_bias[:, None, None, :]
     if row_max is None:
@@ -701,64 +698,60 @@ def _softmax(qh: np.ndarray, kh: np.ndarray, key_bias: np.ndarray, row_max=None,
     p -= row_max
     np.exp(p, out=p)
     if row_sum is None:
-        B, H, T, _ = p.shape
-        row_sum = (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, H, T, 1)
+        row_sum = np.einsum("ij->i", p.reshape(-1, p.shape[-1])).reshape(row_max.shape)
     p /= row_sum
     return p, row_max, row_sum
 
 
-def _example_blocks(B: int, T: int, n_heads: int) -> list[slice]:
+def _example_blocks(B: int, T: int) -> list[slice]:
     """Consecutive slices of whole examples of a (B, T) batch, each of about
-    _BLOCK_ROWS rows (at least one example).
-
-    Each block but the last holds a multiple of 8 softmax rows (n_heads * T
-    an example). A block's row sums are one GEMV, and OpenBLAS's GEMV sums
-    the rows of a call in groups of 8 from its first row, and its last few
-    rows apart: so each row's sum has the bytes of one GEMV over the batch."""
+    _BLOCK_ROWS rows (at least one example). Every row reduction is taken
+    row by row, so a block may be any run of whole examples."""
     step = max(1, _BLOCK_ROWS // T)
-    step += -step % (8 // math.gcd(8, n_heads * T))
     return [slice(lo, min(lo + step, B)) for lo in range(0, B, step)]
 
 
-def _qkv(x: np.ndarray, layer: tuple, B: int, T: int) -> list:
-    """The (B, T, d) queries, keys and values of the (B*T, d) rows x."""
-    wq, bq, wk, bk, wv, bv = layer[:6]
-    return [_affine(x, w, b).reshape(B, T, -1) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+def _qkv(x: np.ndarray, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+         B: int, T: int) -> list:
+    """The (B, T, d) queries x wq + bq, keys x wk (no bias: see encoder)
+    and values x wv + bv of the (B*T, d) rows x."""
+    return [_affine(x, w, b).reshape(B, T, -1) for w, b in ((wq, bq), (wk, None), (wv, bv))]
 
 
-def _attention(x: np.ndarray, layer: tuple, key_bias: np.ndarray, n_heads: int):
-    """The (B*T, d) attention output of the rows x, before its output
+def _attention(x: np.ndarray, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+               wo: Tensor, bo: Tensor, key_bias: np.ndarray, n_heads: int):
+    """The (B*T, d) attention output of the rows x through its output
     projection, and the softmax's (B, H, T, 1) row maxima and row sums;
     scores, softmax and output a block of examples at a time."""
     B, T = key_bias.shape
-    q, k, v = _qkv(x, layer, B, T)
+    q, k, v = _qkv(x, wq, bq, wk, wv, bv, B, T)
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     ctx = np.empty_like(q)
     row_max, row_sum = (np.empty((B, n_heads, T, 1), q.dtype) for _ in range(2))
-    for s in _example_blocks(B, T, n_heads):
+    for s in _example_blocks(B, T):
         p, row_max[s], row_sum[s] = _softmax(
             _heads(q[s] * scale, n_heads), _heads(k[s], n_heads), key_bias[s])
         _heads(ctx, n_heads)[s] = p @ _heads(v[s], n_heads)
-    return ctx.reshape(x.shape), row_max, row_sum
+    return _affine(ctx.reshape(x.shape), wo, bo), row_max, row_sum
 
 
-def _attention_backward(x: np.ndarray, layer: tuple, key_bias: np.ndarray, n_heads: int,
+def _attention_backward(x: np.ndarray, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
+                        bv: Tensor, wo: Tensor, bo: Tensor, key_bias: np.ndarray, n_heads: int,
                         row_max: np.ndarray, row_sum: np.ndarray, dx: np.ndarray) -> None:
     """Accumulate the gradients of the q, k, v and output projections of
-    _attention(x) for the (B*T, d) gradient dx of their output, and add x's
-    gradients through q, k and v, in that order, into dx.
+    _attention(x, ...) for the (B*T, d) gradient dx of its output, and add
+    x's gradients through q, k and v, in that order, into dx.
 
     A block at a time, the probabilities and attention output are rebuilt
     from q, k and the row statistics, skipping the max and row-sum passes;
     each query's softmax backward sum(dP * P) is the dot of its output
     gradient with its own output."""
     B, T = key_bias.shape
-    wq, bq, wk, bk, wv, bv, wo, bo = layer[:8]
-    q, k, v = _qkv(x, layer, B, T)
+    q, k, v = _qkv(x, wq, bq, wk, wv, bv, B, T)
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     gctx = (dx @ wo.data.T).reshape(q.shape)
     ctx, gq, gk, gv = (np.empty_like(q) for _ in range(4))
-    for s in _example_blocks(B, T, n_heads):
+    for s in _example_blocks(B, T):
         qh, kh, vh = (_heads(a[s], n_heads) for a in (q, k, v))
         p = _softmax(_heads(q[s] * scale, n_heads), kh, key_bias[s], row_max[s], row_sum[s])[0]
         ch = _heads(ctx, n_heads)[s]
@@ -776,16 +769,16 @@ def _attention_backward(x: np.ndarray, layer: tuple, key_bias: np.ndarray, n_hea
     gk *= scale
     _accum(wo, ctx.reshape(x.shape).T @ dx)
     _accum(bo, dx.sum(axis=0))
-    for w, b, gw in ((wq, bq, gq), (wk, bk, gk), (wv, bv, gv)):
+    for w, b, gw in ((wq, bq, gq), (wk, None, gk), (wv, bv, gv)):
         dx += _affine_backward(x, w, b, gw.reshape(x.shape))
 
 
-def _feed_forward_backward(a: np.ndarray, layer: tuple, rows: list, dx: np.ndarray) -> None:
+def _feed_forward_backward(a: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                           rows: list, dx: np.ndarray) -> None:
     """Accumulate the gradients of both projections of gelu(a w1 + b1) w2 + b2
     for the gradient dx of its output, and add a's gradient into dx. The
     GELU cdf is computed once, a block of rows at a time, for both the GELU
     output (w2's gradient) and GELU's slope."""
-    w1, b1, w2, b2 = layer[10:14]
     pre = _affine(a, w1, b1)
     h = np.empty_like(pre)
     for r in rows:   # h = gelu(pre), and pre becomes GELU's slope
@@ -800,18 +793,20 @@ def _feed_forward_backward(a: np.ndarray, layer: tuple, rows: list, dx: np.ndarr
 
 def encoder(H: Tensor, layers: list, key_bias: np.ndarray, n_heads: int) -> Tensor:
     """A stack of post-LN Transformer blocks over (B, T, d) rows H, as one
-    node. Each layer is a tuple of 16 tensors, in checkpoint order: wq, bq,
-    wk, bk, wv, bv, wo, bo, ln1_g, ln1_b, ff_w1, ff_b1, ff_w2, ff_b2, ln2_g,
+    node. Each layer is a tuple of 15 tensors, in checkpoint order: wq, bq,
+    wk, wv, bv, wo, bo, ln1_g, ln1_b, ff_w1, ff_b1, ff_w2, ff_b2, ln2_g,
     ln2_b. A block maps its input X to
-        A = LN1(X + attention(X wq + bq, X wk + bk, X wv + bv) wo + bo),
+        A = LN1(X + attention(X wq + bq, X wk, X wv + bv) wo + bo),
         Y = LN2(A + gelu(A ff_w1 + ff_b1) ff_w2 + ff_b2),
     and Y is the next block's input. With no layers it returns H.
 
     The attention is multi-head scaled dot-product attention; key_bias
     (B, T) is added to every query's scores for that key (a large negative
-    value masks a padding key). The score scale is applied to the queries,
-    and in the backward to the query and key gradients, so it touches
-    B*T*d values, not B*H*T*T scores.
+    value masks a padding key). The keys have no bias of their own: it
+    would add the same value to all of a query's scores, which the softmax
+    cancels. The score scale is applied to the queries, and in the
+    backward to the query and key gradients, so it touches B*T*d values,
+    not B*H*T*T scores.
 
     Besides its input H, the node keeps per layer only its two layer norms'
     normalised rows and row scales and the softmax's (B, H, T, 1) row maxima
@@ -826,41 +821,44 @@ def encoder(H: Tensor, layers: list, key_bias: np.ndarray, n_heads: int) -> Tens
 
     The scores, softmax and attention output (forward, replay and backward)
     and the GELU passes run a block of whole examples at a time, so their
-    temporaries take a block's size, not the batch's. Every product or sum
-    across rows (the projections, the layer norms, and every weight, bias
-    and gain gradient) is one op over all rows.
+    temporaries take a block's size, not the batch's. A block is any run of
+    whole examples, as each row sum is an einsum over that row alone. Every
+    product or sum across rows (the projections and every weight, bias and
+    gain gradient) is one op over all rows.
     """
     if not layers:
         return H
     B, T, d = H.data.shape
-    rows = [slice(s.start * T, s.stop * T) for s in _example_blocks(B, T, n_heads)]
+    rows = [slice(s.start * T, s.stop * T) for s in _example_blocks(B, T)]
+    # per layer, by sublayer: attention, its layer norm, feed-forward, its layer norm
+    named = [((wq, bq, wk, wv, bv, wo, bo), (g1, c1), (w1, b1, w2, b2), (g2, c2))
+             for wq, bq, wk, wv, bv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 in layers]
     kept = []   # per layer: xhat1, inv1, row_max, row_sum, xhat2, inv2
     x = H.data.reshape(-1, d)
-    for layer in layers:
-        wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 = layer[6:]
-        ctx, row_max, row_sum = _attention(x, layer, key_bias, n_heads)
-        a, xhat1, inv1 = _add_norm(x, _affine(ctx, wo, bo), g1, c1)
-        del ctx
+    for attention, ln1, (w1, b1, w2, b2), ln2 in named:
+        y, row_max, row_sum = _attention(x, *attention, key_bias, n_heads)
+        a, xhat1, inv1 = _add_norm(x, y, *ln1)
         h = _affine(a, w1, b1)
         for r in rows:
             h[r] *= _gelu_cdf(h[r])
-        x, xhat2, inv2 = _add_norm(a, _affine(h, w2, b2), g2, c2)
+        x, xhat2, inv2 = _add_norm(a, _affine(h, w2, b2), *ln2)
         del a, h
         kept.append([xhat1, inv1, row_max, row_sum, xhat2, inv2])
     out = Tensor(x.reshape(B, T, d), _parents=(H, *(t for layer in layers for t in layer)))
 
     def bwd(g):
         dx = g.reshape(-1, d)
-        for i in reversed(range(len(layers))):
-            layer = layers[i]
+        for i in reversed(range(len(named))):
+            attention, ln1, feed_forward, ln2 = named[i]
             xhat1, inv1, row_max, row_sum, xhat2, inv2 = kept[i]
             kept[i] = None
-            dx = _add_norm_backward(dx, xhat2, inv2, *layer[14:])
-            _feed_forward_backward(_scale_shift(xhat1, *layer[8:10]), layer, rows, dx)
-            dx = _add_norm_backward(dx, xhat1, inv1, *layer[8:10])
+            dx = _add_norm_backward(dx, xhat2, inv2, *ln2)
+            _feed_forward_backward(_scale_shift(xhat1, *ln1), *feed_forward, rows, dx)
+            dx = _add_norm_backward(dx, xhat1, inv1, *ln1)
             del xhat1, xhat2
-            x = _scale_shift(kept[i - 1][4], *layers[i - 1][14:]) if i else H.data.reshape(-1, d)
-            _attention_backward(x, layer, key_bias, n_heads, row_max, row_sum, dx)
+            # this layer's input: the previous layer's output, or H
+            x = _scale_shift(kept[i - 1][4], *named[i - 1][3]) if i else H.data.reshape(-1, d)
+            _attention_backward(x, *attention, key_bias, n_heads, row_max, row_sum, dx)
         _accum(H, dx.reshape(B, T, d))
 
     out._backward = bwd if out.requires_grad else None

@@ -28,7 +28,7 @@ from .corpus import Context
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"ELCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 O_TAG, B_TAG, I_TAG = 0, 1, 2
 
@@ -88,7 +88,7 @@ def _param_specs(cfg: ModelConfig):
         p = f"layers.{i}."
         specs += [
             (p + "wq", (d, d), "normal"), (p + "bq", (d,), "zeros"),
-            (p + "wk", (d, d), "normal"), (p + "bk", (d,), "zeros"),
+            (p + "wk", (d, d), "normal"),
             (p + "wv", (d, d), "normal"), (p + "bv", (d,), "zeros"),
             (p + "wo", (d, d), "normal"), (p + "bo", (d,), "zeros"),
             (p + "ln1_g", (d,), "ones"), (p + "ln1_b", (d,), "zeros"),
@@ -215,7 +215,7 @@ class ModelParams:
 
 
 # an encoder layer's parameters, in the order autodiff.encoder takes them
-LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
+LAYER_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
                 "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_g", "ln2_b")
 
 
@@ -716,6 +716,9 @@ def load_checkpoint(path, requires_grad: bool = True) -> ModelParams:
         if head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {head[:4]!r}")
         version, cfg_len = struct.unpack("<II", head[4:12])
+        if version == 1:
+            raise CheckpointError(f"{path}: checkpoint version 1 holds the key biases "
+                                  "layers.N.bk, which version 2 dropped; retrain the model")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         try:

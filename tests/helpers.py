@@ -371,7 +371,7 @@ def unfused_attention(q, k, v, key_bias, n_heads) -> Tensor:
     p += key_bias[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= (p.reshape(-1, T) @ np.ones(T, p.dtype)).reshape(B, n_heads, T, 1)
+    p /= np.einsum("ij->i", p.reshape(-1, T)).reshape(B, n_heads, T, 1)
     ctx = merge(p @ vh)
     out = Tensor(ctx, _parents=(q, k, v))
 
@@ -392,13 +392,30 @@ def unfused_attention(q, k, v, key_bias, n_heads) -> Tensor:
     return out
 
 
-def unfused_attention_sublayer(H, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, key_bias,
+def unfused_matmul(x, w) -> Tensor:
+    """x @ w over any leading dims as a node of its own: the reference for
+    the encoder's key projection, which has no bias. Forward and backward
+    are `linear`'s GEMMs without the bias."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = Tensor((x2 @ w.data).reshape(x.data.shape[:-1] + w.data.shape[1:]), _parents=(x, w))
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        ad._accum(w, x2.T @ g2)
+        ad._accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+
+    out._backward = bwd
+    return out
+
+
+def unfused_attention_sublayer(H, wq, bq, wk, wv, bv, wo, bo, gain, bias, key_bias,
                                n_heads) -> Tensor:
     """The reference for an autodiff.encoder layer's attention sublayer,
-    LN1(H + attention(...) wo + bo): three `linear` nodes,
-    unfused_attention and unfused_residual_layer_norm, each node keeping its
-    own output until the backward."""
-    q, k, v = (ad.linear(H, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    LN1(H + attention(H wq + bq, H wk, H wv + bv) wo + bo): `linear` nodes
+    for q and v, unfused_matmul for k, unfused_attention and
+    unfused_residual_layer_norm, each node keeping its own output until the
+    backward."""
+    q, k, v = ad.linear(H, wq, bq), unfused_matmul(H, wk), ad.linear(H, wv, bv)
     return unfused_residual_layer_norm(H, unfused_attention(q, k, v, key_bias, n_heads),
                                        wo, bo, gain, bias)
 
@@ -413,9 +430,9 @@ def unfused_feed_forward_sublayer(H, w1, b1, w2, b2, gain, bias) -> Tensor:
 def unfused_encoder(H, layers, key_bias, n_heads) -> Tensor:
     """The reference for autodiff.encoder: each layer's
     unfused_attention_sublayer, then its unfused_feed_forward_sublayer."""
-    for layer in layers:
-        H = unfused_attention_sublayer(H, *layer[:10], key_bias, n_heads)
-        H = unfused_feed_forward_sublayer(H, *layer[10:])
+    for wq, bq, wk, wv, bv, wo, bo, g1, c1, w1, b1, w2, b2, g2, c2 in layers:
+        H = unfused_attention_sublayer(H, wq, bq, wk, wv, bv, wo, bo, g1, c1, key_bias, n_heads)
+        H = unfused_feed_forward_sublayer(H, w1, b1, w2, b2, g2, c2)
     return H
 
 
@@ -429,8 +446,8 @@ def unfused_residual_layer_norm(res, h, w, b, gain, bias, eps=1e-5) -> Tensor:
     flat = x.data.reshape(-1, n)
     col = np.full(n, 1.0 / n, dtype=flat.dtype)
     xhat = flat - flat[:, :1]
-    xhat -= (xhat @ col)[:, None]
-    inv = 1.0 / np.sqrt((xhat * xhat) @ col + eps)
+    xhat -= np.einsum("ij,j->i", xhat, col)[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,j->i", xhat * xhat, col) + eps)
     xhat *= inv[:, None]
     y = xhat * gain.data
     y += bias.data
@@ -442,8 +459,8 @@ def unfused_residual_layer_norm(res, h, w, b, gain, bias, eps=1e-5) -> Tensor:
         ad._accum(gain, gx.sum(axis=0))
         ad._accum(bias, g.sum(axis=0))
         wcol = gain.data * (1.0 / n)
-        m1 = g @ wcol
-        m2 = gx @ wcol
+        m1 = np.einsum("ij,j->i", g, wcol)
+        m2 = np.einsum("ij,j->i", gx, wcol)
         dx = g * gain.data
         dx -= m1[:, None]
         np.multiply(xhat, m2[:, None], out=gx)

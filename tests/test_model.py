@@ -525,6 +525,31 @@ def test_uncandidated_entity_embedding_gradient_is_zero(params):
     assert np.all(g[untouched] == 0.0)
 
 
+def test_every_parameter_group_gets_a_gradient_far_above_rounding(params64):
+    """float64 loss and backward on a padded batch with per-mention
+    candidates: every group of _param_specs gets a gradient whose largest
+    entry is far above rounding noise, so each one can change an output.
+    (A key bias would fail: it adds the same value to all of a query's
+    scores, which the softmax cancels, so its gradient is rounding noise.)"""
+    rng = np.random.default_rng(21)
+    contexts, targets = [], []
+    for n_tokens, mentions in (
+        (10, [((1, 2), [5, 3, 8], 5), ((6, 6), [2, 11], 11)]),
+        (7, [((0, 1), [3, 9, 14, 2], 9), ((4, 4), [7, 5], 7)]),
+    ):
+        contexts.append(make_context(rng, n_tokens, [MentionLabel(span, gold, None)
+                                                     for span, _, gold in mentions]))
+        targets.append([MentionTarget(span, gold, candidates=np.array(cands))
+                        for span, cands, gold in mentions])
+    batch = build_batch(contexts, 0, targets)
+    assert batch.pad_mask.any()
+    grads = backward(total_loss(params64, batch)[0], params64)
+    assert list(grads) == [name for name, _, _ in _param_specs(TINY)]
+    peak = {name: np.abs(ad.grad_values(g)).max(initial=0.0) for name, g in grads.items()}
+    floor = 1e-6 * max(peak.values())
+    assert [name for name, v in peak.items() if v <= floor] == []
+
+
 def _linked_batch(seed):
     rng = np.random.default_rng(seed)
     contexts = [make_context(rng, labels=[MentionLabel((2, 3), 5, None)]) for _ in range(2)]
@@ -938,7 +963,7 @@ def test_checkpoint_bytes_follow_documented_layout(tmp_path, params):
     save_checkpoint(path, params)
     cfg_json = json.dumps(asdict(TINY), sort_keys=True).encode("utf-8")
     tensors = [params[name].data.astype("<f4").tobytes(order="C") for name in params.names()]
-    want = b"ELCK" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + b"".join(tensors)
+    want = b"ELCK" + struct.pack("<II", 2, len(cfg_json)) + cfg_json + b"".join(tensors)
     assert path.read_bytes() == want
 
 
@@ -949,7 +974,7 @@ def test_checkpoint_bytes_of_tables_spanning_several_blocks(tmp_path):
     cfg_json = json.dumps(asdict(MULTI), sort_keys=True).encode("utf-8")
     tensors = [t.data.astype("<f4").tobytes() for _, t in params.items()]
     assert path.read_bytes() == (
-        b"ELCK" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + b"".join(tensors)
+        b"ELCK" + struct.pack("<II", 2, len(cfg_json)) + cfg_json + b"".join(tensors)
     )
 
 
@@ -961,6 +986,20 @@ def test_checkpoint_bad_magic(tmp_path, params):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_version_1_names_the_dropped_key_bias(tmp_path, params):
+    """Version 1 checkpoints hold a key bias per layer, which version 2
+    dropped: loading one fails with the file's path and names the key."""
+    path = tmp_path / "model.elck"
+    save_checkpoint(path, params)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "layers.N.bk" in message and "retrain" in message
 
 
 def test_checkpoint_truncated(tmp_path, params):
