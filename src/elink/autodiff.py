@@ -33,16 +33,21 @@ spent graph raises. Three nodes keep less than their intermediates:
 Each recomputation repeats the forward's ops in the forward's order, so it
 gets the forward's bytes.
 
-Gradients are dense arrays shaped like their tensor, except that a row
-gather (`take`, the embedding lookup) yields a row-sparse `RowGrad`: the
-gathered rows and their summed gradients; so does `table_softmax_nll` for
-the table rows it scores. Adam, clipping and the finiteness check consume
-it as it is, so an embedding table's gradient costs what the batch
-touches, not the table size. A `RowGrad` meeting a dense gradient on the
-same tensor is densified. `add_grads` sums two gradients of one tensor, as
-training does with the gradients of a batch's two shards; the table rows
-that both shards score are one `TableRows`, gathered once per step, whose
-buffer takes both shards' table gradient, so that one needs no sum.
+Gradients are dense arrays shaped like their tensor, except a gathered
+leaf's. A row gather (`take`, the embedding lookup) hands its leaf a
+row-sparse `RowGrad`, the gathered rows and their summed gradients, and a
+`TableRows` hands its table one over the rows that `table_softmax_nll`
+scores (over every row when the whole table is scored). That RowGrad is
+the leaf's one gradient: a second gradient of the same leaf, or a RowGrad
+reaching a node with a backward rule, raises ValueError, so interior nodes
+only ever get dense gradients. Adam, clipping and the finiteness check
+consume a RowGrad as it is, so an embedding table's gradient costs what
+the batch touches, not the table size. `add_grads` sums two gradients of
+one tensor, as training does with the gradients of a batch's two shards;
+the table rows that both shards score are one `TableRows`, gathered once
+per step, whose buffer takes both shards' table gradient, so that one needs
+no sum: when the shards run on two threads, they meet at a
+`threading.Barrier` and each writes every other block of it.
 
 The model's dense layers (`linear`), its encoder (`encoder`, post-LN
 blocks of an attention and a feed-forward sublayer, each from its input
@@ -152,8 +157,7 @@ class Tensor:
             for node in reversed(topo):
                 g = node.grad
                 if node._backward is not None and g is not None:
-                    # backward rules take dense gradients; only leaves keep a RowGrad
-                    node._backward(g.dense() if isinstance(g, RowGrad) else g)
+                    node._backward(g)
                     node.grad = None
         finally:
             # Cut the tape in one pass after the sweep: freeing closures inside
@@ -235,43 +239,37 @@ def grad_values(g) -> np.ndarray:
     return g.values if isinstance(g, RowGrad) else g
 
 
-def _accum(t: Tensor, g, owned: bool = False) -> None:
+def _accum(t: Tensor, g) -> None:
     """Add g into t.grad.
 
-    Backward never writes a gradient in place, so an interior node keeps
-    a C-contiguous first g as given even if another node shares it. A leaf,
-    whose gradient the caller owns and may scale, stores a copy, unless g is
-    `owned` (a new array that nothing else holds); a strided view is copied
-    too (C order keeps every later reduction's summation order).
+    A RowGrad, a gather's or a table's, is its leaf's one gradient, stored
+    as given: it raises ValueError if it reaches a node with a backward rule
+    or if a second gradient meets it. Every other gradient is dense.
+    Backward never writes a gradient in place, so an interior node keeps a
+    C-contiguous first g as given even if another node shares it. A leaf,
+    whose gradient the caller owns and may scale, stores a copy; a strided
+    view is copied too (C order keeps every later reduction's summation
+    order).
     """
     if not t.requires_grad:
         return
-    if isinstance(g, RowGrad) and not isinstance(t.grad, np.ndarray):
-        if t.grad is not None:
-            g = RowGrad(
-                np.concatenate([t.grad.rows, g.rows]),
-                np.concatenate([t.grad.values, g.values]),
-                t.shape,
-            )
+    if isinstance(g, RowGrad) or isinstance(t.grad, RowGrad):
+        if t._backward is not None or t.grad is not None:
+            raise ValueError("a RowGrad must be its leaf's one gradient")
         t.grad = g
-        return
-    if isinstance(g, RowGrad):
-        g = g.dense()
-    if t.grad is None:
-        keep = (owned or t._backward is not None) and g.flags.c_contiguous
-        t.grad = g if keep else g.copy()
+    elif t.grad is None:
+        t.grad = g if t._backward is not None and g.flags.c_contiguous else g.copy()
     else:
-        prev = t.grad.dense() if isinstance(t.grad, RowGrad) else t.grad
-        t.grad = prev + g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to `shape`, inverting numpy broadcasting."""
+    """Sum g over the leading axes that broadcasting to it added to `shape`;
+    a stretched size-1 axis raises ValueError."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
+    if g.shape != shape:
+        raise ValueError(f"the tape broadcasts only over leading axes, not {shape} to {g.shape}")
     return g
 
 
@@ -284,7 +282,8 @@ def _const(x, like: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for two tensors, broadcast as numpy does."""
+    """a + b for two tensors, broadcast as numpy does over the leading axes
+    that one lacks; a stretched size-1 axis raises in the backward."""
     out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bwd(g):
@@ -296,7 +295,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, c) -> Tensor:
-    """a times a constant c (a number or an array), broadcast as numpy does."""
+    """a times a constant c (a number or an array), broadcast as numpy does;
+    a stretched size-1 axis of a raises in the backward."""
     cc = _const(c, a.data)
     out = Tensor(a.data * cc, _parents=(a,))
 
@@ -440,16 +440,18 @@ class TableRows:
     rows at a time: the first part's GEMM for the block is written into it
     and the second's is added (float addition is commutative, so the bytes do
     not depend on the arrival order; so at most two nodes may score). The
-    gradient reaches `table` once: a RowGrad over the sorted rows, or one new
-    dense array when rows is None. So a step holds one row-sized buffer,
-    whether one batch shard or two score against it.
+    gradient reaches `table` once, as its one RowGrad: over the sorted rows,
+    or over every row, in a new buffer, when rows is None. So a step holds
+    one row-sized buffer, whether one batch shard or two score against it.
 
     The two nodes may sit on two tapes, one per shard. With `concurrent`,
-    their rules run at the same time on two threads and meet: the first to
-    hand over waits for the second, and then each writes every other block.
-    Without, the first rule returns, and the second writes every block, so
-    nothing waits. abort() ends every wait, now and later, with
-    threading.BrokenBarrierError, so a shard that fails releases the other.
+    their rules run at the same time on two threads and meet at a
+    threading.Barrier(2): the last to hand over makes the buffer before it
+    waits, and then each writes every other block. Otherwise the last rule
+    to hand over writes every block, and an earlier one returns, so nothing
+    waits. abort() aborts the barrier, so that every wait, now and
+    later, raises threading.BrokenBarrierError: a shard that fails releases
+    the other.
     """
 
     def __init__(self, table: Tensor, rows=None, concurrent: bool = False):
@@ -466,17 +468,17 @@ class TableRows:
             ):
                 raise ValueError("table rows must be distinct and non-negative")
         self.emb = None     # the gathered rows (the table itself when rows is None)
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._meeting = threading.Barrier(2)
         self._scorers = 0   # nodes that will hand over their scores
         self._parts = []    # (scores gradient, span vectors) per node, in arrival order
         self._buf = None
-        self._writers = self._written = 0   # nodes that write blocks; those done
-        self._broken = False
+        self._written = 0   # writers done
 
     def _score(self, enroll: bool) -> np.ndarray:
         """The gathered rows, gathered on the first call. `enroll` counts the
         caller among the nodes that will hand over their scores."""
-        with self._cond:
+        with self._lock:
             if enroll and self._scorers == 2:
                 raise ValueError("at most two nodes can score one TableRows")
             if self.emb is None:
@@ -486,37 +488,30 @@ class TableRows:
 
     def abort(self) -> None:
         """End every wait, now and later (see the class)."""
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
+        self._meeting.abort()
 
     def _hand_over(self, ds: np.ndarray, x: np.ndarray) -> None:
         """Take one node's spent (N, K) score gradient ds and its (N, d)
         span vectors x, whose table gradient is ds.T @ x."""
-        with self._cond:
+        with self._lock:
             self._parts.append((ds, x))
-            share = len(self._parts) - 1 if self.concurrent else 0
-            if len(self._parts) == self._scorers:
+            last = len(self._parts) == self._scorers
+            if last:
                 self._buf = np.empty_like(self.emb) if self._sorted is None else self.emb
-                self._writers = self._scorers if self.concurrent else 1
-                self._cond.notify_all()
-            elif not self.concurrent:
-                return
-            while len(self._parts) < self._scorers:
-                if self._broken:
-                    raise threading.BrokenBarrierError
-                self._cond.wait()
-            parts, writers = self._parts, self._writers
-        self._write(parts, share, writers)
-        with self._cond:
+        if self.concurrent and self._scorers == 2:
+            writers, share = 2, self._meeting.wait()
+        elif last:
+            writers, share = 1, 0
+        else:
+            return
+        self._write(self._parts, share, writers)
+        with self._lock:
             self._written += 1
             if self._written < writers:
                 return
-            self._parts = []
-        if self._sorted is None:
-            _accum(self.table, self._buf, owned=True)
-        else:
-            _accum(self.table, RowGrad.of_rows(self._sorted, self._buf, self.table.data.shape))
+        self._parts = []
+        rows = np.arange(len(self._buf)) if self._sorted is None else self._sorted
+        _accum(self.table, RowGrad.of_rows(rows, self._buf, self.table.data.shape))
 
     def _write(self, parts: list, share: int, writers: int) -> None:
         """Blocks share, share + writers, ... of the buffer's sorted rows:
@@ -553,9 +548,9 @@ def table_softmax_nll(
     forward turns the score matrix into max-shifted exponentials in place;
     the backward turns it into (softmax - onehot(gold)) * g in place, takes
     the span-vector gradient from the gathered rows and hands the matrix to
-    `table`, which writes the table's gradient (a RowGrad over the sorted
-    rows, dense when every row is scored) and then drops it, so it does not
-    live on through the rest of the backward sweep.
+    `table`, which writes the table's one gradient (a RowGrad over the
+    sorted rows, or over every row) and then drops it, so it does not live
+    on through the rest of the backward sweep.
     """
     gold = np.asarray(gold, dtype=np.int64)
     at = np.arange(len(gold))

@@ -383,8 +383,9 @@ def main(argv=None) -> int:
         if getattr(args, "mode", None) is not None:
             overrides["train.softmax_mode"] = _FINETUNE_MODES[args.mode]
         return args.func(args, load_run_config(args.config, overrides))
-    except (ValueError, FileNotFoundError, tr.TrainingDiverged) as exc:
-        # ValueError covers ConfigError, CorpusFormatError and RedirectCycleError
+    except (ValueError, OSError, tr.TrainingDiverged) as exc:
+        # ValueError covers ConfigError, CorpusFormatError, RedirectCycleError and
+        # CheckpointError; OSError a path that is missing, a directory or unreadable
         return _fail(str(exc))
 
 

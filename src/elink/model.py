@@ -709,21 +709,35 @@ def load_checkpoint(path, requires_grad: bool = True) -> ModelParams:
     """Parameters from a checkpoint file, each tensor read from the file
     straight into its own (aligned, writable) DTYPE array. With
     requires_grad False they are constants, so inference on them records
-    no autodiff graph."""
+    no autodiff graph. A malformed file raises CheckpointError, whose
+    message starts with the path."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {head[:4]!r}")
-        version, cfg_len = struct.unpack("<II", head[4:12])
+        if len(head) < 12:
+            raise CheckpointError(f"{path}: truncated header ({len(head)} of 12 bytes)")
+        version, cfg_len = struct.unpack("<II", head[4:])
         if version == 1:
             raise CheckpointError(f"{path}: checkpoint version 1 holds the key biases "
                                   "layers.N.bk, which version 2 dropped; retrain the model")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        block = f.read(cfg_len)
+        if len(block) < cfg_len:
+            raise CheckpointError(
+                f"{path}: truncated config block ({len(block)} of {cfg_len} bytes)")
         try:
-            cfg = ModelConfig(**json.loads(f.read(cfg_len).decode("utf-8")))
-        except (TypeError, ValueError, json.JSONDecodeError) as exc:
+            fields = json.loads(block.decode("utf-8"))
+            if type(fields) is not dict:
+                raise ValueError("not a JSON object")
+            for name, value in fields.items():
+                # exact type: bool is an int subclass, and is rejected too
+                if type(value) is not int:
+                    raise ValueError(f"{name} {json.dumps(value)} is not an integer")
+            cfg = ModelConfig(**fields)
+        except (TypeError, ValueError) as exc:   # JSON and UTF-8 errors are ValueErrors
             raise CheckpointError(f"{path}: bad config block: {exc}") from exc
         offset = 12 + cfg_len
         tensors: "OrderedDict[str, Tensor]" = OrderedDict()

@@ -49,12 +49,15 @@ from elink.training import TrainConfig, finetune, pretrain
 
 @contextmanager
 def criterion(number: int, name: str):
+    """Print the criterion's PASS or FAIL line, followed by the notes that
+    the body appends to the list it is given."""
+    notes = []
     try:
-        yield
+        yield notes
     except BaseException:
-        print(f"ACCEPTANCE {number} ({name}): FAIL")
+        print(f"ACCEPTANCE {number} ({name}): FAIL", *notes, sep="; ")
         raise
-    print(f"ACCEPTANCE {number} ({name}): PASS")
+    print(f"ACCEPTANCE {number} ({name}): PASS", *notes, sep="; ")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,7 @@ def test_criterion_4_pretraining_beats_scratch():
     """On a 500-context synthetic corpus with a held-out split, pretraining
     then fine-tuning beats a no-pretraining model by >= 5 points of held-out
     disambiguation accuracy, averaged over 3 seeds."""
-    with criterion(4, "pretraining beats no-pretraining"):
+    with criterion(4, "pretraining beats no-pretraining") as notes:
         gaps = []
         for seed in (1, 2, 3):
             vocab, contexts, phrase, pages = make_world(n_entities=200, n_contexts=500,
@@ -240,6 +243,7 @@ def test_criterion_4_pretraining_beats_scratch():
             acc_scratch = all_entity_accuracy(scratch, held)
             gaps.append(acc_pretrained - acc_scratch)
         mean_gap = float(np.mean(gaps))
+        notes.append(f"gaps {[round(g, 2) for g in gaps]}, mean {mean_gap:.2f} (bound 5.0)")
         assert mean_gap >= 5.0, f"gaps {gaps}"
 
 

@@ -638,6 +638,32 @@ def test_link_empty_input(world, trained, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("bad", ["directory_as_vocab", "short_checkpoint"])
+def test_an_unreadable_input_fails_with_one_error_line(world, trained, tmp_path, capsys, bad):
+    """A directory given as the token vocabulary, or a checkpoint cut inside
+    its 12-byte header, makes link print an error naming the path and
+    return 1, not raise."""
+    root, paths, _ = world
+    text = tmp_path / "in.txt"
+    text.write_text("some text\n")
+    vocab, checkpoint = paths["token_vocab"], trained
+    if bad == "directory_as_vocab":
+        vocab = target = str(tmp_path)
+    else:
+        checkpoint = target = str(tmp_path / "short.elck")
+        Path(checkpoint).write_bytes(b"ELCK\x02\x00")
+    rc = main([
+        "link",
+        "--checkpoint", checkpoint,
+        "--token-vocab", vocab,
+        "--entity-vocab", paths["entity_vocab"],
+        "--input", str(text),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and target in err and "Traceback" not in err
+
+
 def test_link_emits_planted_entity(world, trained, tmp_path, capsys):
     root, paths, docs = world
     text_file = tmp_path / "text.txt"

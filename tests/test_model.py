@@ -1003,11 +1003,33 @@ def test_checkpoint_version_1_names_the_dropped_key_bias(tmp_path, params):
 
 
 def test_checkpoint_truncated(tmp_path, params):
+    """A file cut in its header, in its config block or in its last tensor
+    fails as CheckpointError with its path."""
     path = tmp_path / "model.elck"
     save_checkpoint(path, params)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(CheckpointError, match="truncated"):
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    for cut in (6, 12 + cfg_len // 2, len(blob) - 8):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: "), cut
+
+
+@pytest.mark.parametrize("field, value", [("d_model", 8.0), ("n_layers", 1.5),
+                                          ("n_heads", True), ("max_len", "16")])
+def test_checkpoint_config_field_must_be_an_integer(tmp_path, params, field, value):
+    path = tmp_path / "model.elck"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    cfg_json = json.dumps({**asdict(TINY), field: value}, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<II", 2, len(cfg_json)) + cfg_json
+                     + blob[12 + cfg_len:])
+    with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
+    assert str(err.value) == (f"{path}: bad config block: "
+                              f"{field} {json.dumps(value)} is not an integer")
 
 
 @pytest.mark.parametrize("fail_in", ["checkpoint", "rename"])
